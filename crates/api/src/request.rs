@@ -4,7 +4,7 @@ use crate::wire::{decode_graph, encode_graph, WireError, WireReader, WireWriter}
 use gsi_graph::Graph;
 use std::time::Duration;
 
-/// The tenant queries are accounted to when the caller names none.
+/// The tenant a wire query is accounted to when its frame names none.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Sentinel for "no per-query deadline" in the wire encoding.
@@ -29,13 +29,15 @@ pub struct QueryRequest {
     /// default; `Some` overrides it.
     pub deadline: Option<Duration>,
     /// Tenant the query is accounted to for quotas and fair queueing.
-    /// `None` means [`DEFAULT_TENANT`].
+    /// Over the wire, `None` means [`DEFAULT_TENANT`]; submitted in
+    /// process, `None` is the embedding application itself, which shares
+    /// the queue fairly but is bound by its global capacity alone.
     pub tenant: Option<String>,
 }
 
 impl QueryRequest {
-    /// Request against `graph` with the service's default deadline,
-    /// accounted to the default tenant.
+    /// Request against `graph` with the service's default deadline and no
+    /// tenant.
     pub fn new(graph: impl Into<String>, query: Graph) -> Self {
         Self {
             graph: graph.into(),

@@ -6,7 +6,7 @@ use gsi::datasets::DatasetKind;
 use gsi::graph::basic::BasicStore;
 use gsi::graph::compressed::CompressedStore;
 use gsi::graph::csr::Csr;
-use gsi::graph::pcsr::PcsrStore;
+use gsi::graph::pcsr::MultiPcsr;
 use gsi::graph::LabeledStore;
 use gsi::prelude::*;
 use gsi_bench::workloads::HarnessOpts;
@@ -42,7 +42,7 @@ fn bench_extraction(c: &mut Criterion) {
         ("csr", Box::new(Csr::build(&data))),
         ("br", Box::new(BasicStore::build(&data))),
         ("cr", Box::new(CompressedStore::build(&data))),
-        ("pcsr", Box::new(PcsrStore::build(&data))),
+        ("pcsr", Box::new(MultiPcsr::build(&data))),
     ];
 
     let mut g = c.benchmark_group("table2_extraction");
@@ -62,7 +62,7 @@ fn bench_extraction(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("table2_gpn_ablation");
     for gpn in [2usize, 4, 8, 16] {
-        let store = PcsrStore::build_with_gpn(&data, gpn);
+        let store = MultiPcsr::build_with_gpn(&data, gpn);
         g.bench_with_input(BenchmarkId::from_parameter(gpn), &gpn, |b, _| {
             b.iter(|| {
                 let mut total = 0usize;

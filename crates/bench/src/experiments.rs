@@ -16,7 +16,7 @@ use gsi::datasets::{statistics, DatasetKind};
 use gsi::graph::basic::BasicStore;
 use gsi::graph::compressed::CompressedStore;
 use gsi::graph::csr::Csr;
-use gsi::graph::pcsr::PcsrStore;
+use gsi::graph::pcsr::MultiPcsr;
 use gsi::graph::LabeledStore;
 use gsi::prelude::*;
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ pub fn table2(opts: &HarnessOpts) {
         ("CSR", Box::new(Csr::build(&data))),
         ("BR", Box::new(BasicStore::build(&data))),
         ("CR", Box::new(CompressedStore::build(&data))),
-        ("PCSR", Box::new(PcsrStore::build(&data))),
+        ("PCSR", Box::new(MultiPcsr::build(&data))),
     ];
 
     let mut t = Table::new(vec![
@@ -102,7 +102,7 @@ pub fn table2(opts: &HarnessOpts) {
     println!("\nGPN ablation (PCSR group size; paper fixes 16 = one 128B transaction):");
     let mut t = Table::new(vec!["GPN", "avg GLD/locate", "max chain", "space (MB)"]);
     for gpn in [2usize, 4, 8, 16] {
-        let store = PcsrStore::build_with_gpn(&data, gpn);
+        let store = MultiPcsr::build_with_gpn(&data, gpn);
         gpu.reset_stats();
         for &(v, l) in &samples {
             store.neighbor_count(&gpu, v, l);

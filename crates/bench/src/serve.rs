@@ -23,8 +23,8 @@ use gsi::datasets::DatasetKind;
 use gsi::graph::query_gen::random_walk_query;
 use gsi::graph::update::random_update_batch;
 use gsi::graph::Graph;
-use gsi::server::{ClientError, GsiClient, GsiServer, ServerConfig, TenantPolicy};
-use gsi::service::{GsiService, ServiceConfig};
+use gsi::server::{ClientError, GsiClient, GsiServer, ServerConfig};
+use gsi::service::{GsiService, ServiceConfig, TenantPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
@@ -249,21 +249,15 @@ pub fn serve(opts: &HarnessOpts, clients: usize, min_throughput: f64, out_path: 
     let service = Arc::new(GsiService::new(ServiceConfig {
         workers: 4,
         queue_capacity: 512,
+        tenants: TenantPolicy {
+            queue_quota: 128,
+            inflight_quota: 16,
+            quantum: 8,
+        },
         ..ServiceConfig::for_tests()
     }));
-    let server = GsiServer::start(
-        Arc::clone(&service),
-        ServerConfig {
-            tenants: TenantPolicy {
-                queue_quota: 128,
-                inflight_quota: 16,
-                quantum: 8,
-            },
-            responders: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = GsiServer::start(Arc::clone(&service), ServerConfig::default())
+        .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     let mut setup = GsiClient::connect(addr).expect("connect");

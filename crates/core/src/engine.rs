@@ -15,7 +15,7 @@ use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::basic::BasicStore;
 use gsi_graph::compressed::CompressedStore;
 use gsi_graph::csr::Csr;
-use gsi_graph::pcsr::{PcsrStore, StoreUpdateReport};
+use gsi_graph::pcsr::{MultiPcsr, StoreUpdateReport};
 use gsi_graph::update::{UpdateBatch, UpdateError};
 use gsi_graph::{Graph, GraphStats, LabeledStore, StorageKind};
 use gsi_obs::TraceConfig;
@@ -345,7 +345,7 @@ impl GsiEngine {
     /// Build the configured storage structure for `data`.
     fn build_store(&self, data: &Graph) -> Arc<dyn LabeledStore> {
         match self.cfg.storage {
-            StorageKind::Pcsr => Arc::new(PcsrStore::build_with_gpn(data, self.cfg.storage_gpn)),
+            StorageKind::Pcsr => Arc::new(MultiPcsr::build_with_gpn(data, self.cfg.storage_gpn)),
             StorageKind::Csr => Arc::new(Csr::build(data)),
             StorageKind::Basic => Arc::new(BasicStore::build(data)),
             StorageKind::Compressed => Arc::new(CompressedStore::build(data)),

@@ -13,7 +13,7 @@
 //!     offset layer ("Basic Representation", Fig. 11(a));
 //!   * [`compressed::CompressedStore`] — per-label CSR with a binary-searched
 //!     vertex-ID layer ("Compressed Representation", Fig. 11(b));
-//!   * [`pcsr::PcsrStore`] — the paper's **PCSR** (Definition 4, Algorithm 1,
+//!   * [`pcsr::MultiPcsr`] — the paper's **PCSR** (Definition 4, Algorithm 1,
 //!     Fig. 11(c)): hashed groups of `GPN` pairs, one 128-byte transaction
 //!     per group probe, overflow chaining with Claim 1 guarantees.
 //! * Generators for synthetic graphs ([`generate`]) and the paper's

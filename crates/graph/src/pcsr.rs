@@ -440,9 +440,6 @@ pub struct MultiPcsr {
     log: Vec<StoreUpdateReport>,
 }
 
-/// The historical name of [`MultiPcsr`] (one `Pcsr` per label, no updates).
-pub type PcsrStore = MultiPcsr;
-
 impl MultiPcsr {
     /// Build one PCSR per distinct edge label with the default group size.
     pub fn build(g: &crate::graph::Graph) -> Self {
@@ -607,7 +604,7 @@ mod tests {
     #[test]
     fn matches_ground_truth_on_paper_example() {
         let g = paper_example_data();
-        let store = PcsrStore::build(&g);
+        let store = MultiPcsr::build(&g);
         let gpu = gpu();
         for v in 0..g.n_vertices() as u32 {
             for l in [0, 1] {
@@ -623,7 +620,7 @@ mod tests {
     fn matches_ground_truth_random_all_gpn() {
         for gpn in [2, 3, 4, 8, 16] {
             let g = random_labeled(300, 900, 4, 7, 1234 + gpn as u64);
-            let store = PcsrStore::build_with_gpn(&g, gpn);
+            let store = MultiPcsr::build_with_gpn(&g, gpn);
             let gpu = gpu();
             for v in 0..g.n_vertices() as u32 {
                 for l in 0..7 {
@@ -704,7 +701,7 @@ mod tests {
     #[test]
     fn store_total_space_is_edge_linear() {
         let g = random_labeled(500, 2000, 4, 10, 5);
-        let store = PcsrStore::build(&g);
+        let store = MultiPcsr::build(&g);
         // O(|E|) with the 32B/vertex constant: far below BR on many labels.
         let bound = 128 * 2 * g.n_edges() + 8 * g.n_edges();
         assert!(store.space_bytes() <= bound);

@@ -20,8 +20,10 @@
 //! * [`datasets`] — Table III dataset stand-ins.
 //! * [`service`] — the concurrent query-serving subsystem: a graph catalog
 //!   sharing prepared graphs across queries with epoch-versioned in-place
-//!   updates, a bounded-queue scheduler with worker threads, deadlines and
-//!   admission control, a plan cache keyed by canonical query hashes, and
+//!   updates, a scheduler whose one bounded queue is the stack's only
+//!   admission point (per-tenant lanes popped in deficit-round-robin
+//!   order, deadlines, worker threads), a plan cache keyed by canonical
+//!   query hashes, and
 //!   aggregated serving statistics with per-epoch attribution (see the
 //!   `gsi-service` crate docs for the architecture, and the repository
 //!   `README.md` for the crate map and the "Updating graphs in place"
@@ -30,9 +32,10 @@
 //!   builder-style [`prelude::QueryRequest`], consolidated
 //!   [`prelude::ApiError`] with stable wire discriminants, typed
 //!   [`prelude::Completion`], and the hand-rolled wire-encoding helpers.
-//! * [`server`] — the TCP front-end: versioned binary framing, per-tenant
-//!   fair queueing with quota backpressure, streamed match tables,
-//!   graceful drain, and the matching blocking client (see the repository
+//! * [`server`] — the TCP front-end: versioned binary framing, `Busy`
+//!   backpressure from the scheduler's admission decision, match tables
+//!   streamed by per-connection writers under a write deadline, graceful
+//!   drain, and the matching blocking client (see the repository
 //!   `README.md`'s "Serving over the network" and `docs/PROTOCOL.md`).
 //!
 //! ## Quickstart
@@ -88,10 +91,10 @@ pub mod prelude {
     pub use gsi_datasets::{DatasetKind, DatasetSpec};
     pub use gsi_gpu_sim::{DeviceConfig, Gpu};
     pub use gsi_graph::{Graph, GraphBuilder, StorageKind};
-    pub use gsi_server::{GsiClient, GsiServer, ServerConfig, TenantPolicy};
+    pub use gsi_server::{GsiClient, GsiServer, ServerConfig};
     pub use gsi_service::{
         GsiService, MetricFormat, QueryRequest, QueryResponse, ServiceConfig, ServiceStatsSnapshot,
-        SubmitError,
+        SubmitError, TenantPolicy,
     };
     pub use gsi_signature::{Layout, SignatureConfig};
 }

@@ -8,14 +8,20 @@
 //! * **Versioned framing** ([`frame`]) — magic + protocol version + frame
 //!   kind + request id + tenant header on every message; malformed input
 //!   yields a typed error and a closed connection, never a panic.
-//! * **Tenant fair-queueing** ([`tenant`]) — per-tenant bounded lanes
-//!   with queue and in-flight quotas, drained in deficit-round-robin
-//!   order weighted by pattern size, so one tenant's flood cannot starve
+//! * **Tenant fair-queueing** — every `Submit` is accounted to its frame
+//!   header's tenant and goes straight into the service scheduler's one
+//!   queue (`gsi_service::TenantPolicy`): per-tenant bounded lanes with
+//!   queue and in-flight quotas, popped in deficit-round-robin order
+//!   weighted by pattern size, so one tenant's flood cannot starve
 //!   another's trickle.
-//! * **Backpressure** — quota and admission-queue rejections answer with
-//!   `Busy { retry_after_hint }` frames instead of growing a backlog.
+//! * **Backpressure** — the scheduler's refusals (queue full, tenant lane
+//!   full) answer with `Busy { retry_after_hint }` frames instead of
+//!   growing a backlog.
 //! * **Streaming** — match tables return in bounded `MatchChunk` frames;
 //!   a response is `ResponseHeader`, zero or more chunks, `ResponseDone`.
+//!   Each connection has its own writer and a write deadline
+//!   ([`server::WRITE_DEADLINE`]): a peer that stops reading is
+//!   disconnected and costs nobody else anything.
 //! * **Graceful drain** ([`GsiServer::shutdown`]) — stop accepting,
 //!   flush every acknowledged query, send a typed goodbye, close. Zero
 //!   acknowledged queries are dropped.
@@ -29,7 +35,6 @@
 pub mod client;
 pub mod frame;
 pub mod server;
-pub mod tenant;
 
 /// The normative wire-format specification, compiled from
 /// `docs/PROTOCOL.md`. Its embedded conformance block runs as a doc-test
@@ -44,4 +49,3 @@ pub use client::{
 };
 pub use frame::{Frame, FrameError, FrameHeader, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{DrainReport, GsiServer, ServerConfig};
-pub use tenant::{EnqueueError, FairQueue, LaneSnapshot, TenantPolicy};

@@ -13,7 +13,7 @@ use std::io::BufRead;
 use std::sync::Arc;
 
 fn usage() -> &'static str {
-    "gsi-server [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n           [--tenant-queue N] [--tenant-inflight N] [--quantum N]\n           [--responders N] [--chunk-rows N] [--max-connections N]\n\nServes the GSI wire protocol until stdin reaches EOF, then drains."
+    "gsi-server [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n           [--tenant-queue N] [--tenant-inflight N] [--quantum N]\n           [--chunk-rows N] [--max-connections N]\n\n--queue-capacity bounds the scheduler's one queue; --tenant-queue and\n--tenant-inflight bound each tenant's lane inside it. A Submit refused by\neither bound is answered Busy. Serves the GSI wire protocol until stdin\nreaches EOF, then drains."
 }
 
 fn parse_args() -> Result<(ServiceConfig, ServerConfig), String> {
@@ -36,10 +36,9 @@ fn parse_args() -> Result<(ServiceConfig, ServerConfig), String> {
             "--addr" => server.addr = value.clone(),
             "--workers" => service.workers = num()?,
             "--queue-capacity" => service.queue_capacity = num()?,
-            "--tenant-queue" => server.tenants.queue_quota = num()?,
-            "--tenant-inflight" => server.tenants.inflight_quota = num()?,
-            "--quantum" => server.tenants.quantum = num()? as u64,
-            "--responders" => server.responders = num()?,
+            "--tenant-queue" => service.tenants.queue_quota = num()?,
+            "--tenant-inflight" => service.tenants.inflight_quota = num()?,
+            "--quantum" => service.tenants.quantum = num()? as u64,
             "--chunk-rows" => server.chunk_rows = num()?,
             "--max-connections" => server.max_connections = num()?,
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),

@@ -1,40 +1,44 @@
-//! The TCP front-end: accept loop, per-connection readers, the DRR
-//! dispatcher, and the response writers.
+//! The TCP front-end: accept loop, per-connection readers and writers.
 //!
 //! ## Threading model
 //!
-//! The engine's CPU work lives in `gsi-service`'s worker pool; the server
-//! adds only I/O and scheduling threads around it:
+//! The engine's CPU work lives in `gsi-service`'s worker pool, and so does
+//! the one queue in front of it; the server adds only I/O threads:
 //!
 //! * **acceptor** — one thread on a non-blocking listener; refuses
 //!   connections past [`ServerConfig::max_connections`] and stops
 //!   accepting the moment a drain starts.
 //! * **reader (per connection)** — decodes frames, answers control-plane
 //!   requests (register / update / metrics / health / goodbye) inline,
-//!   and routes `Submit` frames into the tenant [`FairQueue`]. A quota
-//!   rejection is answered immediately with `Busy { retry_after_hint }`;
-//!   a malformed frame gets a typed `Error { Protocol }` frame and the
-//!   connection is closed.
-//! * **dispatcher** — one thread draining the fair queue in DRR order
-//!   into `GsiService::submit`, which applies the service's own bounded
-//!   admission queue on top (a service-level `QueueFull` also becomes
-//!   `Busy` on the wire).
-//! * **responders** — a small pool blocking on `QueryTicket::wait` and
-//!   streaming each match table back in bounded chunks.
+//!   and hands each `Submit` straight to `QueryScheduler::submit_to` —
+//!   the stack's single admission point and the start of the query's one
+//!   clock (deadline budget, queue wait, wire `latency_us`). A refusal
+//!   (queue or tenant lane full) is answered at once with
+//!   `Busy { retry_after_hint }`; a malformed frame gets a typed
+//!   `Error { Protocol }` frame and the connection is closed.
+//! * **writer (per connection)** — streams out, in bounded chunks, the
+//!   responses the service's workers deliver into the connection's
+//!   outbound channel tagged with their request ids. The tenant's
+//!   in-flight slot travels with each response and is released once it
+//!   has been written or abandoned.
+//!
+//! A query's blocking chain is reader → worker → its own connection's
+//! writer. Every socket write carries [`WRITE_DEADLINE`]: a peer that
+//! stops reading is disconnected when it expires, so it holds at most its
+//! tenants' in-flight quota of result tables and blocks nobody else.
 //!
 //! ## Drain contract
 //!
 //! [`GsiServer::shutdown`] stops the acceptor, refuses new submits with
-//! `Error { ShuttingDown }`, runs the fair queue dry, waits for every
-//! dispatched ticket to be answered, then sends each live connection a
-//! server-initiated `Goodbye` (request id 0) and closes it. Every submit
-//! that was acknowledged into a lane before the drain began receives its
-//! response — zero acknowledged queries are dropped.
+//! `Error { ShuttingDown }`, waits until every acknowledged submit's
+//! response has been written (or abandoned on a dead connection), then
+//! sends each live connection a server-initiated `Goodbye` (request id 0)
+//! and closes it — zero acknowledged queries are dropped.
 
 use crate::frame::{read_frame_polled, Frame, FrameHeader};
-use crate::tenant::{EnqueueError, FairQueue, LaneSnapshot, TenantPolicy};
-use gsi_api::{ApiError, QueryRequest};
-use gsi_service::{GsiService, QueryTicket, SubmitError};
+use gsi_api::request::DEFAULT_TENANT;
+use gsi_api::ApiError;
+use gsi_service::{Delivery, GsiService, LaneSnapshot, QueryResponse, SubmitError};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -42,6 +46,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest one socket write may block before the connection is given up
+/// on. A healthy peer drains a chunk in well under a millisecond; a peer
+/// that has not made room for one within this long has stopped reading.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Everything a [`GsiServer`] is configured by.
 #[derive(Debug, Clone)]
@@ -52,11 +61,6 @@ pub struct ServerConfig {
     /// Most simultaneous client connections; excess connects are closed
     /// immediately after accept.
     pub max_connections: usize,
-    /// Per-tenant quotas and the DRR quantum.
-    pub tenants: TenantPolicy,
-    /// Response-writer threads (each blocks on one ticket at a time, so
-    /// this bounds concurrently streaming responses).
-    pub responders: usize,
     /// Match rows per `MatchChunk` frame.
     pub chunk_rows: usize,
     /// The wait hint carried by `Busy` backpressure frames.
@@ -68,8 +72,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 64,
-            tenants: TenantPolicy::default(),
-            responders: 4,
             chunk_rows: 512,
             retry_after_hint: Duration::from_millis(2),
         }
@@ -77,16 +79,10 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// A small config for tests: ephemeral port, tight quotas.
+    /// A small config for tests: ephemeral port, small chunks.
     pub fn for_tests() -> Self {
         Self {
             max_connections: 16,
-            tenants: TenantPolicy {
-                queue_quota: 16,
-                inflight_quota: 4,
-                quantum: 8,
-            },
-            responders: 2,
             chunk_rows: 64,
             retry_after_hint: Duration::from_millis(1),
             ..Self::default()
@@ -104,45 +100,33 @@ pub struct DrainReport {
     pub connections_drained: usize,
 }
 
-/// One submitted query waiting for DRR dispatch.
-struct PendingSubmit {
-    conn: Arc<ConnShared>,
-    request_id: u64,
-    request: QueryRequest,
-}
-
-/// One dispatched query waiting for its service response.
-struct PendingResponse {
-    conn: Arc<ConnShared>,
-    request_id: u64,
-    tenant: String,
-    ticket: QueryTicket,
-}
-
-/// Per-connection state shared by its reader and the response writers.
+/// Per-connection state shared by its reader and its writer.
 struct ConnShared {
-    writer: Mutex<TcpStream>,
+    stream: Mutex<TcpStream>,
     served: AtomicU64,
 }
 
 impl ConnShared {
     /// Write one whole frame under the connection's write lock. Errors are
     /// returned, not panicked: a vanished peer must never take the server
-    /// down.
+    /// down. A failed write (the peer is gone, or stalled past
+    /// [`WRITE_DEADLINE`]) may have left half a frame on the wire, so it
+    /// closes the connection: the reader sees the disconnect and every
+    /// later send fails fast.
     fn send(&self, request_id: u64, frame: &Frame) -> io::Result<()> {
-        let header = FrameHeader {
-            request_id,
-            tenant: String::new(),
-        };
-        let mut stream = self.writer.lock();
-        crate::frame::write_frame(&mut *stream, &header, frame)
+        let header = FrameHeader::new(request_id, "");
+        let mut stream = self.stream.lock();
+        let written = crate::frame::write_frame(&mut *stream, &header, frame);
+        if written.is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        written
     }
 }
 
 struct ServerShared {
     service: Arc<GsiService>,
     config: ServerConfig,
-    queue: FairQueue<PendingSubmit>,
     conns: Mutex<Vec<std::sync::Weak<ConnShared>>>,
     /// Set when a drain starts: acceptor stops, submits are refused.
     draining: AtomicBool,
@@ -150,6 +134,9 @@ struct ServerShared {
     closed: AtomicBool,
     conn_count: AtomicUsize,
     served_total: AtomicU64,
+    /// Submits acknowledged (or still being decided) whose answer has not
+    /// been written yet; the drain waits for it to reach zero.
+    unwritten: AtomicUsize,
 }
 
 /// The network front-end over one [`GsiService`].
@@ -157,8 +144,6 @@ pub struct GsiServer {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
-    responders: Vec<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     drained: bool,
 }
@@ -172,35 +157,15 @@ impl GsiServer {
 
         let shared = Arc::new(ServerShared {
             service,
-            queue: FairQueue::new(config.tenants.clone()),
             config,
             conns: Mutex::new(Vec::new()),
             draining: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             served_total: AtomicU64::new(0),
+            unwritten: AtomicUsize::new(0),
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let (resp_tx, resp_rx) = mpsc::channel::<PendingResponse>();
-        let resp_rx = Arc::new(Mutex::new(resp_rx));
-
-        let responders = (0..shared.config.responders.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&resp_rx);
-                std::thread::Builder::new()
-                    .name(format!("gsi-server-responder-{i}"))
-                    .spawn(move || responder_loop(&shared, &rx))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gsi-server-dispatcher".to_string())
-                .spawn(move || dispatcher_loop(&shared, resp_tx))?
-        };
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -214,8 +179,6 @@ impl GsiServer {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            dispatcher: Some(dispatcher),
-            responders,
             readers,
             drained: false,
         })
@@ -226,9 +189,10 @@ impl GsiServer {
         self.local_addr
     }
 
-    /// Per-tenant lane accounting, for observability and tests.
+    /// Per-tenant lane accounting (the scheduler's), for observability
+    /// and tests.
     pub fn tenant_lanes(&self) -> Vec<LaneSnapshot> {
-        self.shared.queue.snapshot()
+        self.shared.service.scheduler().lanes()
     }
 
     /// Responses delivered so far.
@@ -265,20 +229,14 @@ impl GsiServer {
             let _ = h.join();
         }
 
-        // Phase 2: run the fair queue dry. The dispatcher exits after the
-        // last lane empties, dropping the responder channel's sender.
-        self.shared.queue.drain();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
+        // Phase 2: every acknowledged submit is answered. Each wait is
+        // bounded: workers always deliver, and a writer gives a stalled
+        // peer up after WRITE_DEADLINE.
+        while self.shared.unwritten.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
 
-        // Phase 3: every dispatched ticket is answered before the
-        // responders see the closed channel and exit.
-        for h in self.responders.drain(..) {
-            let _ = h.join();
-        }
-
-        // Phase 4: typed goodbye to every live connection, then close.
+        // Phase 3: typed goodbye to every live connection, then close.
         let conns: Vec<Arc<ConnShared>> = {
             let guard = self.shared.conns.lock();
             guard.iter().filter_map(|w| w.upgrade()).collect()
@@ -287,7 +245,7 @@ impl GsiServer {
         self.shared.closed.store(true, Ordering::SeqCst);
         for conn in conns {
             let _ = conn.send(0, &Frame::Goodbye);
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
+            let _ = conn.stream.lock().shutdown(Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.readers.lock());
         for h in handles {
@@ -360,7 +318,8 @@ fn acceptor_loop(
     }
 }
 
-/// One connection's read loop: decode, route, answer.
+/// One connection's read loop: decode, route, answer. Owns the
+/// connection's writer thread.
 fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
     // The read timeout is the reader's shutdown-poll interval. A timeout
     // is honored as an idle tick only *between* frames; once a frame has
@@ -368,13 +327,27 @@ fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
     // arriving across multiple TCP segments (large RegisterGraph bodies,
     // slow clients) can never desynchronize the framing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let conn = Arc::new(ConnShared {
-        writer: Mutex::new(stream),
+        stream: Mutex::new(stream),
         served: AtomicU64::new(0),
     });
+    // The outbound channel: the service's workers deliver this
+    // connection's responses into `sink`, the writer streams them out.
+    let (sink, outbound) = mpsc::channel::<Delivery>();
+    let writer = {
+        let shared = Arc::clone(shared);
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name("gsi-server-writer".to_string())
+            .spawn(move || writer_loop(&shared, &conn, outbound))
+    };
+    let Ok(writer) = writer else {
+        return;
+    };
     {
         // Dead slots (connections that have since closed) are pruned on
         // every insert so churn cannot grow the registry without bound.
@@ -388,7 +361,7 @@ fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
     loop {
         match read_frame_polled(&mut reader, &closed) {
             Ok(Some((header, frame))) => {
-                if !handle_frame(shared, &conn, header, frame) {
+                if !handle_frame(shared, &conn, &sink, header, frame) {
                     break;
                 }
             }
@@ -402,19 +375,20 @@ fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
             Err(e) => {
                 // Typed protocol error, then hang up: framing is lost, so
                 // nothing further on this connection can be trusted.
-                let _ = conn.send(
-                    0,
-                    &Frame::Error {
-                        error: ApiError::Protocol {
-                            reason: e.to_string(),
-                        },
-                    },
-                );
+                let error = ApiError::Protocol {
+                    reason: e.to_string(),
+                };
+                let _ = conn.send(0, &Frame::Error { error });
                 break;
             }
         }
     }
-    let _ = conn.writer.lock().shutdown(Shutdown::Both);
+    // Responses still owed to a closed connection are abandoned: their
+    // writes fail fast. The writer exits once the last job holding a
+    // clone of the sink has delivered.
+    let _ = conn.stream.lock().shutdown(Shutdown::Both);
+    drop(sink);
+    let _ = writer.join();
 }
 
 /// Handle one decoded frame; returns `false` when the connection should
@@ -422,198 +396,116 @@ fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
 fn handle_frame(
     shared: &Arc<ServerShared>,
     conn: &Arc<ConnShared>,
+    sink: &mpsc::Sender<Delivery>,
     header: FrameHeader,
     frame: Frame,
 ) -> bool {
     let rid = header.request_id;
-    match frame {
+    let is_draining = || shared.draining.load(Ordering::SeqCst);
+    let shutting_down = Frame::Error {
+        error: ApiError::ShuttingDown,
+    };
+    let (reply, keep_open) = match frame {
         Frame::Submit { request } => {
-            if shared.draining.load(Ordering::SeqCst) {
-                let _ = conn.send(
-                    rid,
-                    &Frame::Error {
-                        error: ApiError::ShuttingDown,
-                    },
-                );
-                return true;
-            }
-            // The tenant rides in the frame header; re-attach it so the
-            // in-process request carries the same accounting identity.
-            let request = if header.tenant.is_empty() {
-                request
+            // Counted before the drain flag is read, so a drain either
+            // sees this submit or this submit sees the drain.
+            shared.unwritten.fetch_add(1, Ordering::SeqCst);
+            // The tenant rides in the frame header; every wire request is
+            // accounted to it (or to the default tenant), never to the
+            // quota-exempt in-process lane.
+            let tenant = if header.tenant.is_empty() {
+                DEFAULT_TENANT.to_string()
             } else {
-                request.with_tenant(header.tenant.clone())
+                header.tenant
             };
-            let tenant = request.tenant_or_default().to_string();
-            let cost = request.query.n_vertices() as u64;
-            let pending = PendingSubmit {
-                conn: Arc::clone(conn),
-                request_id: rid,
-                request,
-            };
-            match shared.queue.enqueue(&tenant, cost, pending) {
-                Ok(()) => {}
-                Err(EnqueueError::QueueQuota { .. }) => {
-                    let _ = conn.send(
-                        rid,
-                        &Frame::Busy {
+            let request = request.with_tenant(tenant);
+            let refusal = if is_draining() {
+                shutting_down
+            } else {
+                match shared.service.scheduler().submit_to(request, rid, sink) {
+                    // Acknowledged: the writer answers (and uncounts) it.
+                    Ok(()) => return true,
+                    Err(SubmitError::QueueFull { .. } | SubmitError::TenantQuota { .. }) => {
+                        Frame::Busy {
                             retry_after_hint: shared.config.retry_after_hint,
-                        },
-                    );
+                        }
+                    }
+                    Err(e) => Frame::Error { error: e.into() },
                 }
-                Err(EnqueueError::Draining) => {
-                    let _ = conn.send(
-                        rid,
-                        &Frame::Error {
-                            error: ApiError::ShuttingDown,
-                        },
-                    );
-                }
-            }
+            };
+            let _ = conn.send(rid, &refusal);
+            shared.unwritten.fetch_sub(1, Ordering::SeqCst);
+            return true;
+        }
+        Frame::RegisterGraph { .. } | Frame::UpdateGraph { .. } if is_draining() => {
+            (shutting_down, true)
         }
         Frame::RegisterGraph { name, graph } => {
-            if shared.draining.load(Ordering::SeqCst) {
-                let _ = conn.send(
-                    rid,
-                    &Frame::Error {
-                        error: ApiError::ShuttingDown,
-                    },
-                );
-                return true;
-            }
             let reg = shared.service.register(&name, graph);
-            let _ = conn.send(
-                rid,
-                &Frame::RegisterAck {
-                    epoch: reg.entry.epoch(),
-                    displaced_epoch: reg.displaced.as_ref().map(|e| e.epoch()),
-                },
-            );
+            let ack = Frame::RegisterAck {
+                epoch: reg.entry.epoch(),
+                displaced_epoch: reg.displaced.as_ref().map(|e| e.epoch()),
+            };
+            (ack, true)
         }
         Frame::UpdateGraph { name, batch } => {
-            if shared.draining.load(Ordering::SeqCst) {
-                let _ = conn.send(
-                    rid,
-                    &Frame::Error {
-                        error: ApiError::ShuttingDown,
-                    },
-                );
-                return true;
-            }
-            match shared.service.update_graph(&name, &batch) {
-                Ok(up) => {
-                    let _ = conn.send(
-                        rid,
-                        &Frame::UpdateAck {
-                            epoch: up.entry.epoch(),
-                            displaced_epoch: up.displaced.epoch(),
-                            applied_ops: batch.ops().len() as u64,
-                        },
-                    );
-                }
-                Err(e) => {
-                    let _ = conn.send(rid, &Frame::Error { error: e.into() });
-                }
-            }
+            let reply = match shared.service.update_graph(&name, &batch) {
+                Ok(up) => Frame::UpdateAck {
+                    epoch: up.entry.epoch(),
+                    displaced_epoch: up.displaced.epoch(),
+                    applied_ops: batch.ops().len() as u64,
+                },
+                Err(e) => Frame::Error { error: e.into() },
+            };
+            (reply, true)
         }
         Frame::MetricsRequest { format } => {
             let body = shared.service.export_metrics(format);
-            let _ = conn.send(rid, &Frame::MetricsReport { body });
+            (Frame::MetricsReport { body }, true)
         }
         Frame::HealthRequest => {
-            let draining = shared.draining.load(Ordering::SeqCst);
-            let _ = conn.send(
-                rid,
-                &Frame::HealthReport {
-                    accepting: !draining,
-                    draining,
-                    graphs: shared.service.catalog().len() as u64,
-                    served: shared.served_total.load(Ordering::Relaxed),
-                },
-            );
+            let draining = is_draining();
+            let report = Frame::HealthReport {
+                accepting: !draining,
+                draining,
+                graphs: shared.service.catalog().len() as u64,
+                served: shared.served_total.load(Ordering::Relaxed),
+            };
+            (report, true)
         }
         Frame::Goodbye => {
-            let _ = conn.send(
-                rid,
-                &Frame::GoodbyeAck {
-                    served: conn.served.load(Ordering::Relaxed),
-                },
-            );
-            return false;
+            let ack = Frame::GoodbyeAck {
+                served: conn.served.load(Ordering::Relaxed),
+            };
+            (ack, false)
         }
         // Server-to-client frames arriving at the server are a protocol
         // violation.
         other => {
-            let _ = conn.send(
-                rid,
-                &Frame::Error {
-                    error: ApiError::Protocol {
-                        reason: format!("unexpected client frame {}", other.kind_name()),
-                    },
-                },
-            );
-            return false;
+            let error = ApiError::Protocol {
+                reason: format!("unexpected client frame {}", other.kind_name()),
+            };
+            (Frame::Error { error }, false)
         }
-    }
-    true
+    };
+    let _ = conn.send(rid, &reply);
+    keep_open
 }
 
-/// Drain the fair queue in DRR order into the service's admission queue.
-fn dispatcher_loop(shared: &Arc<ServerShared>, resp_tx: mpsc::Sender<PendingResponse>) {
-    while let Some((tenant, job)) = shared.queue.dequeue() {
-        match shared.service.submit(job.request) {
-            Ok(ticket) => {
-                let pending = PendingResponse {
-                    conn: job.conn,
-                    request_id: job.request_id,
-                    tenant,
-                    ticket,
-                };
-                if resp_tx.send(pending).is_err() {
-                    // Responders are gone (teardown bug); nothing to do.
-                    return;
-                }
-            }
-            Err(SubmitError::QueueFull { .. }) => {
-                let _ = job.conn.send(
-                    job.request_id,
-                    &Frame::Busy {
-                        retry_after_hint: shared.config.retry_after_hint,
-                    },
-                );
-                shared.queue.complete(&tenant);
-            }
-            Err(e) => {
-                let _ = job
-                    .conn
-                    .send(job.request_id, &Frame::Error { error: e.into() });
-                shared.queue.complete(&tenant);
-            }
-        }
-    }
-    // Queue drained; dropping resp_tx lets responders run down.
-}
-
-/// Wait for service responses and stream them back in bounded chunks.
-fn responder_loop(shared: &Arc<ServerShared>, rx: &Arc<Mutex<mpsc::Receiver<PendingResponse>>>) {
-    loop {
-        // Hold the receiver lock only for the dequeue, not the response
-        // wait, so responders run concurrently.
-        let next = { rx.lock().recv() };
-        let Ok(PendingResponse {
-            conn,
-            request_id,
-            tenant,
-            ticket,
-        }) = next
-        else {
-            return;
-        };
-        let response = ticket.wait();
-        write_response(shared, &conn, request_id, response);
+/// Stream this connection's responses out as the workers deliver them.
+/// Ends when the reader and every in-flight job have dropped the sink.
+fn writer_loop(
+    shared: &Arc<ServerShared>,
+    conn: &Arc<ConnShared>,
+    outbound: mpsc::Receiver<Delivery>,
+) {
+    for delivery in outbound {
+        write_response(shared, conn, delivery.tag, &delivery.response);
         shared.served_total.fetch_add(1, Ordering::Relaxed);
         conn.served.fetch_add(1, Ordering::Relaxed);
-        shared.queue.complete(&tenant);
+        // Written or abandoned: the tenant's in-flight slot is free.
+        drop(delivery);
+        shared.unwritten.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -621,9 +513,9 @@ fn write_response(
     shared: &Arc<ServerShared>,
     conn: &Arc<ConnShared>,
     rid: u64,
-    response: gsi_service::QueryResponse,
+    response: &QueryResponse,
 ) {
-    match response.result {
+    match &response.result {
         Ok(outcome) => {
             let matches = &outcome.output.matches;
             let n_qv = matches.order.len() as u32;
@@ -665,7 +557,8 @@ fn write_response(
             let _ = conn.send(rid, &Frame::ResponseDone);
         }
         Err(e) => {
-            let _ = conn.send(rid, &Frame::Error { error: e.into() });
+            let error = e.clone().into();
+            let _ = conn.send(rid, &Frame::Error { error });
         }
     }
 }
@@ -679,7 +572,6 @@ mod tests {
         let c = ServerConfig::default();
         assert!(c.max_connections > 0);
         assert!(c.chunk_rows > 0);
-        assert!(c.responders > 0);
         let t = ServerConfig::for_tests();
         assert_eq!(t.addr, "127.0.0.1:0");
     }

@@ -1,13 +1,13 @@
 //! The graceful-drain contract: every query the server *acknowledged*
-//! (accepted into a tenant lane, i.e. not answered with `Busy` or a
+//! (accepted into the scheduler's queue, i.e. not answered with `Busy` or a
 //! `ShuttingDown` error) receives a complete response before the server's
 //! goodbye — zero acknowledged queries are dropped by a shutdown.
 
 use gsi_api::QueryRequest;
 use gsi_graph::{Graph, GraphBuilder};
 use gsi_server::frame::{read_frame, write_frame, Frame, FrameHeader};
-use gsi_server::{GsiClient, GsiServer, ServerConfig, TenantPolicy};
-use gsi_service::{GsiService, ServiceConfig};
+use gsi_server::{GsiClient, GsiServer, ServerConfig};
+use gsi_service::{GsiService, ServiceConfig, TenantPolicy};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -101,17 +101,14 @@ fn drain_answers_every_acknowledged_query() {
     let service = Arc::new(GsiService::new(ServiceConfig {
         workers: 2,
         queue_capacity: 256,
-        ..ServiceConfig::for_tests()
-    }));
-    let config = ServerConfig {
         tenants: TenantPolicy {
             queue_quota: 64,
             inflight_quota: 4,
             quantum: 8,
         },
-        ..ServerConfig::for_tests()
-    };
-    let server = GsiServer::start(Arc::clone(&service), config).expect("bind");
+        ..ServiceConfig::for_tests()
+    }));
+    let server = GsiServer::start(Arc::clone(&service), ServerConfig::for_tests()).expect("bind");
     let addr = server.local_addr();
 
     let mut setup = GsiClient::connect(addr).expect("connect");

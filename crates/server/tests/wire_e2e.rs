@@ -7,7 +7,7 @@ use gsi_api::QueryRequest;
 use gsi_graph::query_gen::random_walk_query;
 use gsi_graph::{Graph, GraphBuilder, UpdateBatch};
 use gsi_server::{ClientError, GsiClient, GsiServer, ServerConfig};
-use gsi_service::{GsiService, MetricFormat, ServiceConfig};
+use gsi_service::{GsiService, MetricFormat, ServiceConfig, TenantPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -25,30 +25,43 @@ fn dense_graph(n: usize) -> Graph {
     b.build()
 }
 
-/// A 3-vertex path query alternating labels 0-1-0.
-fn path_query() -> Graph {
+/// A path query of `len` vertices alternating labels 0-1-0-…; on
+/// `dense_graph(32)` the 5-path's answer runs to megabytes — more than a
+/// loopback socket buffers.
+fn path_query_of(len: usize) -> Graph {
     let mut b = GraphBuilder::new();
-    let u0 = b.add_vertex(0);
-    let u1 = b.add_vertex(1);
-    let u2 = b.add_vertex(0);
-    b.add_edge(u0, u1, 0);
-    b.add_edge(u1, u2, 0);
+    let vs: Vec<u32> = (0..len).map(|i| b.add_vertex((i % 2) as u32)).collect();
+    for w in vs.windows(2) {
+        b.add_edge(w[0], w[1], 0);
+    }
     b.build()
 }
 
-fn start_server(service_workers: usize, config: ServerConfig) -> (Arc<GsiService>, GsiServer) {
+/// The 3-vertex path 0-1-0.
+fn path_query() -> Graph {
+    path_query_of(3)
+}
+
+fn start_server(service_workers: usize, tenants: TenantPolicy) -> (Arc<GsiService>, GsiServer) {
     let service = Arc::new(GsiService::new(ServiceConfig {
         workers: service_workers,
         queue_capacity: 256,
+        tenants,
         ..ServiceConfig::for_tests()
     }));
-    let server = GsiServer::start(Arc::clone(&service), config).expect("bind ephemeral port");
+    let server = GsiServer::start(Arc::clone(&service), ServerConfig::for_tests())
+        .expect("bind ephemeral port");
     (service, server)
+}
+
+/// The tenant quotas of `ServiceConfig::for_tests`.
+fn test_tenants() -> TenantPolicy {
+    ServiceConfig::for_tests().tenants
 }
 
 #[test]
 fn register_query_stream_equivalence() {
-    let (service, server) = start_server(2, ServerConfig::for_tests());
+    let (service, server) = start_server(2, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
 
     let graph = dense_graph(16);
@@ -98,7 +111,7 @@ fn register_query_stream_equivalence() {
 fn workload_equivalence_over_the_wire() {
     // A batch of random-walk queries over a dataset stand-in, each checked
     // against query_blocking on the same service instance.
-    let (service, server) = start_server(2, ServerConfig::for_tests());
+    let (service, server) = start_server(2, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
 
     let graph = gsi_datasets::build(&gsi_datasets::DatasetSpec::scaled(
@@ -133,7 +146,7 @@ fn workload_equivalence_over_the_wire() {
 
 #[test]
 fn update_over_wire_advances_epoch_and_results() {
-    let (_service, server) = start_server(1, ServerConfig::for_tests());
+    let (_service, server) = start_server(1, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
 
     // v0(A) — v1(B); the update wires v0 to a second B vertex.
@@ -182,7 +195,7 @@ fn update_over_wire_advances_epoch_and_results() {
 
 #[test]
 fn unknown_graph_query_is_typed_error() {
-    let (_service, server) = start_server(1, ServerConfig::for_tests());
+    let (_service, server) = start_server(1, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
     match client.query(QueryRequest::new("missing", path_query())) {
         Err(ClientError::Api(gsi_api::ApiError::UnknownGraph { name })) => {
@@ -194,7 +207,7 @@ fn unknown_graph_query_is_typed_error() {
 
 #[test]
 fn metrics_and_health_over_wire() {
-    let (_service, server) = start_server(1, ServerConfig::for_tests());
+    let (_service, server) = start_server(1, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
     client.register("g", &dense_graph(6)).expect("register");
     client
@@ -225,15 +238,12 @@ fn metrics_and_health_over_wire() {
 fn tenant_flood_hits_queue_quota_with_busy() {
     // Tight quotas + a single slow worker: a flood of pipelined submits
     // must overflow the tenant lane and be answered with Busy frames.
-    let config = ServerConfig {
-        tenants: gsi_server::TenantPolicy {
-            queue_quota: 2,
-            inflight_quota: 1,
-            quantum: 8,
-        },
-        ..ServerConfig::for_tests()
+    let tenants = TenantPolicy {
+        queue_quota: 2,
+        inflight_quota: 1,
+        quantum: 8,
     };
-    let (_service, server) = start_server(1, config);
+    let (service, server) = start_server(1, tenants);
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
     client
         .register("dense", &dense_graph(32))
@@ -248,15 +258,7 @@ fn tenant_flood_hits_queue_quota_with_busy() {
     let mut reader = BufReader::new(stream);
 
     // A 4-path over the dense graph keeps the worker busy long enough.
-    let mut qb = GraphBuilder::new();
-    let u0 = qb.add_vertex(0);
-    let u1 = qb.add_vertex(1);
-    let u2 = qb.add_vertex(0);
-    let u3 = qb.add_vertex(1);
-    qb.add_edge(u0, u1, 0);
-    qb.add_edge(u1, u2, 0);
-    qb.add_edge(u2, u3, 0);
-    let slow = qb.build();
+    let slow = path_query_of(4);
 
     let n_submits = 12u64;
     for rid in 1..=n_submits {
@@ -296,20 +298,20 @@ fn tenant_flood_hits_queue_quota_with_busy() {
         "queue quota 2 must reject part of a 12-deep flood"
     );
     assert!(done > 0, "admitted queries still complete");
+    // One admission point: every Busy on the wire is a refusal the
+    // service counted, and every refusal it counted went out as Busy.
+    assert_eq!(service.stats().rejected, busy);
 }
 
 #[test]
 fn drr_shares_service_between_tenants() {
     // Two tenants flood concurrently; DRR must not let either lane starve.
-    let config = ServerConfig {
-        tenants: gsi_server::TenantPolicy {
-            queue_quota: 32,
-            inflight_quota: 1,
-            quantum: 8,
-        },
-        ..ServerConfig::for_tests()
+    let tenants = TenantPolicy {
+        queue_quota: 32,
+        inflight_quota: 1,
+        quantum: 8,
     };
-    let (_service, server) = start_server(1, config);
+    let (_service, server) = start_server(1, tenants);
     let addr = server.local_addr();
     let mut setup = GsiClient::connect(addr).expect("connect");
     setup.register("dense", &dense_graph(24)).expect("register");
@@ -336,4 +338,148 @@ fn drr_shares_service_between_tenants() {
     let served_b = b.join().expect("beta thread");
     assert_eq!(served_a, 8);
     assert_eq!(served_b, 8);
+}
+
+#[test]
+fn deadline_budget_includes_lane_wait() {
+    use gsi_server::frame::{read_frame, write_frame, Frame, FrameHeader};
+    use std::time::Duration;
+
+    // One in-flight slot per tenant: the second query cannot leave its
+    // lane until the first one's response has been written.
+    let tenants = TenantPolicy {
+        queue_quota: 8,
+        inflight_quota: 1,
+        quantum: 8,
+    };
+    let (service, server) = start_server(1, tenants);
+    let mut client = GsiClient::connect(server.local_addr()).expect("connect");
+    client
+        .register("dense", &dense_graph(32))
+        .expect("register");
+
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let deadline = Duration::from_millis(20);
+    let big = QueryRequest::new("dense", path_query_of(5));
+    let quick = QueryRequest::new("dense", path_query()).with_deadline(deadline);
+    for (rid, request) in [(1, big), (2, quick)] {
+        let header = FrameHeader::new(rid, "t");
+        write_frame(&mut writer, &header, &Frame::Submit { request }).expect("submit");
+    }
+
+    // Not reading holds the big response — and with it the tenant's only
+    // slot — for longer than the quick query's whole budget, however fast
+    // the join itself ran.
+    std::thread::sleep(5 * deadline);
+
+    let mut big_done = false;
+    let mut quick_waited = None;
+    while !big_done || quick_waited.is_none() {
+        let (header, frame) = read_frame(&mut reader).expect("response frame");
+        match (header.request_id, frame) {
+            (1, Frame::ResponseDone) => big_done = true,
+            (1, Frame::ResponseHeader { .. } | Frame::MatchChunk { .. }) => {}
+            (
+                2,
+                Frame::Error {
+                    error: gsi_api::ApiError::DeadlineExpired { waited },
+                },
+            ) => quick_waited = Some(waited),
+            (rid, other) => panic!(
+                "rid {rid}: lane wait must count against the deadline, got {}",
+                other.kind_name()
+            ),
+        }
+    }
+    assert!(quick_waited.expect("loop exit") >= deadline);
+    assert_eq!(service.stats().deadline_expired, 1);
+}
+
+#[test]
+fn slow_reader_costs_only_its_own_connection() {
+    use gsi_server::frame::{write_frame, Frame, FrameHeader};
+    use gsi_server::server::WRITE_DEADLINE;
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    let (service, server) = start_server(2, test_tenants());
+    let addr = server.local_addr();
+    let mut healthy = GsiClient::connect(addr)
+        .expect("connect")
+        .with_tenant("healthy");
+    healthy
+        .register("dense", &dense_graph(32))
+        .expect("register");
+
+    // A peer that asks for megabytes and never reads them.
+    let mut stalled = std::net::TcpStream::connect(addr).expect("raw connect");
+    let request = QueryRequest::new("dense", path_query_of(5));
+    write_frame(
+        &mut stalled,
+        &FrameHeader::new(1, "stalled"),
+        &Frame::Submit { request },
+    )
+    .expect("submit");
+    let poll = |what: &str, limit: Duration, done: &dyn Fn() -> bool| {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < limit, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    poll("the big join", Duration::from_secs(60), &|| {
+        service.stats().completed >= 1
+    });
+    let stalled_at = Instant::now();
+    let stalled_in_flight = || {
+        server
+            .tenant_lanes()
+            .iter()
+            .filter(|lane| lane.tenant.as_deref() == Some("stalled"))
+            .map(|lane| lane.in_flight)
+            .sum::<usize>()
+    };
+    assert_eq!(stalled_in_flight(), 1, "its response is still owed");
+
+    // While that connection's writer sits blocked on the full socket,
+    // everyone else is served as if it were not there.
+    while stalled_at.elapsed() < WRITE_DEADLINE / 2 {
+        let asked = Instant::now();
+        let out = healthy
+            .query(QueryRequest::new("dense", path_query()))
+            .expect("healthy query");
+        assert!(!out.assignments.is_empty());
+        assert!(
+            asked.elapsed() < WRITE_DEADLINE / 4,
+            "a healthy connection waited {:?} behind a stalled one",
+            asked.elapsed()
+        );
+    }
+    assert_eq!(stalled_in_flight(), 1, "held for the whole write deadline");
+
+    // Past the write deadline the server gives the peer up: the slot is
+    // released and the connection closed.
+    poll(
+        "the write deadline",
+        WRITE_DEADLINE + Duration::from_secs(10),
+        &|| stalled_in_flight() == 0,
+    );
+    assert!(stalled_at.elapsed() >= WRITE_DEADLINE / 2);
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut sink = vec![0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut sink) {
+            // Buffered bytes first, then EOF (or a reset): never a hang.
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                panic!("stalled connection still open after the write deadline")
+            }
+            Err(_) => break,
+        }
+    }
 }

@@ -23,13 +23,18 @@
 //!   statistics catalog (see [`GsiService::update_graph`]) — and
 //!   [`ServiceStats`] attributes every completion to the epoch it ran
 //!   against.
-//! * **[`QueryScheduler`]** (`scheduler`) — a bounded submission queue in
-//!   front of a worker-thread pool. The bound *is* the admission control:
-//!   a full queue rejects immediately ([`SubmitError::QueueFull`]) rather
-//!   than growing an unbounded backlog. Every accepted query carries a
-//!   deadline budget; queue wait is charged against it, the remainder
-//!   becomes the engine's join-loop timeout, and a query that expires
-//!   while queued is failed without running.
+//! * **[`QueryScheduler`]** (`scheduler`) — one bounded submission queue
+//!   in front of a worker-thread pool. The bound *is* the admission
+//!   control, the only one in the stack (the network front-end submits
+//!   straight from its readers): a full queue
+//!   ([`SubmitError::QueueFull`]) or tenant lane
+//!   ([`SubmitError::TenantQuota`]) rejects immediately rather than
+//!   growing an unbounded backlog. Workers pop the per-tenant lanes
+//!   ([`TenantPolicy`]) in deficit-round-robin order weighted by pattern
+//!   size. Every accepted query carries a deadline budget; queue wait is
+//!   charged against it, the remainder becomes the engine's join-loop
+//!   timeout, and a query that expires while queued is failed without
+//!   running.
 //! * **[`PlanCache`]** (`plan_cache`) — join orders (Algorithm 2 output)
 //!   and candidate-size estimates keyed by `(graph epoch, canonical query
 //!   hash)`. The canonical hash (`canon`) is isomorphism-invariant, so a
@@ -93,15 +98,18 @@ pub mod catalog;
 pub mod plan_cache;
 pub mod scheduler;
 pub mod stats;
+mod tenant;
 
 pub use canon::{canonicalize, CanonicalQuery};
 pub use catalog::{CatalogEntry, CatalogUpdate, CatalogUpdateError, GraphCatalog, Registration};
 pub use gsi_core::{GraphOp, UpdateBatch, UpdateError};
 pub use plan_cache::{CachedPlan, PlanCache, PlanEstimates};
 pub use scheduler::{
-    QueryError, QueryOutcome, QueryRequest, QueryResponse, QueryScheduler, QueryTicket, SubmitError,
+    Delivery, QueryError, QueryOutcome, QueryRequest, QueryResponse, QueryScheduler, QueryTicket,
+    SubmitError,
 };
 pub use stats::{EpochStats, ServiceStats, ServiceStatsSnapshot};
+pub use tenant::{LaneSnapshot, TenantPolicy};
 
 pub use gsi_api::{ApiError, Completion, PartialReason};
 
@@ -129,6 +137,10 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded submission-queue capacity (admission-control threshold).
     pub queue_capacity: usize,
+    /// Per-tenant quotas inside that capacity, and the DRR quantum.
+    /// Requests without a tenant (the embedding application's own) are
+    /// bounded by `queue_capacity` alone.
+    pub tenants: TenantPolicy,
     /// Most *compatible* queued queries — same graph, same epoch — one
     /// worker pickup drains into a single batched run over a shared
     /// filter cache (shared candidate filtering; the mechanism of
@@ -185,6 +197,7 @@ impl Default for ServiceConfig {
             device: DeviceConfig::titan_xp(),
             workers: 0,
             queue_capacity: 256,
+            tenants: TenantPolicy::default(),
             batch_window: 8,
             default_deadline: None,
             plan_cache_capacity: 1024,
@@ -205,6 +218,11 @@ impl ServiceConfig {
             device: DeviceConfig::test_device(),
             workers: 2,
             queue_capacity: 64,
+            tenants: TenantPolicy {
+                queue_quota: 16,
+                inflight_quota: 4,
+                quantum: 8,
+            },
             batch_window: 4,
             plan_cache_capacity: 64,
             default_deadline: None,
@@ -294,6 +312,7 @@ impl GsiService {
             config.workers,
             config.queue_capacity,
             config.batch_window,
+            config.tenants,
         );
         Self { core, scheduler }
     }
@@ -322,16 +341,6 @@ impl GsiService {
             self.core.stats.retire_epoch(old.epoch());
         }
         reg
-    }
-
-    /// Deprecated alias for [`GsiService::register`] that drops the
-    /// displaced entry from the return value.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `register`, which returns the full `Registration { entry, displaced }`"
-    )]
-    pub fn register_graph(&self, name: &str, graph: Graph) -> Arc<CatalogEntry> {
-        self.register(name, graph).entry
     }
 
     /// Apply a mutation batch to a registered graph and publish the result
@@ -644,6 +653,22 @@ impl GsiService {
             "gsi_scheduler_workers",
             "Worker threads serving queries.",
             self.scheduler.n_workers() as f64,
+        );
+        let lanes = self.scheduler.lanes();
+        reg.gauge(
+            "gsi_scheduler_lanes",
+            "Tenant lanes with queued or in-flight queries.",
+            lanes.len() as f64,
+        );
+        reg.gauge(
+            "gsi_scheduler_lane_depth_max",
+            "Queries queued in the deepest tenant lane.",
+            lanes.iter().map(|l| l.queued).max().unwrap_or(0) as f64,
+        );
+        reg.gauge(
+            "gsi_scheduler_in_flight",
+            "Queries dispatched whose response has not been handed over or written yet.",
+            lanes.iter().map(|l| l.in_flight).sum::<usize>() as f64,
         );
         reg.gauge(
             "gsi_plan_cache_size",

@@ -1,24 +1,29 @@
-//! The query scheduler: a bounded submission queue feeding a worker pool.
+//! The query scheduler: one bounded, tenant-fair submission queue (the
+//! `tenant` module) feeding a worker pool.
 //!
-//! Admission control is the bounded queue itself — when it is full,
-//! [`QueryScheduler::submit`] fails fast with
-//! [`SubmitError::QueueFull`] instead of building an unbounded backlog
-//! (callers shed or retry with backoff). Each accepted query carries a
-//! deadline budget: time spent waiting in the queue is charged against it,
-//! the remainder becomes the engine's join-loop timeout, and a query whose
+//! [`QueryScheduler::submit`] is the serving stack's **only** admission
+//! decision: it fails fast with [`SubmitError::QueueFull`] when the queue
+//! is at capacity and with [`SubmitError::TenantQuota`] when the tenant's
+//! lane is, instead of building an unbounded backlog (callers shed or
+//! retry with backoff; the wire front-end answers both `Busy`). Each
+//! accepted query carries a deadline budget on the one clock started
+//! here: time spent waiting in its lane is charged against it, the
+//! remainder becomes the engine's join-loop timeout, and a query whose
 //! budget is exhausted before a worker picks it up is failed without
 //! running.
 //!
 //! Workers execute the full serving pipeline per query: canonical-hash the
 //! pattern, consult the plan cache, run the engine (reusing the cached join
 //! order on a hit), record the plan and its size estimates back, and
-//! deliver a [`QueryResponse`] through the submitter's [`QueryTicket`].
+//! deliver a [`QueryResponse`] into the submitter's sink — the private
+//! channel behind a [`QueryTicket`], or a receiver shared by many tagged
+//! queries ([`QueryScheduler::submit_to`]).
 //!
 //! **Batched execution.** When a worker picks up work and every *other*
 //! worker is already busy, it drains up to `batch_window` *compatible*
-//! queued jobs — jobs that pinned the same catalog entry, i.e. the same
-//! `(graph, epoch)` — into one batch served over a shared
-//! [`FilterCache`] (the same mechanism as
+//! jobs queued in the same tenant lane — jobs that pinned the same
+//! catalog entry, i.e. the same `(graph, epoch)` — into one batch served
+//! over a shared [`FilterCache`] (the same mechanism as
 //! [`gsi_core::GsiEngine::query_batch`]): each distinct label demand's
 //! candidate set is computed once and shared across the batch's joins.
 //! Results are bit-identical to running each query alone; only the shared
@@ -39,14 +44,13 @@
 use crate::canon::canonicalize;
 use crate::catalog::CatalogEntry;
 use crate::plan_cache::PlanEstimates;
+use crate::tenant::{FairQueue, LaneSlot, LaneSnapshot, TenantPolicy};
 use crate::ServiceCore;
 use gsi_api::{ApiError, Completion, PartialReason};
 use gsi_core::{BackendKind, FilterCache, PlanError, PlannerKind, QueryOptions, QueryOutput};
 use gsi_graph::Graph;
 use gsi_obs::{QueryTrace, Stage, StageBreakdown, TraceOutcome, TraceSpan};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,6 +69,16 @@ pub enum SubmitError {
         /// The configured queue capacity.
         capacity: usize,
     },
+    /// The tenant's lane is at its queue quota — the same backpressure,
+    /// scoped to one tenant.
+    TenantQuota {
+        /// The tenant whose lane is full.
+        tenant: String,
+        /// Jobs already queued for the tenant.
+        queued: usize,
+        /// The configured lane capacity.
+        quota: usize,
+    },
     /// The query cannot be served (empty or disconnected pattern).
     InvalidQuery(String),
     /// The service is shutting down.
@@ -78,6 +92,14 @@ impl std::fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "submission queue full (capacity {capacity})")
             }
+            SubmitError::TenantQuota {
+                tenant,
+                queued,
+                quota,
+            } => write!(
+                f,
+                "tenant '{tenant}' lane full ({queued} queued, quota {quota})"
+            ),
             SubmitError::InvalidQuery(why) => write!(f, "invalid query: {why}"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -92,6 +114,14 @@ impl From<SubmitError> for ApiError {
             SubmitError::UnknownGraph(name) => ApiError::UnknownGraph { name },
             SubmitError::QueueFull { capacity } => ApiError::QueueFull {
                 capacity: capacity as u64,
+            },
+            SubmitError::TenantQuota {
+                tenant,
+                queued,
+                quota,
+            } => ApiError::TenantQuota {
+                tenant,
+                reason: format!("{queued} queued (cap {quota})"),
             },
             SubmitError::InvalidQuery(reason) => ApiError::InvalidQuery { reason },
             SubmitError::ShuttingDown => ApiError::ShuttingDown,
@@ -214,10 +244,25 @@ impl QueryResponse {
     }
 }
 
+/// One answered query as the scheduler hands it to the submitter's sink.
+///
+/// It carries the tenant's in-flight slot: the slot is released when the
+/// `Delivery` is dropped, so a receiver keeps it exactly as long as the
+/// response is still owed to someone — [`QueryTicket::wait`] drops it on
+/// hand-over, a connection writer after the last frame was written (or
+/// abandoned).
+pub struct Delivery {
+    /// The tag the submitter attached ([`QueryScheduler::submit_to`]).
+    pub tag: u64,
+    /// The response.
+    pub response: QueryResponse,
+    _slot: LaneSlot<Job>,
+}
+
 /// Handle to one in-flight query.
 #[derive(Debug)]
 pub struct QueryTicket {
-    rx: mpsc::Receiver<QueryResponse>,
+    rx: mpsc::Receiver<Delivery>,
 }
 
 impl QueryTicket {
@@ -227,17 +272,20 @@ impl QueryTicket {
     /// graceful shutdown drains the queue first), the ticket resolves to a
     /// typed [`QueryError::Internal`] instead of panicking the caller.
     pub fn wait(self) -> QueryResponse {
-        self.rx.recv().unwrap_or_else(|_| QueryResponse {
-            graph: String::new(),
-            result: Err(QueryError::Internal {
-                message: "service dropped an in-flight query without responding".to_string(),
-            }),
-        })
+        self.rx
+            .recv()
+            .map(|delivery| delivery.response)
+            .unwrap_or_else(|_| QueryResponse {
+                graph: String::new(),
+                result: Err(QueryError::Internal {
+                    message: "service dropped an in-flight query without responding".to_string(),
+                }),
+            })
     }
 
     /// Non-blocking poll; `None` while the query is still in flight.
     pub fn try_wait(&self) -> Option<QueryResponse> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().map(|delivery| delivery.response)
     }
 }
 
@@ -246,43 +294,36 @@ struct Job {
     entry: Arc<CatalogEntry>,
     query: Graph,
     deadline: Option<Duration>,
+    /// The one clock: deadline budget, queue wait and reported latency
+    /// all start here, so time spent in a tenant lane counts.
     submitted: Instant,
-    tx: mpsc::Sender<QueryResponse>,
+    tag: u64,
+    tx: mpsc::Sender<Delivery>,
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
+/// Jobs batch together when they pinned the same catalog entry — the same
+/// `(graph, epoch)`, by `Arc` identity.
+fn compatible(a: &Job, b: &Job) -> bool {
+    Arc::ptr_eq(&a.entry, &b.entry)
 }
 
-struct QueueShared {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    capacity: usize,
-    batch_window: usize,
-    /// Size of the worker pool (batching engages only at full occupancy).
-    n_workers: usize,
-    /// Deepest the queue has ever been. `queue_depth` is point-in-time —
-    /// useless for sizing `queue_capacity` after the burst has drained —
-    /// so admission keeps the high-watermark and exports it as a gauge.
-    depth_highwater: AtomicUsize,
-}
-
-/// The worker pool plus its bounded submission queue.
+/// The worker pool plus its bounded, tenant-fair submission queue.
 pub struct QueryScheduler {
     core: Arc<ServiceCore>,
-    shared: Arc<QueueShared>,
+    queue: Arc<FairQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl QueryScheduler {
-    /// Spawn `workers` threads serving from a queue of `queue_capacity`,
-    /// draining up to `batch_window` compatible jobs per pickup.
+    /// Spawn `workers` threads serving from a queue of `queue_capacity`
+    /// split into per-tenant lanes under `tenants`, draining up to
+    /// `batch_window` compatible jobs per pickup.
     pub(crate) fn new(
         core: Arc<ServiceCore>,
         workers: usize,
         queue_capacity: usize,
         batch_window: usize,
+        tenants: TenantPolicy,
     ) -> Self {
         let n = if workers == 0 {
             std::thread::available_parallelism()
@@ -291,31 +332,22 @@ impl QueryScheduler {
         } else {
             workers
         };
-        let shared = Arc::new(QueueShared {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity: queue_capacity.max(1),
-            batch_window: batch_window.max(1),
-            n_workers: n,
-            depth_highwater: AtomicUsize::new(0),
-        });
+        let queue = Arc::new(FairQueue::new(queue_capacity, tenants));
+        let batch_window = batch_window.max(1);
         let handles = (0..n)
             .map(|i| {
                 let core = Arc::clone(&core);
-                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("gsi-service-worker-{i}"))
-                    .spawn(move || worker_loop(&core, &shared))
+                    .spawn(move || worker_loop(&core, &queue, n, batch_window))
                     // gsi-lint: allow(panic-freedom, reason = "service construction, not the serving path; a host that cannot spawn threads cannot serve at all")
                     .expect("spawn service worker")
             })
             .collect();
         Self {
             core,
-            shared,
+            queue,
             workers: handles,
         }
     }
@@ -325,30 +357,40 @@ impl QueryScheduler {
         self.workers.len()
     }
 
-    /// Queue capacity (admission-control threshold).
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// Most compatible queued jobs one worker pickup executes as a batch
-    /// (`1` = batching disabled).
-    pub fn batch_window(&self) -> usize {
-        self.shared.batch_window
-    }
-
     /// Queries currently waiting (excludes ones being executed).
     pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().jobs.len()
+        self.queue.total_queued()
     }
 
     /// Deepest the queue has ever been since the scheduler started —
     /// the backlog gauge `queue_depth` can't show once a burst drains.
     pub fn queue_depth_highwater(&self) -> usize {
-        self.shared.depth_highwater.load(Ordering::Relaxed)
+        self.queue.depth_highwater()
+    }
+
+    /// Per-tenant lane accounting (queued, in flight, dispatched work),
+    /// sorted by tenant; idle lanes are not listed.
+    pub fn lanes(&self) -> Vec<LaneSnapshot> {
+        self.queue.snapshot()
     }
 
     /// Submit a query; returns a ticket resolving to its response.
     pub fn submit(&self, req: QueryRequest) -> Result<QueryTicket, SubmitError> {
+        let (tx, rx) = mpsc::channel();
+        self.submit_to(req, 0, &tx)?;
+        Ok(QueryTicket { rx })
+    }
+
+    /// Submit a query whose response is delivered into `sink`, tagged
+    /// `tag` — how one receiver (a connection's writer) serves many
+    /// in-flight queries. This is the serving stack's single admission
+    /// point: the global capacity, then the tenant's queue quota.
+    pub fn submit_to(
+        &self,
+        req: QueryRequest,
+        tag: u64,
+        sink: &mpsc::Sender<Delivery>,
+    ) -> Result<(), SubmitError> {
         if req.query.n_vertices() == 0 {
             return Err(SubmitError::InvalidQuery("empty query".into()));
         }
@@ -362,45 +404,30 @@ impl QueryScheduler {
             .catalog
             .get(&req.graph)
             .ok_or_else(|| SubmitError::UnknownGraph(req.graph.clone()))?;
-        let (tx, rx) = mpsc::channel();
+        // DRR cost: pattern size, a proxy for join depth.
+        let cost = req.query.n_vertices() as u64;
         let job = Job {
             entry,
             query: req.query,
             deadline: req.deadline.or(self.core.default_deadline),
             submitted: Instant::now(),
-            tx,
+            tag,
+            tx: sink.clone(),
         };
-        {
-            let mut state = self.shared.state.lock();
-            if state.shutdown {
-                return Err(SubmitError::ShuttingDown);
+        let admitted = self.queue.enqueue(req.tenant.as_deref(), cost, job);
+        match &admitted {
+            Ok(()) => self.core.stats.record_submitted(),
+            Err(SubmitError::QueueFull { .. } | SubmitError::TenantQuota { .. }) => {
+                self.core.stats.record_rejected()
             }
-            if state.jobs.len() >= self.shared.capacity {
-                self.core.stats.record_rejected();
-                return Err(SubmitError::QueueFull {
-                    capacity: self.shared.capacity,
-                });
-            }
-            state.jobs.push_back(job);
-            self.shared
-                .depth_highwater
-                .fetch_max(state.jobs.len(), Ordering::Relaxed);
+            Err(_) => {}
         }
-        self.core.stats.record_submitted();
-        self.shared.not_empty.notify_one();
-        Ok(QueryTicket { rx })
+        admitted
     }
 
     /// Stop accepting work, drain the queue, and join the workers.
     pub(crate) fn shutdown(&mut self) {
-        {
-            let mut state = self.shared.state.lock();
-            if state.shutdown {
-                return;
-            }
-            state.shutdown = true;
-        }
-        self.shared.not_empty.notify_all();
+        self.queue.drain();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -413,57 +440,29 @@ impl Drop for QueryScheduler {
     }
 }
 
-fn worker_loop(core: &ServiceCore, shared: &QueueShared) {
-    loop {
-        let jobs = {
-            let mut state = shared.state.lock();
-            loop {
-                if let Some(first) = state.jobs.pop_front() {
-                    // Batch only when every *other* worker is already busy:
-                    // with an idle worker available, parallel dispatch of
-                    // the queued jobs beats serializing their join phases
-                    // behind this one's for the sake of shared filtering.
-                    let busy_others = core.busy_workers.load(Ordering::SeqCst);
-                    let window = if busy_others + 1 < shared.n_workers {
-                        1
-                    } else {
-                        shared.batch_window
-                    };
-                    break drain_compatible(&mut state, first, window);
-                }
-                if state.shutdown {
-                    return;
-                }
-                shared.not_empty.wait(&mut state);
-            }
-        };
+fn worker_loop(
+    core: &ServiceCore,
+    queue: &Arc<FairQueue<Job>>,
+    n_workers: usize,
+    batch_window: usize,
+) {
+    // Batch only when every *other* worker is already busy: with an idle
+    // worker available, parallel dispatch of the queued jobs beats
+    // serializing their join phases behind this one's for the sake of
+    // shared filtering.
+    let window = || {
+        if core.busy_workers.load(Ordering::SeqCst) + 1 < n_workers {
+            1
+        } else {
+            batch_window
+        }
+    };
+    while let Some(jobs) = queue.dequeue_batch(window, compatible) {
         // The busy count (self included) divides the intra-query budget.
         core.busy_workers.fetch_add(1, Ordering::SeqCst);
         execute_batch(core, jobs);
         core.busy_workers.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-/// Starting from `first`, pull every queued job that pinned the same
-/// catalog entry — the same `(graph, epoch)`, by `Arc` identity — up to
-/// `window` jobs total, preserving their relative order. Incompatible jobs
-/// stay queued in place for the next worker; a job never waits for a batch
-/// to fill.
-fn drain_compatible(state: &mut QueueState, first: Job, window: usize) -> Vec<Job> {
-    let mut batch = vec![first];
-    if window > 1 {
-        let mut i = 0;
-        while i < state.jobs.len() && batch.len() < window {
-            if Arc::ptr_eq(&state.jobs[i].entry, &batch[0].entry) {
-                if let Some(job) = state.jobs.remove(i) {
-                    batch.push(job);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-    batch
 }
 
 /// This worker's intra-query thread grant: the service's core budget split
@@ -525,8 +524,11 @@ impl Drop for IntraGrant<'_> {
 /// Panic isolation is **per item**: a poisoned query gets
 /// [`QueryError::Internal`], is counted, and the rest of the batch (and
 /// the worker) carries on — exactly the old single-job guarantee.
-fn execute_batch(core: &ServiceCore, jobs: Vec<Job>) {
-    let entry = Arc::clone(&jobs[0].entry);
+fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
+    let Some((first, _)) = jobs.first() else {
+        return;
+    };
+    let entry = Arc::clone(&first.entry);
     let scope = entry.epoch();
     let batch_size = jobs.len();
 
@@ -551,54 +553,69 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<Job>) {
     // pays one filter pass, repeats share the cached candidate list.
     let cache = FilterCache::new();
     let mut ran = 0u64;
-    for job in jobs {
-        let graph = job.entry.name().to_string();
-        let tx = job.tx.clone();
-        let submitted = job.submitted;
+    for (job, slot) in jobs {
+        let graph = entry.name().to_string();
         let query_id = core.next_query_id();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(
                 core,
                 &entry,
-                scope,
                 intra_threads,
                 batch_size,
                 &cache,
                 query_id,
-                job,
+                &job,
             )
-        }));
-        match result {
-            Ok(executed) => ran += executed as u64,
-            Err(payload) => {
-                // The engine was attempted; the panic is this item's alone.
-                ran += 1;
-                core.stats.record_worker_panic();
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                core.flight.record_failure(QueryTrace {
-                    query_id,
-                    graph: graph.clone(),
-                    epoch: scope,
-                    planner: String::new(),
-                    plan_cache_hit: false,
-                    outcome: TraceOutcome::Panicked {
-                        message: message.clone(),
-                    },
-                    latency: submitted.elapsed(),
-                    breakdown: StageBreakdown::default(),
-                    spans: Vec::new(),
-                    explain_rows: Vec::new(),
-                });
-                let _ = tx.send(QueryResponse {
-                    graph,
-                    result: Err(QueryError::Internal { message }),
-                });
-            }
-        }
+        }))
+        .unwrap_or_else(|payload| {
+            // The panic is this item's alone.
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err((QueryError::Internal { message }, StageBreakdown::default()))
+        });
+        // Every way a query can fail is counted and handed to the flight
+        // recorder here; only a deadline that expired in the queue never
+        // reached the engine.
+        let result = result.map_err(|(error, breakdown)| {
+            let outcome = match &error {
+                QueryError::DeadlineExpired { .. } => {
+                    core.stats.record_deadline_expired();
+                    TraceOutcome::DeadlineExpired
+                }
+                QueryError::Plan(_) => {
+                    core.stats.record_plan_rejected();
+                    TraceOutcome::PlanRejected
+                }
+                QueryError::Internal { message } => {
+                    core.stats.record_worker_panic();
+                    let message = message.clone();
+                    TraceOutcome::Panicked { message }
+                }
+            };
+            core.flight.record_failure(QueryTrace {
+                query_id,
+                graph: graph.clone(),
+                epoch: scope,
+                planner: String::new(),
+                plan_cache_hit: false,
+                outcome,
+                latency: job.submitted.elapsed(),
+                breakdown,
+                spans: Vec::new(),
+                explain_rows: Vec::new(),
+            });
+            error
+        });
+        ran += !matches!(result, Err(QueryError::DeadlineExpired { .. })) as u64;
+        // A vanished receiver drops the delivery, which frees the slot.
+        let _ = job.tx.send(Delivery {
+            tag: job.tag,
+            response: QueryResponse { graph, result },
+            _slot: slot,
+        });
     }
     drop(grant);
 
@@ -613,19 +630,18 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<Job>) {
     }
 }
 
-/// Serve one batch item end to end; returns whether the engine was
-/// actually invoked (deadline-expired items never reach it).
-#[allow(clippy::too_many_arguments)] // internal batch-item plumbing
+/// Serve one batch item end to end. A query that produced no result
+/// comes back with the stage times it did spend, for its failure trace.
 fn run_job(
     core: &ServiceCore,
     entry: &Arc<CatalogEntry>,
-    scope: u64,
     intra_threads: usize,
     batch_size: usize,
     cache: &FilterCache,
     query_id: u64,
-    job: Job,
-) -> bool {
+    job: &Job,
+) -> Result<QueryOutcome, (QueryError, StageBreakdown)> {
+    let scope = entry.epoch();
     // Deadline budget, measured when this item actually starts: queue
     // wait *and* earlier batch items' run time are part of its latency
     // budget; an expired job is answered without running.
@@ -634,27 +650,11 @@ fn run_job(
         Some(d) => match d.checked_sub(waited) {
             Some(rem) => Some(rem),
             None => {
-                core.stats.record_deadline_expired();
-                core.flight.record_failure(QueryTrace {
-                    query_id,
-                    graph: job.entry.name().to_string(),
-                    epoch: scope,
-                    planner: String::new(),
-                    plan_cache_hit: false,
-                    outcome: TraceOutcome::DeadlineExpired,
-                    latency: waited,
-                    breakdown: StageBreakdown {
-                        queue: waited,
-                        ..StageBreakdown::default()
-                    },
-                    spans: Vec::new(),
-                    explain_rows: Vec::new(),
-                });
-                let _ = job.tx.send(QueryResponse {
-                    graph: job.entry.name().to_string(),
-                    result: Err(QueryError::DeadlineExpired { waited }),
-                });
-                return false;
+                let breakdown = StageBreakdown {
+                    queue: waited,
+                    ..StageBreakdown::default()
+                };
+                return Err((QueryError::DeadlineExpired { waited }, breakdown));
             }
         },
         None => None,
@@ -681,35 +681,17 @@ fn run_job(
     );
     let t_respond = Instant::now();
 
-    let graph = job.entry.name().to_string();
     let output = match output {
         Ok(output) => output,
         Err(e) => {
-            // Typed planner rejection: count it and answer the submitter —
-            // the worker neither panicked nor ran the join phase, and the
-            // rest of the batch is unaffected.
-            core.stats.record_plan_rejected();
-            core.flight.record_failure(QueryTrace {
-                query_id,
-                graph: graph.clone(),
-                epoch: scope,
-                planner: String::new(),
-                plan_cache_hit: false,
-                outcome: TraceOutcome::PlanRejected,
-                latency: job.submitted.elapsed(),
-                breakdown: StageBreakdown {
-                    queue: waited,
-                    plan: sched_plan,
-                    ..StageBreakdown::default()
-                },
-                spans: Vec::new(),
-                explain_rows: Vec::new(),
-            });
-            let _ = job.tx.send(QueryResponse {
-                graph,
-                result: Err(QueryError::Plan(e)),
-            });
-            return true;
+            // Typed planner rejection: the worker neither panicked nor ran
+            // the join phase, and the rest of the batch is unaffected.
+            let breakdown = StageBreakdown {
+                queue: waited,
+                plan: sched_plan,
+                ..StageBreakdown::default()
+            };
+            return Err((QueryError::Plan(e), breakdown));
         }
     };
 
@@ -781,7 +763,7 @@ fn run_job(
     };
     core.flight.offer_completed(QueryTrace {
         query_id,
-        graph: graph.clone(),
+        graph: entry.name().to_string(),
         epoch: scope,
         planner: planner_name(planner_kind).to_string(),
         plan_cache_hit,
@@ -807,26 +789,23 @@ fn run_job(
     } else {
         Completion::Complete
     };
-    let _ = job.tx.send(QueryResponse {
-        graph,
-        result: Ok(QueryOutcome {
-            output,
-            epoch: scope,
-            plan_cache_hit,
-            planner_kind,
-            estimation_error,
-            plan_feedback,
-            estimates: cached.map(|c| c.estimates),
-            intra_threads,
-            batch_size,
-            queue_wait: waited,
-            latency,
-            query_id,
-            stage_breakdown: breakdown,
-            completion,
-        }),
-    });
-    true
+    let outcome = QueryOutcome {
+        output,
+        epoch: scope,
+        plan_cache_hit,
+        planner_kind,
+        estimation_error,
+        plan_feedback,
+        estimates: cached.map(|c| c.estimates),
+        intra_threads,
+        batch_size,
+        queue_wait: waited,
+        latency,
+        query_id,
+        stage_breakdown: breakdown,
+        completion,
+    };
+    Ok(outcome)
 }
 
 /// Stable lower-case planner name for trace output.
@@ -887,12 +866,12 @@ fn build_spans(breakdown: &StageBreakdown, output: &QueryOutput) -> Vec<TraceSpa
 
 #[cfg(test)]
 mod tests {
-    use super::{drain_compatible, intra_share, Job, QueueState};
+    use super::{compatible, intra_share, Job};
+    use crate::tenant::{FairQueue, TenantPolicy};
     use crate::GraphCatalog;
     use gsi_core::{GsiConfig, GsiEngine};
     use gsi_gpu_sim::{DeviceConfig, Gpu};
     use gsi_graph::GraphBuilder;
-    use std::collections::VecDeque;
     use std::sync::{mpsc, Arc};
     use std::time::Instant;
 
@@ -904,13 +883,15 @@ mod tests {
         b.build()
     }
 
-    fn job_for(entry: &Arc<crate::CatalogEntry>) -> Job {
+    /// A job for `entry`, tagged with the lane it will be queued in.
+    fn job_for(entry: &Arc<crate::CatalogEntry>, lane: u64) -> Job {
         let (tx, _rx) = mpsc::channel();
         Job {
             entry: Arc::clone(entry),
             query: tiny_graph(0),
             deadline: None,
             submitted: Instant::now(),
+            tag: lane,
             tx,
         }
     }
@@ -925,31 +906,39 @@ mod tests {
         // old entry's jobs.
         let a2 = catalog.register(&engine, "a", tiny_graph(0)).entry;
 
-        let mut state = QueueState {
-            // Queue: a2 b a2 a(old-epoch) a2 a2  — first pickup is a2.
-            jobs: VecDeque::from(vec![
-                job_for(&b),
-                job_for(&a2),
-                job_for(&a),
-                job_for(&a2),
-                job_for(&a2),
-            ]),
-            shutdown: false,
+        let queue = Arc::new(FairQueue::new(64, TenantPolicy::default()));
+        // Lane 1: a2 b a2 a(old-epoch) a2 a2 — first pickup is a2. Lane 2
+        // holds more a2 jobs: compatible, but another tenant's.
+        for entry in [&a2, &b, &a2, &a, &a2, &a2] {
+            queue.enqueue(Some("1"), 2, job_for(entry, 1)).unwrap();
+        }
+        for _ in 0..2 {
+            queue.enqueue(Some("2"), 2, job_for(&a2, 2)).unwrap();
+        }
+        let pickup = |window: usize| -> Vec<Job> {
+            let batch = queue.dequeue_batch(|| window, compatible).unwrap();
+            batch.into_iter().map(|(job, _slot)| job).collect()
         };
-        let first = job_for(&a2);
-        let batch = drain_compatible(&mut state, first, 3);
-        assert_eq!(batch.len(), 3, "window caps the batch");
-        assert!(batch.iter().all(|j| Arc::ptr_eq(&j.entry, &a2)));
-        // Left behind, order preserved: b, old-epoch a, the surplus a2.
-        assert_eq!(state.jobs.len(), 3);
-        assert!(Arc::ptr_eq(&state.jobs[0].entry, &b));
-        assert!(Arc::ptr_eq(&state.jobs[1].entry, &a));
-        assert!(Arc::ptr_eq(&state.jobs[2].entry, &a2));
 
-        // Window 1 disables batching entirely.
-        let single = drain_compatible(&mut state, job_for(&a2), 1);
-        assert_eq!(single.len(), 1);
-        assert_eq!(state.jobs.len(), 3);
+        let batch = pickup(3);
+        assert_eq!(batch.len(), 3, "window caps the batch");
+        assert!(batch
+            .iter()
+            .all(|j| j.tag == 1 && Arc::ptr_eq(&j.entry, &a2)));
+
+        // Window 1 disables batching entirely. What is left comes out one
+        // by one, each lane in its own order.
+        let rest: Vec<Job> = (0..5).flat_map(|_| pickup(1)).collect();
+        assert_eq!(queue.total_queued(), 0);
+        let lane = |tag: u64| -> Vec<&Job> { rest.iter().filter(|j| j.tag == tag).collect() };
+        // Lane 1 kept b, old-epoch a, the surplus a2 — order preserved.
+        let kept = lane(1);
+        assert_eq!(kept.len(), 3);
+        assert!(Arc::ptr_eq(&kept[0].entry, &b));
+        assert!(Arc::ptr_eq(&kept[1].entry, &a));
+        assert!(Arc::ptr_eq(&kept[2].entry, &a2));
+        // Lane 2's compatible jobs were never pulled into lane 1's batch.
+        assert_eq!(lane(2).len(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use gsi::graph::basic::BasicStore;
 use gsi::graph::compressed::CompressedStore;
 use gsi::graph::csr::Csr;
 use gsi::graph::partition::partition_by_label;
-use gsi::graph::pcsr::{Pcsr, PcsrStore};
+use gsi::graph::pcsr::{MultiPcsr, Pcsr};
 use gsi::graph::{GraphBuilder, LabeledStore};
 use gsi::prelude::*;
 use proptest::prelude::*;
@@ -41,7 +41,7 @@ proptest! {
             Box::new(Csr::build(&g)),
             Box::new(BasicStore::build(&g)),
             Box::new(CompressedStore::build(&g)),
-            Box::new(PcsrStore::build(&g)),
+            Box::new(MultiPcsr::build(&g)),
         ];
         for v in 0..g.n_vertices() as u32 {
             for l in 0..6u32 {
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn pcsr_all_gpn_equivalent(g in arb_graph(30, 80), gpn in 2usize..=16) {
         let gpu = Gpu::new(DeviceConfig::test_device());
-        let store = PcsrStore::build_with_gpn(&g, gpn);
+        let store = MultiPcsr::build_with_gpn(&g, gpn);
         for v in 0..g.n_vertices() as u32 {
             for l in 0..6u32 {
                 let truth: Vec<u32> = g.neighbors_with_label(v, l).collect();

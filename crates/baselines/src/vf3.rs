@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 /// Rarity- and constraint-driven matching order: pick the vertex whose
 /// (label frequency in data, -degree) is minimal, then extend by
-/// connectivity with the same criterion.
+/// connectivity by the same rule.
 fn vf3_order(data: &Graph, query: &Graph) -> Vec<VertexId> {
     let n = query.n_vertices();
     let mut order = Vec::with_capacity(n);

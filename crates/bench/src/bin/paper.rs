@@ -6,49 +6,26 @@
 //! experiments:
 //!   table2 table3 table4 table5 table6 table7 table8 table9 table10 table11
 //!   fig12 fig13 fig14 fig15 all
-//!   backend            (repo perf trajectory: serial vs host-parallel join
-//!                       execution; writes BENCH_PR2.json)
-//!   update-churn       (repo perf trajectory: interleaved mutations +
-//!                       queries, incremental re-prepare vs full rebuild;
-//!                       writes BENCH_PR3.json)
-//!   batch              (repo perf trajectory: inter-query batched execution
-//!                       with shared candidate filtering vs per-query serial
-//!                       runs at 8/16/32 concurrent queries, equivalence-
-//!                       gated; writes BENCH_PR4.json)
-//!   optimize           (repo perf trajectory: cost-based join ordering vs
-//!                       the greedy heuristic on a skewed-label workload,
-//!                       equivalence-gated on deterministic device counters;
-//!                       writes BENCH_PR5.json)
-//!   observe            (repo perf trajectory: per-query tracing overhead —
-//!                       baseline vs TraceConfig::Off vs TraceConfig::On on
-//!                       the PR 2 and PR 5 join workloads, equivalence-gated
-//!                       on match tables and device counters, plus a traced
-//!                       service-layer pass over the metrics exporters and
-//!                       flight recorder; writes BENCH_PR6.json)
-//!   setops             (repo perf trajectory: vectorized set-op kernels vs
-//!                       the scalar reference — bit-identical outputs and
-//!                       device counters, Melem/s throughput, wall speedup
-//!                       gated — plus the radix-hash join strategy vs
-//!                       Prealloc-Combine / two-step on a high-multiplicity
-//!                       workload, equivalence-gated with a deterministic
-//!                       GLD-cut bar; writes BENCH_PR7.json)
-//!   adapt              (repo perf trajectory: adaptive mid-query re-planning
-//!                       vs replayed stale cost-based plans on a
-//!                       correlated-label workload under concept drift,
-//!                       equivalence-gated on canonical match tables and
-//!                       deterministic device counters; writes BENCH_PR8.json)
-//!   serve              (repo perf trajectory: network serving over the wire
-//!                       protocol — closed-loop and open-loop fixed-rate load
-//!                       with mixed tenants and update churn, p50/p99/p999,
-//!                       saturation knee, equivalence-gated against
-//!                       in-process query_blocking; writes BENCH_PR10.json)
+//!
+//! repo perf trajectory (not part of the paper): each compares arms under
+//! deterministic gates, prints its rows as a table and writes them as one
+//! report — `{schema, experiment, description, params, rows, gates}` — to
+//! `--out`; a failed gate fails the run *after* the report is on disk.
+//! What each one measures and gates is on its function in `experiments`.
+//!   backend        serial vs host-parallel join execution (BENCH_PR2.json)
+//!   update-churn   incremental re-prepare vs full rebuild (BENCH_PR3.json)
+//!   batch          shared candidate filtering vs solo runs (BENCH_PR4.json)
+//!   optimize       cost-based vs greedy join orders (BENCH_PR5.json)
+//!   observe        tracing Off vs On, exporters, recorder (BENCH_PR6.json)
+//!   setops         scalar vs vectorized kernels, radix joins (BENCH_PR7.json)
+//!   adapt          mid-query re-planning vs stale plans (BENCH_PR8.json)
 //!
 //! options:
 //!   --scale <f64>      multiplier on the default dataset scales (default 1.0)
 //!   --queries <n>      queries per configuration (default 5; the paper uses 100)
 //!   --query-size <n>   |V(Q)| (default 12, the paper's default)
 //!   --seed <n>         RNG seed (default 42)
-//!   --timeout <ms>     per-query timeout for GPU engines (default 100000)
+//!   --timeout <ms>     per-query timeout for GPU engines (default 30000)
 //!   --cpu-timeout <ms> per-query timeout for CPU baselines (default 10000)
 //!   --threads <n>      host-parallel backend workers (backend only, default 4)
 //!   --latency <ns>     modeled memory latency per streamed element
@@ -67,16 +44,7 @@
 //!   --max-overhead <f> allowed enabled-tracing join-wall overhead as a
 //!                      fraction (observe only, default 0.05); 0 keeps only
 //!                      the deterministic counter-equality gates
-//!   --clients <n>      concurrent load-generator clients (serve only,
-//!                      default 4)
-//!   --min-throughput <f> required closed-loop throughput in queries/s
-//!                      (serve only, default 10; 0 disables — the latency
-//!                      percentiles and knee stay informational)
-//!   --out <path>       report path (backend: BENCH_PR2.json,
-//!                      update-churn: BENCH_PR3.json, batch: BENCH_PR4.json,
-//!                      optimize: BENCH_PR5.json, observe: BENCH_PR6.json,
-//!                      setops: BENCH_PR7.json, adapt: BENCH_PR8.json,
-//!                      serve: BENCH_PR10.json)
+//!   --out <path>       report path (default: the file named above)
 //! ```
 
 use gsi_bench::experiments;
@@ -84,12 +52,11 @@ use gsi_bench::workloads::HarnessOpts;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <table2..table11|fig12..fig15|backend|update-churn|batch|optimize|observe|setops|adapt|serve|all> \
+        "usage: paper <table2..table11|fig12..fig15|backend|update-churn|batch|optimize|observe|setops|adapt|all> \
          [--scale F] [--queries N] [--query-size N] [--seed N] \
          [--timeout MS] [--cpu-timeout MS] [--threads N] [--latency NS] \
          [--rounds N] [--batch N] [--pool N] [--min-speedup F] \
-         [--min-work-ratio F] [--max-overhead F] [--clients N] \
-         [--min-throughput F] [--out PATH]"
+         [--min-work-ratio F] [--max-overhead F] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -109,8 +76,6 @@ fn main() {
     let mut min_speedup: Option<f64> = None;
     let mut min_work_ratio = 1.5f64;
     let mut max_overhead = 0.05f64;
-    let mut clients = 4usize;
-    let mut min_throughput = 10.0f64;
     let mut out_path: Option<String> = None;
 
     let mut i = 1;
@@ -132,8 +97,6 @@ fn main() {
             "--min-speedup" => min_speedup = Some(val.parse().unwrap_or_else(|_| usage())),
             "--min-work-ratio" => min_work_ratio = val.parse().unwrap_or_else(|_| usage()),
             "--max-overhead" => max_overhead = val.parse().unwrap_or_else(|_| usage()),
-            "--clients" => clients = val.parse().unwrap_or_else(|_| usage()),
-            "--min-throughput" => min_throughput = val.parse().unwrap_or_else(|_| usage()),
             "--out" => out_path = Some(val.clone()),
             _ => usage(),
         }
@@ -145,68 +108,41 @@ fn main() {
         opts.scale, opts.queries, opts.query_size, opts.seed
     );
 
-    match exp.as_str() {
-        "table2" => experiments::table2(&opts),
-        "table3" => experiments::table3(&opts),
-        "table4" => experiments::table4(&opts),
-        "table5" => experiments::table5(&opts),
-        "table6" => experiments::table6(&opts),
-        "table7" => experiments::table7(&opts),
-        "table8" => experiments::table8(&opts),
-        "table9" => experiments::table9(&opts),
-        "table10" => experiments::table10(&opts),
-        "table11" => experiments::table11(&opts),
-        "fig12" => experiments::fig12(&opts),
-        "fig13" => experiments::fig13(&opts),
-        "fig14" => experiments::fig14(&opts),
-        "fig15" => experiments::fig15(&opts),
-        "backend" => experiments::backend(
-            &opts,
-            threads,
-            latency_ns,
-            out_path.as_deref().unwrap_or("BENCH_PR2.json"),
-        ),
-        "update-churn" => experiments::update_churn(
-            &opts,
-            rounds,
-            batch,
-            out_path.as_deref().unwrap_or("BENCH_PR3.json"),
-        ),
+    let out = |default: &'static str| out_path.as_deref().unwrap_or(default);
+    let outcome = match exp.as_str() {
+        "backend" => experiments::backend(&opts, threads, latency_ns, out("BENCH_PR2.json")),
+        "update-churn" => experiments::update_churn(&opts, rounds, batch, out("BENCH_PR3.json")),
         "batch" => experiments::batch_queries(
             &opts,
             pool,
             min_speedup.unwrap_or(1.3),
-            out_path.as_deref().unwrap_or("BENCH_PR4.json"),
+            out("BENCH_PR4.json"),
         ),
         "optimize" => experiments::optimize(
             &opts,
             min_speedup.unwrap_or(1.5),
             min_work_ratio,
-            out_path.as_deref().unwrap_or("BENCH_PR5.json"),
+            out("BENCH_PR5.json"),
         ),
-        "observe" => experiments::observe(
-            &opts,
-            max_overhead,
-            out_path.as_deref().unwrap_or("BENCH_PR6.json"),
-        ),
-        "setops" => experiments::setops(
-            &opts,
-            min_speedup.unwrap_or(1.5),
-            out_path.as_deref().unwrap_or("BENCH_PR7.json"),
-        ),
+        "observe" => experiments::observe(&opts, max_overhead, out("BENCH_PR6.json")),
+        "setops" => experiments::setops(&opts, min_speedup.unwrap_or(1.5), out("BENCH_PR7.json")),
         "adapt" => experiments::adapt(
             &opts,
             min_speedup.unwrap_or(1.3),
             min_work_ratio,
-            out_path.as_deref().unwrap_or("BENCH_PR8.json"),
+            out("BENCH_PR8.json"),
         ),
-        "serve" => gsi_bench::serve::serve(
-            &opts,
-            clients,
-            min_throughput,
-            out_path.as_deref().unwrap_or("BENCH_PR10.json"),
-        ),
-        "all" => experiments::all(&opts),
-        _ => usage(),
+        table => {
+            match experiments::PAPER.iter().find(|(name, _)| *name == table) {
+                Some((_, run)) => run(&opts),
+                None if table == "all" => experiments::all(&opts),
+                None => usage(),
+            }
+            Ok(())
+        }
+    };
+    if let Err(e) = outcome {
+        eprintln!("paper: {e}");
+        std::process::exit(1);
     }
 }

@@ -9,12 +9,13 @@
 //! cargo run --release -p gsi-bench --bin paper -- fig13 --scale 2.0
 //! ```
 //!
-//! Criterion micro-benchmarks cover the same comparisons at fixed small
-//! sizes (`cargo bench --workspace`).
+//! The repo-trajectory experiments (`backend`, `update-churn`, `batch`,
+//! `optimize`, `observe`, `setops`, `adapt`) compare arms under
+//! deterministic gates and write one [`report::Report`] each. How fast the
+//! shipped arm is end to end is `benchmark/`'s question, not this crate's.
 
 pub mod experiments;
 pub mod fmt;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod workloads;

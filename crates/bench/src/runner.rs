@@ -1,9 +1,10 @@
 //! Experiment runners: execute engine variants over query batches and
 //! aggregate the paper's metrics.
 
+use crate::report::Arm;
 use crate::workloads::HarnessOpts;
 use gsi::baselines::edge_join::EdgeJoinEngine;
-use gsi::baselines::{cfl, vf2, vf3, EngineResult};
+use gsi::baselines::{cfl, vf3, EngineResult};
 use gsi::prelude::*;
 use std::time::Duration;
 
@@ -12,97 +13,72 @@ use std::time::Duration;
 pub struct Aggregate {
     /// Number of queries measured.
     pub queries: usize,
-    /// Summed wall time.
-    pub total_time: Duration,
-    /// Summed filter-phase wall time.
-    pub filter_time: Duration,
-    /// Summed join-phase wall time (GSI engines only).
-    pub join_time: Duration,
-    /// Summed join-phase GLD transactions.
-    pub join_gld: u64,
-    /// Summed join-phase GST transactions.
-    pub join_gst: u64,
-    /// Summed total GLD transactions (filter + join).
-    pub gld: u64,
-    /// Summed total GST transactions.
-    pub gst: u64,
-    /// Summed kernel launches.
-    pub kernels: u64,
-    /// Summed minimum candidate-set sizes.
-    pub min_candidate: usize,
-    /// Summed match counts.
-    pub matches: usize,
     /// Queries that hit the timeout / guard.
     pub timeouts: usize,
     /// Wall time summed over *completed* (non-timeout) queries only.
     pub completed_time: Duration,
-    /// Summed device allocation requests.
-    pub allocs: u64,
-    /// Summed join-backend work units (total streamed elements).
-    pub join_work_units: u64,
-    /// Summed join-backend span units (schedule critical path).
-    pub join_span_units: u64,
+    /// Every per-run measurement, summed by [`RunStats::accumulate`]
+    /// (baselines fill in what they measure: wall time, matches, device
+    /// counters).
+    pub stats: RunStats,
 }
 
 impl Aggregate {
+    fn per_query(&self, total: Duration) -> Duration {
+        total.checked_div(self.queries as u32).unwrap_or_default()
+    }
+
     /// Mean wall time per query.
     pub fn avg_time(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.total_time / self.queries as u32
-        }
+        self.per_query(self.stats.total_time)
     }
 
     /// Mean wall time over completed queries only; `None` if all timed out.
     pub fn avg_completed_time(&self) -> Option<Duration> {
-        let done = self.queries - self.timeouts;
-        if done == 0 {
-            None
-        } else {
-            Some(self.completed_time / done as u32)
-        }
+        self.completed_time
+            .checked_div((self.queries - self.timeouts) as u32)
     }
 
     /// Mean filter time per query.
     pub fn avg_filter_time(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.filter_time / self.queries as u32
-        }
+        self.per_query(self.stats.filter_time)
     }
 
     /// Mean join-phase time per query.
     pub fn avg_join_time(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.join_time / self.queries as u32
-        }
+        self.per_query(self.stats.join_time)
+    }
+
+    fn per_query_count(&self, total: u64) -> u64 {
+        total.checked_div(self.queries as u64).unwrap_or(0)
     }
 
     /// Mean join GLD per query.
     pub fn avg_join_gld(&self) -> u64 {
-        if self.queries == 0 {
-            0
-        } else {
-            self.join_gld / self.queries as u64
-        }
+        self.per_query_count(self.stats.join_gld())
     }
 
     /// Mean join GST per query.
     pub fn avg_join_gst(&self) -> u64 {
-        if self.queries == 0 {
-            0
-        } else {
-            self.join_gst / self.queries as u64
-        }
+        self.per_query_count(self.stats.join_gst())
     }
 
     /// Mean minimum candidate size per query.
     pub fn avg_min_candidate(&self) -> usize {
-        self.min_candidate.checked_div(self.queries).unwrap_or(0)
+        self.per_query_count(self.stats.min_candidate as u64) as usize
+    }
+
+    /// The per-batch frame: the summed per-run frame plus what only a
+    /// batch-level comparison reads.
+    pub fn rows(&self, arm: &mut Arm<'_>) {
+        use crate::report::metric::*;
+        arm.run(&self.stats)
+            .put(&QUERY_MS, self.stats.total_time)
+            .put(&GST, self.stats.gst())
+            .put(&KERNELS, self.stats.kernels())
+            .put(&ALLOCS, self.stats.device.device_allocs)
+            .put(&JOIN_SPAN, self.stats.join_span_units)
+            .put(&TIMEOUTS, self.timeouts);
     }
 }
 
@@ -128,19 +104,7 @@ pub fn run_gsi_on_device(
             .query_with_timeout(data, &prepared, q, Some(opts.timeout()))
             .expect("plans");
         agg.queries += 1;
-        agg.total_time += out.stats.total_time;
-        agg.filter_time += out.stats.filter_time;
-        agg.join_time += out.stats.join_time;
-        agg.join_gld += out.stats.join_gld();
-        agg.join_gst += out.stats.join_gst();
-        agg.gld += out.stats.gld();
-        agg.gst += out.stats.gst();
-        agg.kernels += out.stats.kernels();
-        agg.min_candidate += out.stats.min_candidate;
-        agg.matches += out.stats.n_matches;
-        agg.allocs += out.stats.device.device_allocs;
-        agg.join_work_units += out.stats.join_work_units;
-        agg.join_span_units += out.stats.join_span_units;
+        agg.stats.accumulate(&out.stats);
         agg.timeouts += out.stats.timed_out as usize;
         if !out.stats.timed_out {
             agg.completed_time += out.stats.total_time;
@@ -158,11 +122,9 @@ pub fn run_gsi_filter_only(cfg: &GsiConfig, data: &Graph, queries: &[Graph]) -> 
         let snap0 = engine.gpu().stats().snapshot();
         let t0 = std::time::Instant::now();
         let cands = engine.filter(&prepared, q);
-        agg.filter_time += t0.elapsed();
-        agg.total_time += t0.elapsed();
-        let delta = engine.gpu().stats().snapshot() - snap0;
-        agg.gld += delta.gld_transactions;
-        agg.min_candidate += gsi::signature::min_candidate_size(&cands);
+        agg.stats.filter_time += t0.elapsed();
+        agg.stats.device = agg.stats.device + (engine.gpu().stats().snapshot() - snap0);
+        agg.stats.min_candidate += gsi::signature::min_candidate_size(&cands);
         agg.queries += 1;
     }
     agg
@@ -194,7 +156,6 @@ pub fn run_cpu_baseline(
     let mut agg = Aggregate::default();
     for q in queries {
         let res = match which {
-            CpuBaseline::Vf2 => vf2::run(data, q, Some(opts.cpu_timeout())),
             CpuBaseline::Vf3 => vf3::run(data, q, Some(opts.cpu_timeout())),
             CpuBaseline::Cfl => cfl::run(data, q, Some(opts.cpu_timeout())),
         };
@@ -206,8 +167,6 @@ pub fn run_cpu_baseline(
 /// Which CPU baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuBaseline {
-    /// Classic VF2.
-    Vf2,
     /// VF3-like (ordering + lookahead).
     Vf3,
     /// CFL-Match-like (core-forest-leaf + NLF).
@@ -216,17 +175,14 @@ pub enum CpuBaseline {
 
 fn fold_engine_result(agg: &mut Aggregate, res: &EngineResult) {
     agg.queries += 1;
-    agg.total_time += res.elapsed;
+    agg.stats.total_time += res.elapsed;
     if !res.timed_out {
         agg.completed_time += res.elapsed;
     }
-    agg.matches += res.len();
+    agg.stats.n_matches += res.len();
     agg.timeouts += res.timed_out as usize;
     if let Some(dev) = res.device {
-        agg.gld += dev.gld_transactions;
-        agg.gst += dev.gst_transactions;
-        agg.kernels += dev.kernel_launches;
-        agg.allocs += dev.device_allocs;
+        agg.stats.device = agg.stats.device + dev;
     }
 }
 
@@ -253,7 +209,7 @@ mod tests {
         let (opts, data, queries) = tiny();
         let agg = run_gsi(&GsiConfig::gsi_opt(), &data, &queries, &opts);
         assert_eq!(agg.queries, queries.len());
-        assert!(agg.gld > 0);
+        assert!(agg.stats.gld() > 0);
         assert!(agg.avg_time() > Duration::ZERO);
         assert_eq!(agg.timeouts, 0);
     }
@@ -274,29 +230,30 @@ mod tests {
             &queries,
             &opts,
         );
-        assert_eq!(serial.matches, par.matches);
-        assert_eq!(serial.gld, par.gld);
-        assert_eq!(serial.gst, par.gst);
-        assert_eq!(serial.kernels, par.kernels);
-        assert_eq!(serial.join_work_units, par.join_work_units);
-        assert!(par.join_span_units <= par.join_work_units);
-        assert!(serial.join_work_units > 0);
+        assert_eq!(serial.stats.n_matches, par.stats.n_matches);
+        assert_eq!(serial.stats.device, par.stats.device);
+        assert_eq!(serial.stats.join_work_units, par.stats.join_work_units);
+        assert!(par.stats.join_span_units <= par.stats.join_work_units);
+        assert!(serial.stats.join_work_units > 0);
     }
 
     #[test]
     fn filter_only_aggregate() {
         let (_, data, queries) = tiny();
         let agg = run_gsi_filter_only(&GsiConfig::gsi(), &data, &queries);
-        assert!(agg.min_candidate > 0, "walk queries always have a match");
-        assert!(agg.gld > 0);
+        assert!(
+            agg.stats.min_candidate > 0,
+            "walk queries always have a match"
+        );
+        assert!(agg.stats.gld() > 0);
     }
 
     #[test]
     fn cpu_baseline_aggregate() {
         let (opts, data, queries) = tiny();
-        let agg = run_cpu_baseline(CpuBaseline::Vf2, &data, &queries, &opts);
+        let agg = run_cpu_baseline(CpuBaseline::Vf3, &data, &queries, &opts);
         assert_eq!(agg.queries, queries.len());
-        assert!(agg.matches > 0);
+        assert!(agg.stats.n_matches > 0);
     }
 
     #[test]
@@ -305,6 +262,6 @@ mod tests {
         let engine = gsi::baselines::gpsm::engine(Gpu::new(DeviceConfig::titan_xp()));
         let agg = run_edge_baseline(&engine, &data, &queries, &opts);
         assert_eq!(agg.queries, queries.len());
-        assert!(agg.gld > 0);
+        assert!(agg.stats.gld() > 0);
     }
 }

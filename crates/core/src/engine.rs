@@ -1,7 +1,7 @@
 //! The end-to-end GSI engine: prepare (offline) + query (online).
 
 use crate::backend::{make_backend, ExecBackend};
-use crate::config::{BackendKind, FilterStrategy, GsiConfig, JoinScheme};
+use crate::config::{FilterStrategy, GsiConfig, JoinScheme};
 use crate::cost::{
     estimate_for_plan, plan_join_costed, replan_suffix, splice_replanned, ExplainPlan, PlannerKind,
 };
@@ -182,9 +182,6 @@ pub struct QueryOptions<'a> {
     /// validated with [`JoinPlan::covers`]; one that does not cover `query`
     /// is ignored and a fresh plan is computed.
     pub plan: Option<&'a JoinPlan>,
-    /// Execution backend override for this run; `None` uses
-    /// [`GsiConfig::backend`].
-    pub backend: Option<BackendKind>,
     /// `HostParallel` worker-thread override for this run (`0` = all
     /// available cores); `None` uses [`GsiConfig::intra_query_threads`].
     /// A serving layer sets this per query to budget intra- against
@@ -201,11 +198,6 @@ pub struct QueryOptions<'a> {
     /// [`GsiConfig::planner`]. Ignored when a valid cached plan is
     /// supplied through [`QueryOptions::plan`].
     pub planner: Option<PlannerKind>,
-    /// Join output-scheme override for this run; `None` uses
-    /// [`GsiConfig::join_scheme`]. Steps the cost model flags as
-    /// high-multiplicity (see [`GsiConfig::radix_join_threshold`]) may
-    /// still be promoted to the radix-hash strategy.
-    pub join_scheme: Option<JoinScheme>,
     /// Per-query tracing. `Off` (the default) is zero-cost: the engine
     /// skips the per-join-step clock reads and leaves
     /// [`RunStats::step_times`](crate::RunStats::step_times) empty; the
@@ -579,11 +571,10 @@ impl GsiEngine {
         // radix-hash strategy — high-multiplicity steps amortize the
         // partition/build passes, low-multiplicity ones keep the
         // configured scheme.
-        let resolved_scheme = opts.join_scheme.unwrap_or(self.cfg.join_scheme);
-        let strategy = strategy_for(resolved_scheme);
+        let strategy = strategy_for(self.cfg.join_scheme);
         let radix_flags = |explain: &ExplainPlan, n_steps: usize| -> Vec<bool> {
             match self.cfg.radix_join_threshold {
-                Some(t) if resolved_scheme != JoinScheme::RadixHash => (0..n_steps)
+                Some(t) if self.cfg.join_scheme != JoinScheme::RadixHash => (0..n_steps)
                     .map(|k| {
                         // explain.steps[0] is the seed column; step k extends
                         // steps[k] rows into steps[k + 1] rows.
@@ -601,7 +592,7 @@ impl GsiEngine {
         };
         let mut radix_steps: Vec<bool> = radix_flags(&explain, plan.steps.len());
         let backend: Box<dyn ExecBackend> = make_backend(
-            opts.backend.unwrap_or(self.cfg.backend),
+            self.cfg.backend,
             opts.intra_query_threads
                 .unwrap_or(self.cfg.intra_query_threads),
         );
@@ -773,7 +764,7 @@ impl GsiEngine {
     /// prepared structures; every repeat — across queries or within one —
     /// reuses the cached candidate list by `Arc`. The join phase then runs
     /// per query through the configured [`ExecBackend`], honoring each
-    /// item's own [`QueryOptions`] (timeout, cached plan, backend override).
+    /// item's own [`QueryOptions`] (timeout, cached plan, planner override).
     ///
     /// Results are **bit-identical** to running each item alone through
     /// [`GsiEngine::query_with_options`]: candidate lists are deterministic
@@ -867,6 +858,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackendKind;
     use gsi_graph::GraphBuilder;
 
     fn test_engine(cfg: GsiConfig) -> GsiEngine {

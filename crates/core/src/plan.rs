@@ -354,7 +354,7 @@ mod tests {
         // Regression: a plan whose linking column references a column the
         // step has not materialized yet must be rejected — executing it
         // would index past the intermediate table's width. Start from a
-        // valid plan so every *other* covers() criterion holds.
+        // valid plan so every *other* covers() condition holds.
         let q = query();
         let d = data();
         let cands = vec![cand(0, 5), cand(1, 5), cand(2, 5), cand(3, 5)];

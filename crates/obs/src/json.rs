@@ -1,9 +1,10 @@
-//! A minimal JSON writer shared by the exporters and the flight recorder.
+//! The workspace's one JSON writer: exporters, the flight recorder and
+//! `gsi-bench`'s experiment reports all emit through it.
 //!
-//! The workspace is hermetic (no serde); `gsi-bench` hand-rolls its report
-//! JSON the same way. This writer tracks nesting and comma placement so
-//! callers just emit keys and values; output is compact (no whitespace)
-//! and deterministic.
+//! The workspace is hermetic (no serde). This writer tracks nesting and
+//! comma placement so callers just emit keys and values; output is
+//! deterministic, and compact (no whitespace) unless the buffer was
+//! created with [`JsonBuf::indented`].
 
 /// An append-only JSON buffer with automatic comma handling.
 ///
@@ -16,23 +17,61 @@ pub struct JsonBuf {
     /// Whether a value was already emitted at the current nesting level
     /// (drives comma insertion), one entry per open container.
     had_value: Vec<bool>,
+    /// The value being emitted completes a `"key":` entry, so it takes no
+    /// separator of its own.
+    after_key: bool,
+    /// Containers nested at most this deep put each entry on its own
+    /// indented line; `0` = fully compact.
+    indent_depth: usize,
 }
 
 impl JsonBuf {
-    /// Fresh empty buffer.
+    /// Fresh empty buffer (compact output).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Insert the separating comma if the current container already holds
-    /// a value, and mark that it now does.
+    /// A buffer that breaks the outermost `depth` container levels into
+    /// one indented line per entry and keeps everything nested deeper
+    /// compact — `indented(2)` renders an object of arrays with one array
+    /// element per line, the shape committed reports are diffed in.
+    pub fn indented(depth: usize) -> Self {
+        Self {
+            indent_depth: depth,
+            ..Self::default()
+        }
+    }
+
+    fn newline(&mut self, level: usize) {
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(level));
+    }
+
+    /// Insert the separator the next entry needs — a comma if the current
+    /// container already holds a value, a line break inside the indented
+    /// levels — and mark that the container now holds one.
     fn pre_value(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let level = self.had_value.len();
         if let Some(had) = self.had_value.last_mut() {
             if *had {
                 self.out.push(',');
             }
             *had = true;
+            if level <= self.indent_depth {
+                self.newline(level);
+            }
         }
+    }
+
+    fn end(&mut self, close: char) {
+        let level = self.had_value.len();
+        if self.had_value.pop() == Some(true) && level <= self.indent_depth {
+            self.newline(level.saturating_sub(1));
+        }
+        self.out.push(close);
     }
 
     /// Open a JSON object (`{`).
@@ -44,8 +83,7 @@ impl JsonBuf {
 
     /// Close the innermost object (`}`).
     pub fn end_obj(&mut self) {
-        self.had_value.pop();
-        self.out.push('}');
+        self.end('}');
     }
 
     /// Open a JSON array (`[`).
@@ -57,19 +95,19 @@ impl JsonBuf {
 
     /// Close the innermost array (`]`).
     pub fn end_arr(&mut self) {
-        self.had_value.pop();
-        self.out.push(']');
+        self.end(']');
     }
 
     /// Emit `"key":` (inside an object); the next emitted value completes
-    /// the entry without a comma of its own.
+    /// the entry without a separator of its own.
     pub fn key(&mut self, key: &str) {
         self.pre_value();
         self.push_escaped(key);
         self.out.push(':');
-        if let Some(had) = self.had_value.last_mut() {
-            *had = false;
+        if self.had_value.len() <= self.indent_depth {
+            self.out.push(' ');
         }
+        self.after_key = true;
     }
 
     /// Emit a string value.
@@ -192,6 +230,34 @@ mod tests {
         assert_eq!(
             b.finish(),
             r#"{"name":"a\"b","n":3,"xs":[1,2,{"ok":true}],"pi":1.5,"bad":null,"gone":null}"#
+        );
+    }
+
+    #[test]
+    fn indented_breaks_outer_levels_only() {
+        let mut b = JsonBuf::indented(2);
+        b.begin_obj();
+        b.field_str("name", "x");
+        b.key("rows");
+        b.begin_arr();
+        for i in 0..2 {
+            b.begin_obj();
+            b.field_u64("i", i);
+            b.key("xs");
+            b.begin_arr();
+            b.value_u64(1);
+            b.end_arr();
+            b.end_obj();
+        }
+        b.end_arr();
+        b.key("none");
+        b.begin_arr();
+        b.end_arr();
+        b.end_obj();
+        assert_eq!(
+            b.finish(),
+            "{\n  \"name\": \"x\",\n  \"rows\": [\n    {\"i\":0,\"xs\":[1]},\n    \
+             {\"i\":1,\"xs\":[1]}\n  ],\n  \"none\": []\n}"
         );
     }
 

@@ -211,10 +211,11 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Small deterministic configuration for tests and doc examples: the
+    /// shipped engine arm ([`ServiceConfig::default`]'s) on the
     /// single-threaded test device, 2 workers, a short queue.
     pub fn for_tests() -> Self {
         Self {
-            engine: GsiConfig::gsi().with_planner(PlannerKind::CostBased),
+            engine: Self::default().engine,
             device: DeviceConfig::test_device(),
             workers: 2,
             queue_capacity: 64,

@@ -89,6 +89,13 @@ impl WireWriter {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds (and
+    /// its capacity: a connection encodes reply after reply into one
+    /// buffer).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -125,6 +132,29 @@ impl WireWriter {
     /// Append a little-endian `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Append rows `rows` of a columnar table as little-endian `u32`
+    /// cells, row-major: cell `(i, u)` is `cols[u][rows.start + i]`. One
+    /// reservation, then one strided pass per column — no row is
+    /// materialized on the way. Panics if a column is shorter than
+    /// `rows.end` (a ragged table is the caller's bug, like a slice index).
+    /// A flat slice of cells is the one-column case: `u32_rows(&[cells],
+    /// 0..cells.len())`.
+    pub fn u32_rows(&mut self, cols: &[&[u32]], rows: std::ops::Range<usize>) -> &mut Self {
+        let width = cols.len();
+        if width == 0 {
+            return self;
+        }
+        let start = self.buf.len();
+        self.buf.resize(start + rows.len() * width * 4, 0);
+        for (u, col) in cols.iter().enumerate() {
+            let cells = self.buf[start + u * 4..].chunks_mut(width * 4);
+            for (cell, v) in cells.zip(&col[rows.clone()]) {
+                cell[..4].copy_from_slice(&v.to_le_bytes());
+            }
+        }
         self
     }
 
@@ -217,6 +247,19 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Read `n` little-endian `u32`s (no length prefix), appending them to
+    /// `out`. The bytes are bounds-checked before `out` grows, so a forged
+    /// count cannot drive an allocation.
+    pub fn u32s_into(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), WireError> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+        Ok(())
     }
 
     /// Read a `u16`-length-prefixed UTF-8 string.
@@ -425,6 +468,36 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.str().unwrap(), "hi");
         assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn bulk_u32_ops_match_the_scalar_encoding() {
+        // Two columns, rows 1..3 gathered row-major, appended after a
+        // prefix the writer was handed.
+        let cols: [&[u32]; 2] = [&[10, 11, 12], &[20, 21, 22]];
+        let mut w = WireWriter::from_vec(vec![0xAA]);
+        w.u32_rows(&cols, 1..3).u32_rows(&[&[7, u32::MAX]], 0..2);
+        let mut scalar = WireWriter::from_vec(vec![0xAA]);
+        for v in [11, 21, 12, 22, 7, u32::MAX] {
+            scalar.u32(v);
+        }
+        let buf = w.into_vec();
+        assert_eq!(buf, scalar.into_vec());
+        // Zero columns encode nothing.
+        assert!(WireWriter::new().u32_rows(&[], 0..5).is_empty());
+
+        let mut r = WireReader::new(&buf[1..]);
+        let mut back = vec![99];
+        r.u32s_into(6, &mut back).unwrap();
+        assert_eq!(back, [99, 11, 21, 12, 22, 7, u32::MAX]);
+        assert!(r.finish().is_ok());
+        // A count the buffer cannot hold is typed, and grows nothing.
+        let mut r = WireReader::new(&buf[1..]);
+        assert!(matches!(
+            r.u32s_into(usize::MAX, &mut back),
+            Err(WireError::Truncated { .. })
+        ));
+        assert_eq!(back.len(), 7);
     }
 
     #[test]

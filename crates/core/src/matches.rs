@@ -32,13 +32,38 @@ impl Matches {
         self.table.is_empty()
     }
 
+    /// The table's columns paired with the query vertex each one matches
+    /// — the one place the column ↔ query-vertex permutation is spelled
+    /// out; every query-vertex-indexed view below is built from it. (A
+    /// join that ran dry may leave a rowless table narrower than `order`;
+    /// the columns it never added are skipped.)
+    fn columns(&self) -> impl Iterator<Item = (usize, &[VertexId])> {
+        self.order
+            .iter()
+            .take(self.table.n_cols())
+            .enumerate()
+            .map(|(c, &qv)| (qv as usize, self.table.column(c)))
+    }
+
+    /// The table's columns indexed by query vertex: `view[u][i]` is the
+    /// data vertex matched to query vertex `u` in match `i`. Borrowed, so
+    /// result consumers (the wire encoder, [`Matches::canonical`],
+    /// [`Matches::verify`]) read rows in query-vertex order straight from
+    /// the columnar table without materializing them.
+    pub fn columns_by_query_vertex(&self) -> Vec<&[VertexId]> {
+        let mut view: Vec<&[VertexId]> = vec![&[]; self.order.len()];
+        for (qv, col) in self.columns() {
+            view[qv] = col;
+        }
+        view
+    }
+
     /// The assignment of match `i` in query-vertex order: `result[u]` is the
     /// data vertex matched to query vertex `u`.
     pub fn assignment(&self, i: usize) -> Vec<VertexId> {
-        let row = self.table.row(i);
         let mut by_qv = vec![0; self.order.len()];
-        for (c, &qv) in self.order.iter().enumerate() {
-            by_qv[qv as usize] = row[c];
+        for (qv, col) in self.columns() {
+            by_qv[qv] = col[i];
         }
         by_qv
     }
@@ -46,7 +71,10 @@ impl Matches {
     /// All assignments, canonicalized (query-vertex indexed) and sorted —
     /// the representation used to compare engines for equality.
     pub fn canonical(&self) -> Vec<Vec<VertexId>> {
-        let mut out: Vec<Vec<VertexId>> = (0..self.len()).map(|i| self.assignment(i)).collect();
+        let view = self.columns_by_query_vertex();
+        let mut out: Vec<Vec<VertexId>> = (0..self.len())
+            .map(|i| view.iter().map(|col| col[i]).collect())
+            .collect();
         out.sort_unstable();
         out
     }
@@ -55,17 +83,18 @@ impl Matches {
     /// (Definition 2/3): injective, label-preserving on vertices, and every
     /// query edge maps to a data edge with the same label.
     pub fn verify(&self, data: &Graph, query: &Graph) -> Result<(), String> {
+        let view = self.columns_by_query_vertex();
+        let edges = query.edges();
         for i in 0..self.len() {
-            let a = self.assignment(i);
-            // Injectivity.
-            let mut seen = a.clone();
-            seen.sort_unstable();
-            if seen.windows(2).any(|w| w[0] == w[1]) {
+            // Injectivity (patterns are a handful of vertices: pairwise).
+            let repeats = |u: usize| view[..u].iter().any(|col| col[i] == view[u][i]);
+            if (1..view.len()).any(repeats) {
+                let a = self.assignment(i);
                 return Err(format!("match {i} is not injective: {a:?}"));
             }
             // Vertex labels.
             for u in 0..query.n_vertices() as VertexId {
-                let v = a[u as usize];
+                let v = view[u as usize][i];
                 if query.vlabel(u) != data.vlabel(v) {
                     return Err(format!(
                         "match {i}: label mismatch u{u}→v{v} ({} vs {})",
@@ -75,8 +104,8 @@ impl Matches {
                 }
             }
             // Edges.
-            for e in query.edges() {
-                let (du, dv) = (a[e.u as usize], a[e.v as usize]);
+            for e in &edges {
+                let (du, dv) = (view[e.u as usize][i], view[e.v as usize][i]);
                 if !data.has_edge(du, dv, e.label) {
                     return Err(format!(
                         "match {i}: missing data edge {du}–{dv} label {}",
@@ -120,6 +149,7 @@ mod tests {
             table: t,
         };
         assert_eq!(m.assignment(0), vec![0, 1]);
+        assert_eq!(m.columns_by_query_vertex(), vec![&[0][..], &[1][..]]);
     }
 
     #[test]
@@ -166,6 +196,17 @@ mod tests {
             table: t,
         };
         assert!(m.verify(&data, &query).is_err());
+    }
+
+    #[test]
+    fn rowless_table_narrower_than_the_order_reads_as_empty() {
+        // What a join that ran dry after one column leaves behind.
+        let m = Matches {
+            order: vec![2, 0, 1],
+            table: MatchTable::new(1),
+        };
+        assert_eq!(m.columns_by_query_vertex(), vec![&[][..]; 3]);
+        assert_eq!(m.canonical(), Vec::<Vec<u32>>::new());
     }
 
     #[test]

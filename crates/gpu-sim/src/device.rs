@@ -2,6 +2,8 @@
 
 use std::sync::Arc;
 
+use parking_lot::{Mutex, MutexGuard};
+
 use crate::stats::GpuStats;
 
 /// Static description of the simulated device.
@@ -98,17 +100,31 @@ impl Default for DeviceConfig {
 /// Cheap to clone (counters are behind an [`Arc`]); every simulated kernel,
 /// device buffer and primitive charges its memory transactions and work
 /// against the same [`GpuStats`].
+///
+/// One device runs **one grid at a time**, like kernels queued on a CUDA
+/// default stream: host threads that launch on the same device (or on
+/// clones of it) take turns, launch by launch. A kernel's cost therefore
+/// does not depend on what its neighbours are doing — two grids charging
+/// the one ledger side by side bounce its cache lines between cores, which
+/// made two concurrent queries *slower* than the same two back to back,
+/// by an amount that changed from run to run.
 #[derive(Debug, Clone)]
 pub struct Gpu {
     cfg: DeviceConfig,
     stats: Arc<GpuStats>,
+    /// Held for the length of a launch.
+    grid: Arc<Mutex<()>>,
 }
 
 impl Gpu {
     /// Create a device with the given configuration and zeroed counters.
     pub fn new(cfg: DeviceConfig) -> Self {
         let stats = Arc::new(GpuStats::new(cfg.transaction_bytes));
-        Self { cfg, stats }
+        Self {
+            cfg,
+            stats,
+            grid: Arc::new(Mutex::new(())),
+        }
     }
 
     /// The device configuration.
@@ -125,6 +141,13 @@ impl Gpu {
     /// outlive borrows of the `Gpu`.
     pub(crate) fn stats_arc(&self) -> &Arc<GpuStats> {
         &self.stats
+    }
+
+    /// The device for the length of one launch; waits while another host
+    /// thread's grid is running. Not re-entrant: a kernel body must not
+    /// launch on its own device (dynamic parallelism is not modeled).
+    pub(crate) fn begin_grid(&self) -> MutexGuard<'_, ()> {
+        self.grid.lock()
     }
 
     /// Reset all counters to zero (e.g. between the offline build phase and

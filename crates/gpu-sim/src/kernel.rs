@@ -8,6 +8,10 @@
 //! on a single SM — so a block's wall time is the sum of its warps' work and
 //! *skewed per-warp workloads produce real imbalance*, which §VI-A's 4-layer
 //! load-balance scheme then measurably repairs.
+//!
+//! A device runs one grid at a time: a launch holds its [`Gpu`] until the
+//! last block has finished, and launches from other host threads on the
+//! same device wait their turn (see [`Gpu`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,11 +47,13 @@ pub struct BlockCtx {
 /// tasks owned by that block's warps; it should iterate the slice, treating
 /// each element as one warp's assignment. Records one kernel launch, charges
 /// the configured launch overhead, and counts `tasks.len()` warp tasks.
+/// `f` must not launch on `gpu` itself: the device is held until it returns.
 pub fn launch_blocks<T, F>(gpu: &Gpu, tasks: &[T], warps_per_block: usize, sched: Schedule, f: F)
 where
     T: Sync,
     F: Fn(&mut BlockCtx, &[T]) + Sync,
 {
+    let _grid = gpu.begin_grid();
     let stats = gpu.stats();
     stats.record_kernel_launch();
     gpu.charge_launch_overhead();
@@ -158,6 +164,7 @@ where
     F: Fn(&mut BlockCtx, &[T], &mut S) + Sync,
 {
     assert!(!states.is_empty(), "at least one worker state required");
+    let _grid = gpu.begin_grid();
     let stats = gpu.stats();
     stats.record_kernel_launch();
     gpu.charge_launch_overhead();
@@ -413,6 +420,32 @@ mod tests {
         launch_blocks_stateful(&g, &tasks, 8, vec![(), (), ()], |_ctx, block, _| {
             assert!(block.iter().all(|&t| t < 199), "injected fault");
         });
+    }
+
+    #[test]
+    fn one_device_runs_one_grid_at_a_time() {
+        use std::sync::atomic::AtomicBool;
+        let g = gpu(1);
+        let running = AtomicBool::new(false);
+        let tasks: Vec<usize> = (0..256).collect();
+        let body = |_: &mut BlockCtx, _: &[usize]| {
+            assert!(!running.swap(true, Ordering::SeqCst), "two grids at once");
+            std::thread::yield_now();
+            running.store(false, Ordering::SeqCst);
+        };
+        std::thread::scope(|s| {
+            // Clones are the same device; both launch paths take turns on it.
+            for g in [g.clone(), g.clone(), g.clone()] {
+                let (tasks, body) = (&tasks, &body);
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        launch_blocks(&g, tasks, 1, Schedule::Dynamic, body);
+                        launch_blocks_stateful(&g, tasks, 1, vec![()], |c, b, ()| body(c, b));
+                    }
+                });
+            }
+        });
+        assert_eq!(g.stats().snapshot().kernel_launches, 300);
     }
 
     #[test]

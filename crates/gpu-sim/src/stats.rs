@@ -37,9 +37,10 @@ impl Counter {
 ///
 /// All counters use relaxed ordering: they are statistics, not
 /// synchronization. Accesses are batched (one update per 128-byte segment
-/// batch) and each counter sits on its own cache line, so concurrent
-/// kernels — including the `HostParallel` backend's worker pool — keep
-/// *exact* counts with negligible contention.
+/// batch) and each counter sits on its own cache line, so the workers of
+/// one grid — including the `HostParallel` backend's pool — keep *exact*
+/// counts. Grids of different host threads do not charge side by side:
+/// a device runs one at a time (see [`crate::Gpu`]).
 #[derive(Debug)]
 pub struct GpuStats {
     transaction_bytes: u64,

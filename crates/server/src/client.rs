@@ -67,13 +67,57 @@ impl From<FrameError> for ClientError {
     }
 }
 
+/// The most cells the client reserves (or, for a zero-width reply, rows
+/// it accepts) on the strength of a `ResponseHeader` alone. Everything
+/// past it is allocated only as validated `MatchChunk` cells arrive, so a
+/// forged match count cannot drive an allocation.
+const MAX_UNVERIFIED_CELLS: u64 = 1 << 20;
+
+/// A received match table: one flat row-major allocation instead of one
+/// `Vec` per match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    width: usize,
+    n_rows: usize,
+    cells: Vec<u32>,
+}
+
+impl Rows {
+    /// Number of matches.
+    pub fn len(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Whether no match was received.
+    pub fn is_empty(&self) -> bool {
+        self.n_rows == 0
+    }
+
+    /// Query-vertex count — the length of every row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Match `i`, query-vertex indexed: `row(i)[u]` is the data vertex
+    /// matched to query vertex `u`. Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> &[u32] {
+        assert!(i < self.n_rows, "row {i} of {}", self.n_rows);
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Every match, in server streaming order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.n_rows).map(|i| self.row(i))
+    }
+}
+
 /// A query result received over the wire.
 #[derive(Debug, Clone)]
 pub struct RemoteOutcome {
-    /// Every match, query-vertex indexed (`assignments[i][u]` = data
+    /// Every match, query-vertex indexed (`assignments.row(i)[u]` = data
     /// vertex matched to query vertex `u` in match `i`), in server
     /// streaming order.
-    pub assignments: Vec<Vec<u32>>,
+    pub assignments: Rows,
     /// Whether the match set is complete or a typed partial.
     pub completion: Completion,
     /// Catalog epoch the query ran against.
@@ -89,7 +133,7 @@ impl RemoteOutcome {
     /// `gsi_core::Matches::canonical`, for equivalence checks against
     /// in-process results.
     pub fn canonical(&self) -> Vec<Vec<u32>> {
-        let mut rows = self.assignments.clone();
+        let mut rows: Vec<Vec<u32>> = self.assignments.iter().map(<[u32]>::to_vec).collect();
         rows.sort_unstable();
         rows
     }
@@ -266,26 +310,24 @@ impl GsiClient {
                     })
                 }
             };
+        let width = n_qv as usize;
+        // The header's count is the server's word, not a fact: reserve a
+        // bounded amount and let validated chunks grow the rest.
+        let reserve = n_matches.saturating_mul(n_qv as u64);
+        let mut assignments = Rows {
+            width,
+            n_rows: 0,
+            cells: Vec::with_capacity(reserve.min(MAX_UNVERIFIED_CELLS) as usize),
+        };
         // A zero-width response streams no chunks (mirroring the server):
-        // every match is the empty assignment, synthesized from the
-        // header's count. The engine rejects empty patterns upstream with
-        // EmptyQuery, so this is wire-level defensiveness, not a normal
-        // service path.
-        if n_qv == 0 {
-            return match self.recv(rid)? {
-                Frame::ResponseDone => Ok(RemoteOutcome {
-                    assignments: vec![Vec::new(); n_matches as usize],
-                    completion,
-                    epoch,
-                    plan_cache_hit,
-                    server_latency: Duration::from_micros(latency_us),
-                }),
-                other => Err(ClientError::Unexpected {
-                    kind: other.kind_name(),
-                }),
-            };
+        // every match is the empty assignment and the header's count is
+        // all there is — with no cells to check it against, accepted only
+        // up to the unverified bound. The engine rejects empty patterns
+        // upstream with EmptyQuery, so this is wire-level defensiveness,
+        // not a normal service path.
+        if width == 0 {
+            assignments.n_rows = n_matches.min(MAX_UNVERIFIED_CELLS) as usize;
         }
-        let mut assignments: Vec<Vec<u32>> = Vec::with_capacity(n_matches as usize);
         loop {
             match self.recv(rid)? {
                 Frame::MatchChunk {
@@ -293,16 +335,17 @@ impl GsiClient {
                     n_query_vertices,
                     rows,
                 } => {
-                    if n_query_vertices != n_qv || first_row != assignments.len() as u64 {
+                    if width == 0
+                        || n_query_vertices != n_qv
+                        || first_row != assignments.n_rows as u64
+                    {
                         return Err(ClientError::Unexpected {
                             kind: "mis-sequenced match chunk",
                         });
                     }
-                    // n_qv >= 1 here: the zero-width case returned above.
-                    let width = n_qv as usize;
-                    for row in rows.chunks_exact(width) {
-                        assignments.push(row.to_vec());
-                    }
+                    // Whole rows only: the decoder rejected ragged chunks.
+                    assignments.n_rows += rows.len() / width;
+                    assignments.cells.extend_from_slice(&rows);
                 }
                 Frame::ResponseDone => break,
                 other => {
@@ -312,7 +355,7 @@ impl GsiClient {
                 }
             }
         }
-        if assignments.len() as u64 != n_matches {
+        if assignments.n_rows as u64 != n_matches {
             return Err(ClientError::Unexpected {
                 kind: "match count mismatch",
             });

@@ -25,6 +25,7 @@ use gsi_api::{ApiError, Completion, QueryRequest, WireError, WireReader, WireWri
 use gsi_graph::{Graph, UpdateBatch};
 use gsi_service::MetricFormat;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::time::Duration;
 
 /// The four magic bytes every frame starts with (after the length word).
@@ -357,11 +358,9 @@ impl Frame {
                 n_query_vertices,
                 rows,
             } => {
-                w.u64(*first_row).u32(*n_query_vertices);
-                w.u32(rows.len() as u32);
-                for &v in rows {
-                    w.u32(v);
-                }
+                // Already row-major: a one-column table of cells.
+                let cells = 0..rows.len();
+                encode_match_chunk(w, *first_row, *n_query_vertices, &[rows], cells);
             }
             Frame::Error { error } => error.encode(w),
             Frame::Busy { retry_after_hint } => {
@@ -442,23 +441,14 @@ impl Frame {
                 let first_row = r.u64()?;
                 let n_query_vertices = r.u32()?;
                 let n = r.u32()? as usize;
-                if r.remaining() < n * 4 {
-                    return Err(WireError::Truncated {
-                        needed: n * 4,
-                        have: r.remaining(),
-                    }
-                    .into());
-                }
+                let mut rows = Vec::new();
+                r.u32s_into(n, &mut rows)?;
                 if n_query_vertices != 0 && !n.is_multiple_of(n_query_vertices as usize) {
                     return Err(WireError::InvalidDiscriminant {
                         what: "match-chunk cell count",
                         value: n as u64,
                     }
                     .into());
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(r.u32()?);
                 }
                 Frame::MatchChunk {
                     first_row,
@@ -503,20 +493,94 @@ impl Frame {
     }
 }
 
+/// The `MatchChunk` payload: rows `rows` of the column slices `cols`,
+/// gathered row-major. Both the frame enum's own encode and the server's
+/// column gather ([`encode_match_chunk_into`]) end in this one loop.
+fn encode_match_chunk(
+    w: &mut WireWriter,
+    first_row: u64,
+    n_query_vertices: u32,
+    cols: &[&[u32]],
+    rows: Range<usize>,
+) {
+    w.u64(first_row).u32(n_query_vertices);
+    w.u32((rows.len() * cols.len()) as u32);
+    w.u32_rows(cols, rows);
+}
+
+/// Append one complete frame (length word included) to `out`, encoding
+/// envelope and payload in place: the length word is reserved first and
+/// patched once the body's size is known. Returns the body length — the
+/// true size even when a >4 GiB body would have wrapped the `u32` word.
+fn append_frame(
+    out: &mut Vec<u8>,
+    header: &FrameHeader,
+    kind: u8,
+    payload: impl FnOnce(&mut WireWriter),
+) -> usize {
+    let start = out.len();
+    let mut w = WireWriter::from_vec(std::mem::take(out));
+    w.u32(0).raw(&MAGIC).u16(PROTOCOL_VERSION).u8(kind);
+    w.u64(header.request_id).str(&header.tenant);
+    payload(&mut w);
+    *out = w.into_vec();
+    let body_len = out.len() - start - 4;
+    out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    body_len
+}
+
+/// [`append_frame`] for bytes bound for a socket: a frame whose body
+/// exceeds [`MAX_FRAME_LEN`] is refused — `out` is left as it was and the
+/// error is `InvalidInput` wrapping [`FrameError::TooLarge`]. The receiver
+/// would reject such a frame with `BadLength` anyway — but only after the
+/// full body crossed the network.
+fn append_sendable(
+    out: &mut Vec<u8>,
+    header: &FrameHeader,
+    kind: u8,
+    payload: impl FnOnce(&mut WireWriter),
+) -> io::Result<()> {
+    let start = out.len();
+    let body_len = append_frame(out, header, kind, payload);
+    if body_len > MAX_FRAME_LEN {
+        out.truncate(start);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            FrameError::TooLarge(body_len),
+        ));
+    }
+    Ok(())
+}
+
 /// Encode one complete frame (length word included) into a byte vector.
 pub fn encode_frame(header: &FrameHeader, frame: &Frame) -> Vec<u8> {
-    let mut body = WireWriter::new();
-    body.raw(&MAGIC);
-    body.u16(PROTOCOL_VERSION);
-    body.u8(frame.kind());
-    body.u64(header.request_id);
-    body.str(&header.tenant);
-    frame.encode_payload(&mut body);
-    let body = body.into_vec();
-    let mut out = WireWriter::new();
-    out.u32(body.len() as u32);
-    out.raw(&body);
-    out.into_vec()
+    let mut out = Vec::new();
+    append_frame(&mut out, header, frame.kind(), |w| frame.encode_payload(w));
+    out
+}
+
+/// Append one complete frame to `out` — how a sender places several whole
+/// frames in one socket write. Oversized frames are refused, leaving
+/// `out` untouched (see [`write_frame`]).
+pub fn encode_frame_into(out: &mut Vec<u8>, header: &FrameHeader, frame: &Frame) -> io::Result<()> {
+    append_sendable(out, header, frame.kind(), |w| frame.encode_payload(w))
+}
+
+/// Append the `MatchChunk` frame carrying rows `rows` of a result table
+/// to `out`, gathering its row-major cells straight from the table's
+/// columns: `cols[u]` is the column of query vertex `u`
+/// (`gsi_core::Matches::columns_by_query_vertex`). Byte-identical to
+/// [`encode_frame_into`] on a `Frame::MatchChunk` holding the same rows,
+/// without materializing them. Refuses oversized chunks likewise.
+pub fn encode_match_chunk_into(
+    out: &mut Vec<u8>,
+    header: &FrameHeader,
+    cols: &[&[u32]],
+    rows: Range<usize>,
+) -> io::Result<()> {
+    append_sendable(out, header, K_MATCH_CHUNK, |w| {
+        encode_match_chunk(w, rows.start as u64, cols.len() as u32, cols, rows)
+    })
 }
 
 /// Decode one complete frame from `buf` (length word included).
@@ -560,19 +624,10 @@ fn decode_frame_body(body: &[u8]) -> Result<(FrameHeader, Frame), FrameError> {
 ///
 /// A frame whose encoded body exceeds [`MAX_FRAME_LEN`] is refused
 /// before any byte is written: the error is `InvalidInput` wrapping
-/// [`FrameError::TooLarge`]. The receiver would reject such a frame with
-/// `BadLength` anyway — but only after the full body crossed the network.
+/// [`FrameError::TooLarge`].
 pub fn write_frame(out: &mut impl Write, header: &FrameHeader, frame: &Frame) -> io::Result<()> {
-    let bytes = encode_frame(header, frame);
-    // `bytes.len()` is the true size even when a >4 GiB body would have
-    // wrapped the u32 length word, so the cap check cannot be fooled.
-    let body_len = bytes.len().saturating_sub(4);
-    if body_len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            FrameError::TooLarge(body_len),
-        ));
-    }
+    let mut bytes = Vec::new();
+    encode_frame_into(&mut bytes, header, frame)?;
     out.write_all(&bytes)?;
     out.flush()
 }

@@ -18,19 +18,21 @@
 //!   full) answer with `Busy { retry_after_hint }` frames instead of
 //!   growing a backlog.
 //! * **Streaming** — match tables return in bounded `MatchChunk` frames;
-//!   a response is `ResponseHeader`, zero or more chunks, `ResponseDone`.
-//!   Each connection has its own writer and a write deadline
-//!   ([`server::WRITE_DEADLINE`]): a peer that stops reading is
-//!   disconnected and costs nobody else anything.
+//!   a response is `ResponseHeader`, zero or more chunks, `ResponseDone`,
+//!   encoded straight from the table's columns and written whole frames
+//!   at a time, one socket write per [`server::FLUSH_BUDGET`]
+//!   ([`server::ReplyWriter`]). Each connection has its own writer and a
+//!   write deadline ([`server::WRITE_DEADLINE`]): a peer that stops
+//!   reading is disconnected and costs nobody else anything.
 //! * **Graceful drain** ([`GsiServer::shutdown`]) — stop accepting,
 //!   flush every acknowledged query, send a typed goodbye, close. Zero
 //!   acknowledged queries are dropped.
-//! * **Observability over the wire** — `Metrics` frames reuse
-//!   `GsiService::export_metrics` (Prometheus text or JSON); `Health`
-//!   reports accept/drain state.
+//! * **Observability over the wire** — `Metrics` frames render the
+//!   service's registry plus the server's `gsi_server_*` egress counters
+//!   (Prometheus text or JSON); `Health` reports accept/drain state.
 //!
-//! [`GsiClient`] is the matching blocking client; `crates/bench`'s
-//! `paper serve` harness drives it under closed- and open-loop load.
+//! [`GsiClient`] is the matching blocking client; the repo benchmark's
+//! `wire-*` workloads drive it under closed-loop and paced load.
 
 pub mod client;
 pub mod frame;
@@ -45,7 +47,7 @@ pub mod server;
 pub mod protocol_spec {}
 
 pub use client::{
-    ClientError, GsiClient, RemoteHealth, RemoteOutcome, RemoteRegistration, RemoteUpdate,
+    ClientError, GsiClient, RemoteHealth, RemoteOutcome, RemoteRegistration, RemoteUpdate, Rows,
 };
 pub use frame::{Frame, FrameError, FrameHeader, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{DrainReport, GsiServer, ServerConfig};

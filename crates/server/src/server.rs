@@ -16,14 +16,22 @@
 //!   (queue or tenant lane full) is answered at once with
 //!   `Busy { retry_after_hint }`; a malformed frame gets a typed
 //!   `Error { Protocol }` frame and the connection is closed.
-//! * **writer (per connection)** — streams out, in bounded chunks, the
-//!   responses the service's workers deliver into the connection's
-//!   outbound channel tagged with their request ids. The tenant's
-//!   in-flight slot travels with each response and is released once it
-//!   has been written or abandoned.
+//! * **writer (per connection)** — streams out the responses the
+//!   service's workers deliver into the connection's outbound channel
+//!   tagged with their request ids. A [`ReplyWriter`] encodes each
+//!   reply's frames back to back into one reusable buffer — chunk cells
+//!   gathered straight from the result table's columns — and hands the
+//!   socket whole frames, [`FLUSH_BUDGET`] at a time: a reply that fits
+//!   the budget is exactly one socket write. The tenant's in-flight slot
+//!   travels with each response and is released once it has been written
+//!   or abandoned.
 //!
 //! A query's blocking chain is reader → worker → its own connection's
-//! writer. Every socket write carries [`WRITE_DEADLINE`]: a peer that
+//! writer. Every accepted socket has `TCP_NODELAY` set (no write ever
+//! waits for the peer's delayed ACK), and every socket write — one
+//! control-plane frame from the reader, or one flush of a reply from the
+//! writer, serialized by the connection's write lock so they interleave
+//! between whole frames only — carries [`WRITE_DEADLINE`]: a peer that
 //! stops reading is disconnected when it expires, so it holds at most its
 //! tenants' in-flight quota of result tables and blocks nobody else.
 //!
@@ -35,12 +43,15 @@
 //! sends each live connection a server-initiated `Goodbye` (request id 0)
 //! and closes it — zero acknowledged queries are dropped.
 
-use crate::frame::{read_frame_polled, Frame, FrameHeader};
+use crate::frame::{
+    encode_frame_into, encode_match_chunk_into, read_frame_polled, Frame, FrameHeader,
+};
 use gsi_api::request::DEFAULT_TENANT;
-use gsi_api::ApiError;
-use gsi_service::{Delivery, GsiService, LaneSnapshot, QueryResponse, SubmitError};
+use gsi_api::{ApiError, Completion};
+use gsi_core::Matches;
+use gsi_service::{Delivery, GsiService, LaneSnapshot, MetricFormat, QueryResponse, SubmitError};
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -51,6 +62,12 @@ use std::time::Duration;
 /// on. A healthy peer drains a chunk in well under a millisecond; a peer
 /// that has not made room for one within this long has stopped reading.
 pub const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Bytes of encoded reply a [`ReplyWriter`] gathers before handing them
+/// to the socket. Small enough to start a large answer flowing while the
+/// rest is still being encoded, large enough that a selective query's
+/// whole reply (header, chunks, done) leaves in one write.
+pub const FLUSH_BUDGET: usize = 64 << 10;
 
 /// Everything a [`GsiServer`] is configured by.
 #[derive(Debug, Clone)]
@@ -102,25 +119,80 @@ pub struct DrainReport {
 
 /// Per-connection state shared by its reader and its writer.
 struct ConnShared {
+    server: Arc<ServerShared>,
     stream: Mutex<TcpStream>,
     served: AtomicU64,
+    /// Set once a failed send has closed the connection.
+    failed: AtomicBool,
 }
 
 impl ConnShared {
-    /// Write one whole frame under the connection's write lock. Errors are
-    /// returned, not panicked: a vanished peer must never take the server
-    /// down. A failed write (the peer is gone, or stalled past
-    /// [`WRITE_DEADLINE`]) may have left half a frame on the wire, so it
-    /// closes the connection: the reader sees the disconnect and every
-    /// later send fails fast.
-    fn send(&self, request_id: u64, frame: &Frame) -> io::Result<()> {
-        let header = FrameHeader::new(request_id, "");
+    /// One socket write of whole frames under the connection's write
+    /// lock. Errors are returned, not panicked: a vanished peer must never
+    /// take the server down. A failed write (the peer is gone, or stalled
+    /// past [`WRITE_DEADLINE`]) may have left half a frame on the wire, so
+    /// it closes the connection before the lock is released: the reader
+    /// sees the disconnect and every later send fails fast.
+    fn write_frames(&self, bytes: &[u8]) -> io::Result<()> {
         let mut stream = self.stream.lock();
-        let written = crate::frame::write_frame(&mut *stream, &header, frame);
+        // Counted first: a peer that has seen these bytes must also see
+        // them in the next metrics export.
+        self.server.egress.writing(bytes.len());
+        let written = stream.write_all(bytes);
         if written.is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
+            self.close_failed(&stream);
         }
         written
+    }
+
+    /// Close after a send that failed or was refused, counting the
+    /// connection (not each later fast-failing send) once.
+    fn close_failed(&self, stream: &TcpStream) {
+        if !self.failed.swap(true, Ordering::Relaxed) {
+            let failures = &self.server.egress.write_failures;
+            failures.fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Send one control-plane frame: one frame, one socket write.
+    fn send(&self, request_id: u64, frame: &Frame) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        if let Err(refused) =
+            encode_frame_into(&mut bytes, &FrameHeader::new(request_id, ""), frame)
+        {
+            self.close_failed(&self.stream.lock());
+            return Err(refused);
+        }
+        self.write_frames(&bytes)
+    }
+}
+
+/// The connection as a [`ReplyWriter`]'s sink: every `write` is one
+/// [`ConnShared::write_frames`] of everything it is handed.
+impl Write for &ConnShared {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.write_frames(bytes).map(|()| bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What the server's sockets have been handed, for the metrics export.
+#[derive(Default)]
+struct EgressCounters {
+    socket_writes: AtomicU64,
+    bytes_written: AtomicU64,
+    write_failures: AtomicU64,
+}
+
+impl EgressCounters {
+    /// Count one socket write of `len` bytes.
+    fn writing(&self, len: usize) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
     }
 }
 
@@ -137,6 +209,32 @@ struct ServerShared {
     /// Submits acknowledged (or still being decided) whose answer has not
     /// been written yet; the drain waits for it to reach zero.
     unwritten: AtomicUsize,
+    egress: EgressCounters,
+}
+
+impl ServerShared {
+    /// The service's metrics registry plus the server's own egress
+    /// counters, rendered in `format`.
+    fn export_metrics(&self, format: MetricFormat) -> String {
+        let mut reg = self.service.metrics();
+        let egress = &self.egress;
+        reg.counter(
+            "gsi_server_socket_writes_total",
+            "Socket writes issued: one per control-plane frame or reply flush.",
+            egress.socket_writes.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "gsi_server_bytes_written_total",
+            "Bytes those socket writes were handed.",
+            egress.bytes_written.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "gsi_server_write_failures_total",
+            "Connections closed by a failed, refused or write-deadline-expired send.",
+            egress.write_failures.load(Ordering::Relaxed),
+        );
+        reg.render(format)
+    }
 }
 
 /// The network front-end over one [`GsiService`].
@@ -164,6 +262,7 @@ impl GsiServer {
             conn_count: AtomicUsize::new(0),
             served_total: AtomicU64::new(0),
             unwritten: AtomicUsize::new(0),
+            egress: EgressCounters::default(),
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -328,12 +427,17 @@ fn connection_loop(shared: &Arc<ServerShared>, stream: TcpStream) {
     // slow clients) can never desynchronize the framing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+    // A reply is written whole; nothing is gained by the kernel holding a
+    // short segment back until the peer's (delayed) ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let conn = Arc::new(ConnShared {
+        server: Arc::clone(shared),
         stream: Mutex::new(stream),
         served: AtomicU64::new(0),
+        failed: AtomicBool::new(false),
     });
     // The outbound channel: the service's workers deliver this
     // connection's responses into `sink`, the writer streams them out.
@@ -460,7 +564,7 @@ fn handle_frame(
             (reply, true)
         }
         Frame::MetricsRequest { format } => {
-            let body = shared.service.export_metrics(format);
+            let body = shared.export_metrics(format);
             (Frame::MetricsReport { body }, true)
         }
         Frame::HealthRequest => {
@@ -499,8 +603,15 @@ fn writer_loop(
     conn: &Arc<ConnShared>,
     outbound: mpsc::Receiver<Delivery>,
 ) {
+    let mut reply = ReplyWriter::new(&**conn, shared.config.chunk_rows);
     for delivery in outbound {
-        write_response(shared, conn, delivery.tag, &delivery.response);
+        // Peer gone or reply refused: the work is still accounted.
+        if reply
+            .write_response(delivery.tag, &delivery.response)
+            .is_err()
+        {
+            conn.close_failed(&conn.stream.lock());
+        }
         shared.served_total.fetch_add(1, Ordering::Relaxed);
         conn.served.fetch_add(1, Ordering::Relaxed);
         // Written or abandoned: the tenant's in-flight slot is free.
@@ -509,57 +620,108 @@ fn writer_loop(
     }
 }
 
-fn write_response(
-    shared: &Arc<ServerShared>,
-    conn: &Arc<ConnShared>,
-    rid: u64,
-    response: &QueryResponse,
-) {
-    match &response.result {
-        Ok(outcome) => {
-            let matches = &outcome.output.matches;
-            let n_qv = matches.order.len() as u32;
-            let header = Frame::ResponseHeader {
-                n_matches: matches.len() as u64,
-                n_query_vertices: n_qv,
-                epoch: outcome.epoch,
-                completion: outcome.completion,
-                plan_cache_hit: outcome.plan_cache_hit,
-                latency_us: outcome.latency.as_micros() as u64,
-            };
-            if conn.send(rid, &header).is_err() {
-                return; // Peer gone; the work is still accounted.
+/// One connection's reply encoder, generic over where the bytes go (a
+/// socket in the server, anything `Write` in tests and simulators).
+///
+/// A reply's frames — `ResponseHeader`, every `MatchChunk`,
+/// `ResponseDone` — are encoded back to back into one buffer that is
+/// reused from reply to reply, and handed to the sink with a single
+/// `write_all` whenever the buffer passes [`FLUSH_BUDGET`] and at the end
+/// of the reply. Every `write_all` ends on a frame boundary, so whatever
+/// else shares the sink interleaves between whole frames only.
+pub struct ReplyWriter<W> {
+    out: W,
+    buf: Vec<u8>,
+    chunk_rows: usize,
+}
+
+impl<W: Write> ReplyWriter<W> {
+    /// A writer into `out` that puts `chunk_rows` match rows (at least
+    /// one) in each `MatchChunk` frame.
+    pub fn new(out: W, chunk_rows: usize) -> Self {
+        Self {
+            out,
+            buf: Vec::new(),
+            chunk_rows: chunk_rows.max(1),
+        }
+    }
+
+    /// The sink.
+    pub fn get_ref(&self) -> &W {
+        &self.out
+    }
+
+    /// Write the whole reply to request `rid`: the streamed match table,
+    /// or the typed error frame. An `Err` means the reply stopped short —
+    /// the sink failed, or a frame past `MAX_FRAME_LEN` was refused — and
+    /// the conversation cannot continue.
+    pub fn write_response(&mut self, rid: u64, response: &QueryResponse) -> io::Result<()> {
+        match &response.result {
+            Ok(outcome) => self.write_matches(
+                rid,
+                &outcome.output.matches,
+                outcome.epoch,
+                outcome.completion,
+                outcome.plan_cache_hit,
+                outcome.latency,
+            ),
+            Err(e) => {
+                let error = Frame::Error {
+                    error: e.clone().into(),
+                };
+                self.buf.clear();
+                encode_frame_into(&mut self.buf, &FrameHeader::new(rid, ""), &error)?;
+                self.out.write_all(&self.buf)
             }
-            // A zero-width result (the engine rejects empty patterns with
-            // EmptyQuery, so this is wire-level defensiveness) streams no
-            // chunks: every match is the empty assignment, and the header
-            // alone carries the count.
-            if n_qv > 0 {
-                let chunk_rows = shared.config.chunk_rows.max(1);
-                let mut row = 0usize;
-                while row < matches.len() {
-                    let end = (row + chunk_rows).min(matches.len());
-                    let mut flat = Vec::with_capacity((end - row) * n_qv as usize);
-                    for i in row..end {
-                        flat.extend_from_slice(&matches.assignment(i));
-                    }
-                    let chunk = Frame::MatchChunk {
-                        first_row: row as u64,
-                        n_query_vertices: n_qv,
-                        rows: flat,
-                    };
-                    if conn.send(rid, &chunk).is_err() {
-                        return;
-                    }
-                    row = end;
+        }
+    }
+
+    /// Stream `matches` as the successful reply to request `rid`; the
+    /// remaining arguments fill the `ResponseHeader`.
+    pub fn write_matches(
+        &mut self,
+        rid: u64,
+        matches: &Matches,
+        epoch: u64,
+        completion: Completion,
+        plan_cache_hit: bool,
+        latency: Duration,
+    ) -> io::Result<()> {
+        let header = FrameHeader::new(rid, "");
+        // Query-vertex-indexed rows are read straight out of the table's
+        // columns; no row is materialized on the way to the buffer.
+        let cols = matches.columns_by_query_vertex();
+        self.buf.clear();
+        encode_frame_into(
+            &mut self.buf,
+            &header,
+            &Frame::ResponseHeader {
+                n_matches: matches.len() as u64,
+                n_query_vertices: cols.len() as u32,
+                epoch,
+                completion,
+                plan_cache_hit,
+                latency_us: latency.as_micros() as u64,
+            },
+        )?;
+        // A zero-width result (the engine rejects empty patterns with
+        // EmptyQuery, so this is wire-level defensiveness) streams no
+        // chunks: every match is the empty assignment, and the header
+        // alone carries the count.
+        if !cols.is_empty() {
+            let mut row = 0usize;
+            while row < matches.len() {
+                let end = (row + self.chunk_rows).min(matches.len());
+                encode_match_chunk_into(&mut self.buf, &header, &cols, row..end)?;
+                row = end;
+                if self.buf.len() >= FLUSH_BUDGET {
+                    self.out.write_all(&self.buf)?;
+                    self.buf.clear();
                 }
             }
-            let _ = conn.send(rid, &Frame::ResponseDone);
         }
-        Err(e) => {
-            let error = e.clone().into();
-            let _ = conn.send(rid, &Frame::Error { error });
-        }
+        encode_frame_into(&mut self.buf, &header, &Frame::ResponseDone)?;
+        self.out.write_all(&self.buf)
     }
 }
 

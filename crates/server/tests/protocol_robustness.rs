@@ -310,13 +310,11 @@ fn slow_frame_spanning_read_timeouts_is_served_intact() {
     assert_server_alive(addr);
 }
 
-#[test]
-fn zero_width_response_decodes_as_empty_assignments() {
-    // Wire-level defensiveness for the n_query_vertices == 0 edge: a
-    // zero-width response carries no chunks, and the client synthesizes
-    // n_matches empty assignments instead of failing with a count
-    // mismatch. Driven by a hand-rolled server since the real engine
-    // rejects empty patterns upstream.
+/// Answer one client's one query with the frames of `reply` from a
+/// hand-rolled server and return what the client made of it.
+fn query_against_fake_server(
+    reply: Vec<Frame>,
+) -> Result<gsi_server::RemoteOutcome, gsi_server::ClientError> {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let fake_server = std::thread::spawn(move || {
@@ -326,29 +324,72 @@ fn zero_width_response_decodes_as_empty_assignments() {
         assert!(matches!(frame, Frame::Submit { .. }));
         let mut writer = stream;
         let header = FrameHeader::new(h.request_id, "");
-        write_frame(
-            &mut writer,
-            &header,
-            &Frame::ResponseHeader {
-                n_matches: 3,
-                n_query_vertices: 0,
-                epoch: 1,
-                completion: Completion::Complete,
-                plan_cache_hit: false,
-                latency_us: 7,
-            },
-        )
-        .expect("write header");
-        write_frame(&mut writer, &header, &Frame::ResponseDone).expect("write done");
+        for frame in reply {
+            write_frame(&mut writer, &header, &frame).expect("write reply frame");
+        }
     });
-
     let mut client = GsiClient::connect(addr).expect("connect");
-    let outcome = client
-        .query(QueryRequest::new("g", edge_query()))
-        .expect("zero-width response decodes");
-    assert_eq!(outcome.assignments, vec![Vec::<u32>::new(); 3]);
-    assert_eq!(outcome.completion, Completion::Complete);
+    let outcome = client.query(QueryRequest::new("g", edge_query()));
     fake_server.join().expect("fake server");
+    outcome
+}
+
+fn response_header(n_matches: u64, n_query_vertices: u32) -> Frame {
+    Frame::ResponseHeader {
+        n_matches,
+        n_query_vertices,
+        epoch: 1,
+        completion: Completion::Complete,
+        plan_cache_hit: false,
+        latency_us: 7,
+    }
+}
+
+#[test]
+fn forged_match_count_is_a_typed_error_not_an_allocation() {
+    // The header's count is the server's word. A client that reserves
+    // `n_matches` rows on its say-so aborts (capacity overflow / OOM) on
+    // a forged one; it must instead grow only as chunks arrive and report
+    // the shortfall as a typed error.
+    for width in [2u32, 0] {
+        let forged = vec![response_header(u64::MAX, width), Frame::ResponseDone];
+        let outcome = query_against_fake_server(forged);
+        match outcome {
+            Err(gsi_server::ClientError::Unexpected { kind }) => {
+                assert_eq!(kind, "match count mismatch", "width {width}");
+            }
+            other => panic!("width {width}: expected a count mismatch, got {other:?}"),
+        }
+    }
+    // A chunk that skips ahead is still refused by sequence.
+    let skipped = Frame::MatchChunk {
+        first_row: 5,
+        n_query_vertices: 2,
+        rows: vec![0, 1],
+    };
+    let outcome =
+        query_against_fake_server(vec![response_header(6, 2), skipped, Frame::ResponseDone]);
+    assert!(matches!(
+        outcome,
+        Err(gsi_server::ClientError::Unexpected {
+            kind: "mis-sequenced match chunk"
+        })
+    ));
+}
+
+#[test]
+fn zero_width_response_decodes_as_empty_assignments() {
+    // Wire-level defensiveness for the n_query_vertices == 0 edge: a
+    // zero-width response carries no chunks, and the client synthesizes
+    // n_matches empty assignments instead of failing with a count
+    // mismatch. Driven by a hand-rolled server since the real engine
+    // rejects empty patterns upstream.
+    let outcome = query_against_fake_server(vec![response_header(3, 0), Frame::ResponseDone])
+        .expect("zero-width response decodes");
+    assert_eq!(outcome.assignments.len(), 3);
+    assert!(outcome.assignments.iter().all(<[u32]>::is_empty));
+    assert_eq!(outcome.canonical(), vec![Vec::<u32>::new(); 3]);
+    assert_eq!(outcome.completion, Completion::Complete);
 }
 
 #[test]

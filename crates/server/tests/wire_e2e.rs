@@ -205,16 +205,35 @@ fn unknown_graph_query_is_typed_error() {
     }
 }
 
+/// The value of counter `name` in a Prometheus text export.
+fn counter(prom: &str, name: &str) -> u64 {
+    prom.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no counter {name} in:\n{prom}"))
+}
+
 #[test]
 fn metrics_and_health_over_wire() {
     let (_service, server) = start_server(1, test_tenants());
     let mut client = GsiClient::connect(server.local_addr()).expect("connect");
     client.register("g", &dense_graph(6)).expect("register");
+
+    // The server's own egress counters. Each export is rendered before
+    // the write that carries it, so two exports back to back differ by
+    // exactly that one write — and a light query in between adds exactly
+    // one more: its whole reply (header, chunk, done) is one socket write.
+    let writes = "gsi_server_socket_writes_total";
+    let bytes = "gsi_server_bytes_written_total";
+    let first = client.metrics(MetricFormat::Prometheus).expect("metrics");
+    let second = client.metrics(MetricFormat::Prometheus).expect("metrics");
+    assert_eq!(counter(&second, writes) - counter(&first, writes), 1);
     client
         .query(QueryRequest::new("g", path_query()))
         .expect("query");
-
     let prom = client.metrics(MetricFormat::Prometheus).expect("metrics");
+    assert_eq!(counter(&prom, writes) - counter(&second, writes), 2);
+    assert!(counter(&prom, bytes) > counter(&second, bytes) + second.len() as u64);
+    assert_eq!(counter(&prom, "gsi_server_write_failures_total"), 0);
     assert!(
         prom.contains("gsi_queries_completed_total"),
         "prometheus export should carry service counters:\n{prom}"
@@ -232,6 +251,34 @@ fn metrics_and_health_over_wire() {
     // The goodbye ack counts streamed query responses (control-plane
     // answers are not "served" work): exactly the one query above.
     assert_eq!(served, 1, "connection served {served}");
+}
+
+#[test]
+fn light_replies_do_not_wait_out_a_timer() {
+    // A multi-frame reply written frame by frame on a socket without
+    // TCP_NODELAY stalls ~40 ms on the peer's delayed ACK — every query,
+    // whatever the engine does. One write per reply on a NODELAY socket
+    // answers a light query in well under a millisecond; the bound sits
+    // between the two so the timer cannot come back unnoticed.
+    let (_service, server) = start_server(1, test_tenants());
+    let mut client = GsiClient::connect(server.local_addr()).expect("connect");
+    client.register("g", &dense_graph(6)).expect("register");
+    let mut latencies: Vec<std::time::Duration> = (0..50)
+        .map(|_| {
+            let asked = std::time::Instant::now();
+            let out = client
+                .query(QueryRequest::new("g", path_query()))
+                .expect("query");
+            assert!(!out.assignments.is_empty());
+            asked.elapsed()
+        })
+        .collect();
+    latencies.sort_unstable();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median light-query latency {median:?} (sorted: {latencies:?})"
+    );
 }
 
 #[test]

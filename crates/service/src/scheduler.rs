@@ -40,6 +40,11 @@
 //! on an idle service fans out across every core while a saturated worker
 //! pool degrades gracefully to one thread per query instead of
 //! oversubscribing the host `workers × threads`-fold.
+//!
+//! Workers share the engine's one modeled device, and a device runs one
+//! grid at a time (`gsi_gpu_sim::Gpu`): queries on different workers
+//! overlap their host-side work — planning, table materialisation, the
+//! hand-off to the caller — while their kernels take turns.
 
 use crate::canon::canonicalize;
 use crate::catalog::CatalogEntry;

@@ -1403,22 +1403,20 @@ pub fn adapt(opts: &HarnessOpts, min_speedup: f64, min_work_ratio: f64, out_path
 }
 
 /// PR 6 perf trajectory — observability overhead: the PR 2 (enron
-/// random-walk) and PR 5 (skewed-label) join workloads run in three arms
-/// — baseline `QueryOptions::default()`, explicit `TraceConfig::Off`, and
-/// `TraceConfig::On` (per-join-step span timing). Gates: every repetition
-/// of every arm produces the same canonical tables, device counters and
-/// guard aborts (tracing must never change what the engine does, only
-/// whether it is watched); `On` times every executed join step and the
-/// other arms keep no step timers; the On arm's join-wall overhead, and
-/// Off's drift from baseline, stay within `max_overhead` (`0` disables the
-/// two timing gates for noisy CI runners). A closing service-layer pass
+/// random-walk) and PR 5 (skewed-label) join workloads run in two arms —
+/// `TraceConfig::Off` (the default) and `TraceConfig::On` (per-join-step
+/// span timing). Gates: every repetition of both arms produces the same
+/// canonical tables, device counters and guard aborts (tracing must never
+/// change what the engine does, only whether it is watched); `On` times
+/// every executed join step and `Off` keeps no step timers; the On arm's
+/// join-wall overhead over Off stays within `max_overhead` (`0` disables
+/// that timing gate for noisy CI runners). A closing service-layer pass
 /// exercises the metrics exporters, stage breakdowns, and the flight
 /// recorder end to end. Committed copy: `BENCH_PR6.json`.
 pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome {
     use gsi::prelude::{MetricFormat, TraceConfig};
     use gsi::service::{QueryRequest, ServiceConfig};
-    /// Join-wall overhead of this arm over the arm listed before it (off
-    /// over baseline, on over off).
+    /// Join-wall overhead of the On arm over the Off arm.
     const OVERHEAD: Metric =
         Metric::measured("bench.trace_overhead_frac", "fraction", Better::Lower);
     const SPAN_STEPS: Metric = Metric::exact("obs.span_steps_timed", "count", Better::Neither);
@@ -1427,7 +1425,11 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
         Metric::measured("service.stage_unaccounted_frac", "fraction", Better::Lower);
     const FLIGHT_TRACES: Metric =
         Metric::exact("obs.flight_recorder_traces", "count", Better::Neither);
-    const PROM_LINES: Metric = Metric::exact("obs.prometheus_lines", "count", Better::Neither);
+    /// Metric families (`# TYPE` lines) in the Prometheus export: exact,
+    /// unlike its line count, which grows with the histograms' non-empty
+    /// buckets.
+    const PROM_FAMILIES: Metric =
+        Metric::exact("obs.prometheus_families", "count", Better::Neither);
     const Q_ERROR_P50: Metric = Metric::measured("service.q_error_p50", "ratio", Better::Lower);
     const Q_ERROR_MAX: Metric = Metric::measured("service.q_error_max", "ratio", Better::Lower);
     const REPS: usize = 3;
@@ -1441,10 +1443,10 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
 
     let mut report = Report::new(
         "observe",
-        "per-query tracing overhead: baseline vs TraceConfig::Off vs \
-         TraceConfig::On on the PR 2 (enron) and PR 5 (skewed-label) join \
-         workloads, equivalence-gated (canonical tables and device \
-         counters bit-identical across arms), min-of-reps join wall; \
+        "per-query tracing overhead: TraceConfig::Off vs TraceConfig::On \
+         on the PR 2 (enron) and PR 5 (skewed-label) join workloads, \
+         equivalence-gated (canonical tables and device counters \
+         bit-identical across arms), min-of-reps join wall; \
          plus a traced service-layer pass over the exporters and the \
          flight recorder",
         opts,
@@ -1458,11 +1460,7 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
     // Guard-tripped runs (intermediate-rows cap, like the PR 2 harness
     // tolerates) stay in the workload — they must abort identically.
     type RunFingerprint = (Vec<Vec<u32>>, StatsSnapshot, bool);
-    let arms = [
-        ("baseline", TraceConfig::default()),
-        ("off", TraceConfig::Off),
-        ("on", TraceConfig::On),
-    ];
+    let arms = [("off", TraceConfig::Off), ("on", TraceConfig::On)];
     for (wname, data, queries) in [
         ("enron", &*enron, &enron_queries),
         ("skewed", &skew, &skew_queries),
@@ -1581,7 +1579,10 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
         .put(&COMPLETED, snap.completed)
         .put(&UNACCOUNTED, max_unaccounted)
         .put(&FLIGHT_TRACES, flight_len)
-        .put(&PROM_LINES, prom.lines().count())
+        .put(
+            &PROM_FAMILIES,
+            prom.lines().filter(|l| l.starts_with("# TYPE ")).count(),
+        )
         .put(
             &Q_ERROR_P50,
             q_errors

@@ -273,6 +273,20 @@ impl StatsSnapshot {
             ("idle_lane_work", self.idle_lane_work),
         ]
     }
+
+    /// The inverse of [`StatsSnapshot::metric_fields`]: values in its order.
+    pub fn from_metric_values(v: [u64; 8]) -> Self {
+        StatsSnapshot {
+            gld_transactions: v[0],
+            gst_transactions: v[1],
+            kernel_launches: v[2],
+            warp_tasks: v[3],
+            work_units: v[4],
+            device_allocs: v[5],
+            device_alloc_bytes: v[6],
+            idle_lane_work: v[7],
+        }
+    }
 }
 
 impl std::ops::Add for StatsSnapshot {
@@ -352,6 +366,11 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8, "metric suffixes are unique");
+        assert_eq!(
+            StatsSnapshot::from_metric_values(fields.map(|(_, v)| v)),
+            snap,
+            "the inverse reads the same order"
+        );
     }
 
     #[test]

@@ -417,19 +417,14 @@ pub fn metric_name_ok(name: &str) -> Result<(), String> {
 
 /// The documented lock-order map for `crates/service`: when two of these
 /// locks are ever held together, they must be acquired left-to-right.
-/// (Derived from the real nestings: `retire_epoch` takes `retired_epochs`
-/// then `per_epoch`; `record_completed` takes `run_totals` then
-/// `per_epoch`; `ServiceStats::snapshot` materializes its struct literal
-/// in this exact field order.) A `.lock()` on a field that is not listed
-/// here is itself an error: the map must grow with the code.
-pub const LOCK_ORDER: [&str; 11] = [
+/// The one real nesting is `ServiceStats::retire_epoch`, which takes
+/// `retired_epochs` then `per_epoch`; the scheduler queue's `state`, the
+/// plan cache's `inner` and the service's `prepare_device` are each taken
+/// alone. (Metrics are registry handles — atomics, no lock.) A `.lock()`
+/// on a field that is not listed here is itself an error: the map must
+/// grow with the code.
+pub const LOCK_ORDER: [&str; 5] = [
     "retired_epochs",
-    "estimation_error_sum",
-    "pre_replan_error_sum",
-    "last_update_drift",
-    "batch_fill",
-    "latencies_us",
-    "run_totals",
     "per_epoch",
     "state",
     "inner",

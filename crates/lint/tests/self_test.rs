@@ -189,6 +189,39 @@ fn metric_grammar_accepts_format_placeholders_as_segments() {
     assert!(report_for("crates/obs/src/x.rs", src).errors.is_empty());
 }
 
+/// The real declaration sites: the service's metric ledger and the
+/// server's egress counters, both declared into one registry. Breaking
+/// every name literal must produce exactly one finding per literal, so no
+/// declaration can slip past the check (e.g. behind a spelling the lint
+/// does not recognise).
+#[test]
+fn metric_grammar_sees_every_live_declaration_site() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for (path, at_least) in [
+        ("crates/service/src/stats.rs", 30),
+        ("crates/server/src/server.rs", 3),
+    ] {
+        let text = std::fs::read_to_string(root.join(path)).expect("source readable");
+        let grammar_errors = |content: &str| {
+            report_for(path, content)
+                .errors
+                .into_iter()
+                .filter(|f| f.check == Check::MetricGrammar)
+                .count()
+        };
+        assert_eq!(grammar_errors(&text), 0, "{path} declares valid names");
+        let live = text.split("#[cfg(test)]").next().unwrap_or(&text);
+        let literals = live.matches("\"gsi_").count();
+        assert!(literals >= at_least, "{path}: {literals} name literals");
+        let broken = text.replace("\"gsi_", "\"Gsi_");
+        assert_eq!(
+            grammar_errors(&broken),
+            literals,
+            "{path}: every declared name literal is checked"
+        );
+    }
+}
+
 #[test]
 fn metric_name_grammar_unit_rules() {
     assert!(metric_name_ok("gsi_query_latency_us").is_ok());
@@ -216,13 +249,13 @@ fn lock_hygiene_flags_order_inversion_and_unknown_fields() {
 impl S {
     fn inverted(&self) {
         let a = self.per_epoch.lock();
-        let b = self.run_totals.lock();
+        let b = self.retired_epochs.lock();
     }
     fn unknown(&self) {
         self.mystery.lock();
     }
     fn ordered(&self) {
-        let a = self.run_totals.lock();
+        let a = self.retired_epochs.lock();
         let b = self.per_epoch.lock();
     }
 }
@@ -248,7 +281,7 @@ impl S {
         {
             let a = self.per_epoch.lock();
         }
-        let b = self.run_totals.lock();
+        let b = self.retired_epochs.lock();
     }
 }
 ";

@@ -16,11 +16,11 @@
 //!   tracing is **zero-cost when disabled**: [`TraceConfig::Off`] skips
 //!   every per-step clock read (the engine's coarse phase timers, which
 //!   predate this crate, are a handful of reads per query and always on).
-//! * **A metrics registry** ([`metrics`]) — typed counters, gauges, and
-//!   log-bucketed histograms registered by name, rendered by the
-//!   Prometheus-text and JSON exporters. The serving layer populates one
-//!   registry per scrape from its stats snapshot, scheduler, plan cache,
-//!   update path, and gpu-sim ledger delta.
+//! * **A metrics registry** ([`metrics`]) — the serving layer's one
+//!   metric ledger. Counters, gauges, and log-linear histograms are
+//!   declared by name once, when their owner is built; declaring returns a
+//!   typed handle the hot path records through, and the Prometheus-text
+//!   and JSON exporters render the live handles.
 //! * **A flight recorder** ([`flight`]) — a bounded ring of full traces
 //!   retained for the slowest, failed, and panicked queries, dumpable as
 //!   JSON for postmortems. Admission for completed traces is a lock-free
@@ -37,7 +37,5 @@ pub mod trace;
 
 pub use flight::FlightRecorder;
 pub use json::JsonBuf;
-pub use metrics::{
-    Histogram, HistogramSnapshot, Metric, MetricFormat, MetricValue, MetricsRegistry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricFormat, MetricsRegistry};
 pub use trace::{QueryTrace, Stage, StageBreakdown, TraceConfig, TraceOutcome, TraceSpan};

@@ -1,20 +1,23 @@
-//! The metrics registry: typed counters, gauges, and log-bucketed
-//! histograms registered by name, with Prometheus-text and JSON exporters.
+//! The metrics registry: typed counters, gauges, and log-linear histograms
+//! declared by name, with Prometheus-text and JSON exporters.
 //!
-//! The registry is a *render-time* structure: the serving layer builds one
-//! per scrape from its live atomics (stats snapshot, scheduler, plan
-//! cache, device ledger) and serializes it — there is no double-accounting
-//! layer to keep in sync with the sources of truth. [`Histogram`] is the
-//! exception: a live, atomic, log₂-bucketed recorder for values whose
-//! *distribution* matters (latencies, batch fill), snapshotted into the
-//! registry like everything else.
+//! The registry is the *ledger*, not a render-time copy of one. Each
+//! metric is declared once, when its owner is built, and declaring it
+//! returns a typed handle ([`Counter`], [`Gauge`], [`Histogram`]) — a
+//! cheap clone of shared atomics that the hot path records through. A
+//! scrape renders the live handles in declaration order. Values another
+//! component owns (a cache's hit count, a queue's depth) are copied into
+//! their handles by that owner just before it renders.
 //!
 //! **Naming scheme.** `gsi_<subsystem>_<quantity>[_<unit>][_total]`,
 //! lower-snake-case, `_total` on monotonic counters, the unit spelled out
-//! (`_us`, `_bytes`) on measured quantities — validated at registration so
+//! (`_us`, `_bytes`) on measured quantities — validated at declaration so
 //! an invalid name fails in tests, not in the scrape endpoint.
 
+use parking_lot::RwLock;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which exporter renders the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,39 +26,6 @@ pub enum MetricFormat {
     Prometheus,
     /// A single JSON object (`{"metrics":[...]}`).
     Json,
-}
-
-/// A metric's typed value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Monotonically increasing count.
-    Counter(u64),
-    /// Point-in-time measurement.
-    Gauge(f64),
-    /// A bucketed distribution.
-    Histogram(HistogramSnapshot),
-}
-
-impl MetricValue {
-    /// The Prometheus `# TYPE` keyword for this value.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram(_) => "histogram",
-        }
-    }
-}
-
-/// One registered metric: name, help text, typed value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Metric name (validated: `[a-z_][a-z0-9_]*`).
-    pub name: String,
-    /// One-line description rendered as `# HELP`.
-    pub help: String,
-    /// The value.
-    pub value: MetricValue,
 }
 
 /// Whether `name` fits the metric-name grammar the exporters rely on.
@@ -68,14 +38,247 @@ pub fn valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// An ordered collection of metrics with exporters.
+/// A monotone counter handle. Clones share one atomic; adds are relaxed
+/// (statistics, not synchronization) and exact under concurrent writers.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Count one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raise the counter to `n` if it is below — for a count another
+    /// component owns, copied in at scrape time. Never moves it backwards,
+    /// so two racing scrapes cannot make a counter look reset.
+    pub fn raise_to(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A point-in-time `f64` gauge handle (the value's bits in one atomic).
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Arc<AtomicU64>);
+
+impl Gauge {
+    /// Overwrite the value.
+    pub fn set(&self, v: f64) {
+        self.0.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Add `v` (a compare-and-swap loop: `f64` has no atomic add).
+    pub fn add(&self, v: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + v).to_bits())
+            });
+    }
+
+    /// Current value.
+    pub fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+}
+
+/// Linear sub-buckets per power of two in a [`Histogram`]: a bucket's
+/// upper bound over-reports any value in it by at most `1/SUB_BUCKETS`.
+pub const SUB_BUCKETS: u64 = 16;
+
+/// `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Every integer up to this bound is a bucket bound of its own: below it a
+/// sub-bucket would be narrower than one.
+const EXACT_MAX: u64 = 2 * SUB_BUCKETS;
+
+/// Largest finite bucket bound (`2^62`); larger observations count only in
+/// the `+Inf` bucket.
+pub const HISTOGRAM_MAX: u64 = 1 << 62;
+
+/// Number of finite buckets: the exact ones `0..=EXACT_MAX`, then
+/// `SUB_BUCKETS` per octave `(2^e, 2^(e+1)]` up to [`HISTOGRAM_MAX`].
+pub const HISTOGRAM_BUCKETS: usize = EXACT_MAX as usize
+    + 1
+    + (HISTOGRAM_MAX.trailing_zeros() - SUB_BITS - 1) as usize * SUB_BUCKETS as usize;
+
+/// The bucket `value` lands in (`None`: above [`HISTOGRAM_MAX`], `+Inf`
+/// only). A bucket counts the values in `(previous bound, its bound]`.
+fn bucket_index(value: u64) -> Option<usize> {
+    if value <= EXACT_MAX {
+        return Some(value as usize);
+    }
+    if value > HISTOGRAM_MAX {
+        return None;
+    }
+    // value − 1 lies in [2^e, 2^(e+1)) with e > SUB_BITS; its top
+    // SUB_BITS + 1 bits pick the sub-bucket whose bound rounds value up.
+    let m = value - 1;
+    let e = 63 - m.leading_zeros();
+    let shift = e - SUB_BITS;
+    let sub = (m >> shift) - SUB_BUCKETS;
+    Some(EXACT_MAX as usize + 1 + ((shift - 1) as u64 * SUB_BUCKETS + sub) as usize)
+}
+
+/// Upper (inclusive) bound of bucket `idx`: `0, 1, …, 32, 34, 36, …, 64,
+/// 68, …` — `SUB_BUCKETS` evenly spaced bounds per power of two.
+fn bucket_bound(idx: usize) -> u64 {
+    if idx as u64 <= EXACT_MAX {
+        return idx as u64;
+    }
+    let j = (idx - EXACT_MAX as usize - 1) as u64;
+    let shift = (j / SUB_BUCKETS) as u32 + 1;
+    (SUB_BUCKETS + j % SUB_BUCKETS + 1) << shift
+}
+
+#[derive(Debug)]
+struct HistogramCells {
+    buckets: Box<[AtomicU64]>,
+    sum: AtomicU64,
+    count: AtomicU64,
+}
+
+/// A live, lock-free, log-linear histogram handle over `u64`
+/// observations. Clones share one set of cells.
 ///
-/// Registration order is preserved in the output (group related metrics by
-/// registering them together); duplicate or invalid names panic — both are
-/// registration-site bugs the snapshot tests catch.
+/// Bucket bounds: every integer `0..=32`, then [`SUB_BUCKETS`] evenly
+/// spaced bounds per power of two up to [`HISTOGRAM_MAX`]. An observation
+/// counts in the smallest bound at or above it, so reading a percentile as
+/// its bucket's bound never under-reports and over-reports by at most
+/// `1/SUB_BUCKETS`. Values above `HISTOGRAM_MAX` count only in `+Inf`;
+/// `_sum` saturates at `u64::MAX` instead of wrapping. All cells are
+/// relaxed atomics, exact under concurrent observers.
+#[derive(Debug, Clone)]
+pub struct Histogram(Arc<HistogramCells>);
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram(Arc::new(HistogramCells {
+            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }))
+    }
+}
+
+impl Histogram {
+    /// Record one observation.
+    pub fn observe(&self, value: u64) {
+        let cells = &self.0;
+        // Count before bucket: a concurrent snapshot, which reads buckets
+        // first, then sees a total at least its cumulative bucket count.
+        cells.count.fetch_add(1, Ordering::Relaxed);
+        if let Some(idx) = bucket_index(value) {
+            cells.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = cells
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(value))
+            });
+    }
+
+    /// Point-in-time copy listing the non-empty buckets only.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<(u64, u64)> = self
+            .0
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                let n = b.load(Ordering::Relaxed);
+                (n > 0).then(|| (bucket_bound(i), n))
+            })
+            .collect();
+        let finite: u64 = buckets.iter().map(|&(_, n)| n).sum();
+        HistogramSnapshot {
+            buckets,
+            sum: self.0.sum.load(Ordering::Relaxed),
+            count: self.0.count.load(Ordering::Relaxed).max(finite),
+        }
+    }
+}
+
+/// Plain-data copy of a [`Histogram`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct HistogramSnapshot {
+    /// `(upper_bound, count_in_bucket)` pairs of the non-empty finite
+    /// buckets, ascending, non-cumulative.
+    pub buckets: Vec<(u64, u64)>,
+    /// Sum of all observations (saturating).
+    pub sum: u64,
+    /// Number of observations, `+Inf` ones included.
+    pub count: u64,
+}
+
+impl HistogramSnapshot {
+    /// The nearest-rank `q`-quantile (`q` in `[0, 1]`; rank
+    /// `round((count − 1)·q)` of the sorted observations), read as its
+    /// bucket's upper bound; `u64::MAX` when that observation is above
+    /// [`HISTOGRAM_MAX`], `None` without observations.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut seen = 0u64;
+        for &(bound, n) in &self.buckets {
+            seen += n;
+            if seen > rank {
+                return Some(bound);
+            }
+        }
+        Some(u64::MAX)
+    }
+}
+
+/// A declared metric's handle.
+#[derive(Debug, Clone)]
+enum Handle {
+    Counter(Counter),
+    Gauge(Gauge),
+    Histogram(Histogram),
+}
+
+impl Handle {
+    /// The Prometheus `# TYPE` keyword.
+    fn type_name(&self) -> &'static str {
+        match self {
+            Handle::Counter(_) => "counter",
+            Handle::Gauge(_) => "gauge",
+            Handle::Histogram(_) => "histogram",
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Entry {
+    name: String,
+    help: String,
+    handle: Handle,
+}
+
+/// The declared metrics, in declaration order, with exporters.
+///
+/// Declaration takes `&self`, so a component built on top of another (a
+/// network front-end over a service) declares its metrics into the same
+/// registry. Declaring a name again with the same kind returns the
+/// existing handle; an invalid name, or a name declared as two kinds,
+/// panics — both are declaration-site bugs the snapshot tests catch.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    metrics: Vec<Metric>,
+    entries: RwLock<Vec<Entry>>,
 }
 
 impl MetricsRegistry {
@@ -84,37 +287,49 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn push(&mut self, name: &str, help: &str, value: MetricValue) {
+    fn declare(&self, name: &str, help: &str, fresh: Handle) -> Handle {
         assert!(valid_metric_name(name), "invalid metric name: {name:?}");
-        assert!(
-            !self.metrics.iter().any(|m| m.name == name),
-            "duplicate metric name: {name:?}"
-        );
-        self.metrics.push(Metric {
+        let mut entries = self.entries.write();
+        if let Some(e) = entries.iter().find(|e| e.name == name) {
+            assert!(
+                std::mem::discriminant(&e.handle) == std::mem::discriminant(&fresh),
+                "duplicate metric name: {name:?} declared as two kinds"
+            );
+            return e.handle.clone();
+        }
+        entries.push(Entry {
             name: name.to_string(),
             help: help.to_string(),
-            value,
+            handle: fresh.clone(),
         });
+        fresh
     }
 
-    /// Register a monotonic counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.push(name, help, MetricValue::Counter(value));
+    /// Declare a monotone counter.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
+        let fresh = Counter::default();
+        match self.declare(name, help, Handle::Counter(fresh.clone())) {
+            Handle::Counter(c) => c,
+            _ => fresh, // unreachable: `declare` asserted the kind
+        }
     }
 
-    /// Register a point-in-time gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.push(name, help, MetricValue::Gauge(value));
+    /// Declare a point-in-time gauge.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        let fresh = Gauge::default();
+        match self.declare(name, help, Handle::Gauge(fresh.clone())) {
+            Handle::Gauge(g) => g,
+            _ => fresh, // unreachable: `declare` asserted the kind
+        }
     }
 
-    /// Register a histogram snapshot.
-    pub fn histogram(&mut self, name: &str, help: &str, value: HistogramSnapshot) {
-        self.push(name, help, MetricValue::Histogram(value));
-    }
-
-    /// The registered metrics, in registration order.
-    pub fn metrics(&self) -> &[Metric] {
-        &self.metrics
+    /// Declare a histogram.
+    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
+        let fresh = Histogram::default();
+        match self.declare(name, help, Handle::Histogram(fresh.clone())) {
+            Handle::Histogram(h) => h,
+            _ => fresh, // unreachable: `declare` asserted the kind
+        }
     }
 
     /// Render the registry in `format`.
@@ -126,28 +341,31 @@ impl MetricsRegistry {
     }
 
     /// Prometheus text exposition: `# HELP` / `# TYPE` / sample lines per
-    /// metric; histograms expand to `_bucket{le="..."}`, `_sum`, `_count`.
+    /// metric; histograms expand to `_bucket{le="..."}` (non-empty buckets
+    /// and `+Inf`), `_sum`, `_count`.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
-        for m in &self.metrics {
-            out.push_str(&format!("# HELP {} {}\n", m.name, m.help));
-            out.push_str(&format!("# TYPE {} {}\n", m.name, m.value.type_name()));
-            match &m.value {
-                MetricValue::Counter(v) => out.push_str(&format!("{} {v}\n", m.name)),
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{} {}\n", m.name, prom_f64(*v)));
-                }
-                MetricValue::Histogram(h) => {
+        for e in self.entries.read().iter() {
+            let name = &e.name;
+            let _ = writeln!(out, "# HELP {name} {}", e.help);
+            let _ = writeln!(out, "# TYPE {name} {}", e.handle.type_name());
+            let _ = match &e.handle {
+                Handle::Counter(c) => writeln!(out, "{name} {}", c.get()),
+                Handle::Gauge(g) => writeln!(out, "{name} {}", prom_f64(g.get())),
+                Handle::Histogram(h) => {
+                    let h = h.snapshot();
                     let mut cumulative = 0u64;
-                    for (le, count) in h.buckets.iter() {
+                    for (le, count) in &h.buckets {
                         cumulative += count;
-                        out.push_str(&format!("{}_bucket{{le=\"{le}\"}} {cumulative}\n", m.name));
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
                     }
-                    out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", m.name, h.count));
-                    out.push_str(&format!("{}_sum {}\n", m.name, h.sum));
-                    out.push_str(&format!("{}_count {}\n", m.name, h.count));
+                    writeln!(
+                        out,
+                        "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}",
+                        h.count, h.sum, h.count
+                    )
                 }
-            }
+            };
         }
         out
     }
@@ -158,18 +376,19 @@ impl MetricsRegistry {
         buf.begin_obj();
         buf.key("metrics");
         buf.begin_arr();
-        for m in &self.metrics {
+        for e in self.entries.read().iter() {
             buf.begin_obj();
-            buf.field_str("name", &m.name);
-            buf.field_str("type", m.value.type_name());
-            buf.field_str("help", &m.help);
-            match &m.value {
-                MetricValue::Counter(v) => buf.field_u64("value", *v),
-                MetricValue::Gauge(v) => buf.field_f64("value", *v),
-                MetricValue::Histogram(h) => {
+            buf.field_str("name", &e.name);
+            buf.field_str("type", e.handle.type_name());
+            buf.field_str("help", &e.help);
+            match &e.handle {
+                Handle::Counter(c) => buf.field_u64("value", c.get()),
+                Handle::Gauge(g) => buf.field_f64("value", g.get()),
+                Handle::Histogram(h) => {
+                    let h = h.snapshot();
                     buf.key("buckets");
                     buf.begin_arr();
-                    for (le, count) in h.buckets.iter() {
+                    for (le, count) in &h.buckets {
                         buf.begin_obj();
                         buf.field_u64("le", *le);
                         buf.field_u64("count", *count);
@@ -201,114 +420,18 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-/// Number of log₂ buckets a [`Histogram`] keeps: upper bounds `1, 2, 4,
-/// …, 2^62`, plus the implicit `+Inf` bucket — covers nanoseconds through
-/// hours when observing microseconds.
-pub const HISTOGRAM_BUCKETS: usize = 63;
-
-/// A live, lock-free, log₂-bucketed histogram of `u64` observations.
-///
-/// `observe(v)` increments the bucket whose upper bound is the smallest
-/// power of two ≥ `v` (`v = 0` lands in the first bucket). All counters
-/// are relaxed atomics: statistics, not synchronization — exact under
-/// concurrent observers.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Fresh empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, value: u64) {
-        // Bucket index = 1 + log2(next_power_of_two(value)); value 0 gets
-        // its own bucket so exact zeros stay visible.
-        let idx = if value == 0 {
-            0
-        } else {
-            (65 - (value - 1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy with empty leading/trailing buckets trimmed to
-    /// the last non-empty one (the `+Inf` line still renders).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let last = counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        HistogramSnapshot {
-            buckets: counts[..last]
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (bucket_bound(i), c))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Upper (inclusive) bound of bucket `idx`: `0, 1, 2, 4, 8, …`.
-fn bucket_bound(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else {
-        1u64 << (idx - 1)
-    }
-}
-
-/// Plain-data copy of a [`Histogram`] (or any bucketed distribution).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HistogramSnapshot {
-    /// `(upper_bound, count_in_bucket)` pairs, ascending, non-cumulative.
-    pub buckets: Vec<(u64, u64)>,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Build a snapshot by observing every sample in `samples` (for
-    /// sources that keep raw reservoirs rather than live histograms).
-    pub fn from_samples(samples: impl IntoIterator<Item = u64>) -> Self {
-        let h = Histogram::new();
-        for s in samples {
-            h.observe(s);
-        }
-        h.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn histogram_of(values: &[u64]) -> HistogramSnapshot {
+        let h = Histogram::default();
+        for &v in values {
+            h.observe(v);
+        }
+        h.snapshot()
+    }
 
     #[test]
     fn name_grammar() {
@@ -323,47 +446,120 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate metric name")]
     fn duplicate_names_panic() {
-        let mut r = MetricsRegistry::new();
-        r.counter("gsi_x_total", "x", 1);
-        r.counter("gsi_x_total", "x again", 2);
+        let r = MetricsRegistry::new();
+        r.counter("gsi_x_total", "x");
+        r.gauge("gsi_x_total", "x again, as another kind");
+    }
+
+    #[test]
+    fn redeclaring_a_name_shares_its_handle() {
+        let r = MetricsRegistry::new();
+        r.counter("gsi_x_total", "x").add(2);
+        r.counter("gsi_x_total", "x").inc();
+        assert_eq!(r.counter("gsi_x_total", "x").get(), 3);
+        assert_eq!(r.to_prometheus_text().matches("# TYPE").count(), 1);
     }
 
     #[test]
     fn histogram_buckets_are_log2() {
-        let h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 5, 1000] {
-            h.observe(v);
+        // Log-linear: exact up to 32, then 16 sub-buckets per power of
+        // two — so every power of two is still a bucket bound of its own.
+        let snap = histogram_of(&[0, 1, 2, 3, 4, 5, 31, 32, 33, 65, 1000, 1024]);
+        assert_eq!(snap.count, 12);
+        assert_eq!(snap.sum, 2200);
+        // 33 → le=34 (width 2 in (32, 64]); 65 → le=68 (width 4);
+        // 1000 → le=1024 (width 32 in (512, 1024]), shared with 1024.
+        assert_eq!(
+            snap.buckets,
+            vec![
+                (0, 1),
+                (1, 1),
+                (2, 1),
+                (3, 1),
+                (4, 1),
+                (5, 1),
+                (31, 1),
+                (32, 1),
+                (34, 1),
+                (68, 1),
+                (1024, 2)
+            ]
+        );
+        for e in 5..62 {
+            let p = 1u64 << e;
+            assert_eq!(bucket_bound(bucket_index(p).unwrap()), p, "2^{e}");
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 7);
-        assert_eq!(snap.sum, 1015);
-        // 0 → le=0; 1 → le=1; 2 → le=2; 3,4 → le=4; 5 → le=8; 1000 → le=1024.
-        let get = |le: u64| {
-            snap.buckets
-                .iter()
-                .find(|&&(b, _)| b == le)
-                .map(|&(_, c)| c)
-                .unwrap_or(0)
-        };
-        assert_eq!(get(0), 1);
-        assert_eq!(get(1), 1);
-        assert_eq!(get(2), 1);
-        assert_eq!(get(4), 2);
-        assert_eq!(get(8), 1);
-        assert_eq!(get(1024), 1);
-        assert_eq!(snap.buckets.last().unwrap().0, 1024, "trailing trim");
+    }
+
+    #[test]
+    fn bucket_layout_is_contiguous_and_ends_at_the_max() {
+        assert_eq!(HISTOGRAM_BUCKETS, 33 + 57 * 16);
+        assert_eq!(bucket_bound(HISTOGRAM_BUCKETS - 1), HISTOGRAM_MAX);
+        assert_eq!(bucket_index(HISTOGRAM_MAX), Some(HISTOGRAM_BUCKETS - 1));
+        assert_eq!(bucket_index(HISTOGRAM_MAX + 1), None);
+        for idx in 1..HISTOGRAM_BUCKETS {
+            let (lo, hi) = (bucket_bound(idx - 1), bucket_bound(idx));
+            assert!(lo < hi, "bounds ascend at {idx}");
+            assert_eq!(
+                bucket_index(lo + 1),
+                Some(idx),
+                "({lo}, {hi}] opens at {idx}"
+            );
+            assert_eq!(bucket_index(hi), Some(idx), "({lo}, {hi}] closes at {idx}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_value_below_32_has_its_own_bucket(v in 0u64..32) {
+            let snap = histogram_of(&[v]);
+            prop_assert_eq!(snap.buckets, vec![(v, 1)]);
+        }
+
+        #[test]
+        fn percentiles_over_report_by_at_most_a_sixteenth(
+            magnitude in 1u32..62,
+            raw in proptest::collection::vec(any::<u64>(), 1..200),
+        ) {
+            let values: Vec<u64> = raw.iter().map(|r| r % (1u64 << magnitude)).collect();
+            let snap = histogram_of(&values);
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(snap.count, values.len() as u64);
+            prop_assert_eq!(snap.sum, values.iter().fold(0u64, |s, &v| s.saturating_add(v)));
+            for q in [0.5, 0.99] {
+                let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
+                let exact = sorted[rank] as u128;
+                let read = snap.percentile(q).unwrap() as u128;
+                prop_assert!(
+                    exact <= read && read * 16 <= exact * 17,
+                    "q={} exact {} read {}", q, exact, read
+                );
+            }
+        }
+
+        #[test]
+        fn values_above_the_top_bound_count_only_in_inf(v in (HISTOGRAM_MAX + 1)..u64::MAX) {
+            let snap = histogram_of(&[v, u64::MAX, 7]);
+            prop_assert_eq!(snap.buckets, vec![(7, 1)]);
+            prop_assert_eq!(snap.count, 3);
+            prop_assert_eq!(snap.sum, u64::MAX, "sum saturates");
+            prop_assert_eq!(snap.percentile(1.0), Some(u64::MAX));
+        }
     }
 
     #[test]
     fn prometheus_snapshot() {
-        let mut r = MetricsRegistry::new();
-        r.counter("gsi_queries_completed_total", "Queries served.", 42);
-        r.gauge("gsi_queue_depth", "Queries waiting.", 3.0);
-        r.histogram(
-            "gsi_query_latency_us",
-            "End-to-end latency.",
-            HistogramSnapshot::from_samples([1, 2, 3]),
-        );
+        let r = MetricsRegistry::new();
+        r.counter("gsi_queries_completed_total", "Queries served.")
+            .add(42);
+        r.gauge("gsi_queue_depth", "Queries waiting.").set(3.0);
+        let latency = r.histogram("gsi_query_latency_us", "End-to-end latency.");
+        for v in [1, 2, 3, 40] {
+            latency.observe(v);
+        }
         let text = r.to_prometheus_text();
         let expected = "\
 # HELP gsi_queries_completed_total Queries served.
@@ -374,37 +570,36 @@ gsi_queries_completed_total 42
 gsi_queue_depth 3
 # HELP gsi_query_latency_us End-to-end latency.
 # TYPE gsi_query_latency_us histogram
-gsi_query_latency_us_bucket{le=\"0\"} 0
 gsi_query_latency_us_bucket{le=\"1\"} 1
 gsi_query_latency_us_bucket{le=\"2\"} 2
-gsi_query_latency_us_bucket{le=\"4\"} 3
-gsi_query_latency_us_bucket{le=\"+Inf\"} 3
-gsi_query_latency_us_sum 6
-gsi_query_latency_us_count 3
+gsi_query_latency_us_bucket{le=\"3\"} 3
+gsi_query_latency_us_bucket{le=\"40\"} 4
+gsi_query_latency_us_bucket{le=\"+Inf\"} 4
+gsi_query_latency_us_sum 46
+gsi_query_latency_us_count 4
 ";
         assert_eq!(text, expected);
     }
 
     #[test]
     fn json_snapshot() {
-        let mut r = MetricsRegistry::new();
-        r.counter("gsi_queries_completed_total", "Queries served.", 42);
-        r.gauge("gsi_hit_rate", "Cache hit rate.", 0.5);
-        r.histogram(
-            "gsi_batch_fill",
-            "Batch sizes.",
-            HistogramSnapshot::from_samples([1, 2]),
-        );
-        let expected = r#"{"metrics":[{"name":"gsi_queries_completed_total","type":"counter","help":"Queries served.","value":42},{"name":"gsi_hit_rate","type":"gauge","help":"Cache hit rate.","value":0.5},{"name":"gsi_batch_fill","type":"histogram","help":"Batch sizes.","buckets":[{"le":0,"count":0},{"le":1,"count":1},{"le":2,"count":1}],"sum":3,"count":2}]}"#;
+        let r = MetricsRegistry::new();
+        r.counter("gsi_queries_completed_total", "Queries served.")
+            .add(42);
+        r.gauge("gsi_hit_rate", "Cache hit rate.").set(0.5);
+        let fill = r.histogram("gsi_batch_fill", "Batch sizes.");
+        fill.observe(1);
+        fill.observe(2);
+        let expected = r#"{"metrics":[{"name":"gsi_queries_completed_total","type":"counter","help":"Queries served.","value":42},{"name":"gsi_hit_rate","type":"gauge","help":"Cache hit rate.","value":0.5},{"name":"gsi_batch_fill","type":"histogram","help":"Batch sizes.","buckets":[{"le":1,"count":1},{"le":2,"count":1}],"sum":3,"count":2}]}"#;
         assert_eq!(r.to_json(), expected);
         assert_eq!(r.render(MetricFormat::Json), expected);
     }
 
     #[test]
     fn gauge_non_finite_renders_prometheus_spellings() {
-        let mut r = MetricsRegistry::new();
-        r.gauge("gsi_a", "a", f64::NAN);
-        r.gauge("gsi_b", "b", f64::INFINITY);
+        let r = MetricsRegistry::new();
+        r.gauge("gsi_a", "a").set(f64::NAN);
+        r.gauge("gsi_b", "b").set(f64::INFINITY);
         let text = r.to_prometheus_text();
         assert!(text.contains("gsi_a NaN\n"));
         assert!(text.contains("gsi_b +Inf\n"));

@@ -28,8 +28,9 @@
 //!   flush every acknowledged query, send a typed goodbye, close. Zero
 //!   acknowledged queries are dropped.
 //! * **Observability over the wire** — `Metrics` frames render the
-//!   service's registry plus the server's `gsi_server_*` egress counters
-//!   (Prometheus text or JSON); `Health` reports accept/drain state.
+//!   service's registry, into which the server declares its own
+//!   `gsi_server_*` egress counters when it starts (Prometheus text or
+//!   JSON); `Health` reports accept/drain state.
 //!
 //! [`GsiClient`] is the matching blocking client; the repo benchmark's
 //! `wire-*` workloads drive it under closed-loop and paced load.

@@ -49,7 +49,8 @@ use crate::frame::{
 use gsi_api::request::DEFAULT_TENANT;
 use gsi_api::{ApiError, Completion};
 use gsi_core::Matches;
-use gsi_service::{Delivery, GsiService, LaneSnapshot, MetricFormat, QueryResponse, SubmitError};
+use gsi_obs::Counter;
+use gsi_service::{Delivery, GsiService, LaneSnapshot, QueryResponse, SubmitError};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -137,7 +138,8 @@ impl ConnShared {
         let mut stream = self.stream.lock();
         // Counted first: a peer that has seen these bytes must also see
         // them in the next metrics export.
-        self.server.egress.writing(bytes.len());
+        self.server.socket_writes.inc();
+        self.server.bytes_written.add(bytes.len() as u64);
         let written = stream.write_all(bytes);
         if written.is_err() {
             self.close_failed(&stream);
@@ -149,8 +151,7 @@ impl ConnShared {
     /// connection (not each later fast-failing send) once.
     fn close_failed(&self, stream: &TcpStream) {
         if !self.failed.swap(true, Ordering::Relaxed) {
-            let failures = &self.server.egress.write_failures;
-            failures.fetch_add(1, Ordering::Relaxed);
+            self.server.write_failures.inc();
         }
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -180,22 +181,6 @@ impl Write for &ConnShared {
     }
 }
 
-/// What the server's sockets have been handed, for the metrics export.
-#[derive(Default)]
-struct EgressCounters {
-    socket_writes: AtomicU64,
-    bytes_written: AtomicU64,
-    write_failures: AtomicU64,
-}
-
-impl EgressCounters {
-    /// Count one socket write of `len` bytes.
-    fn writing(&self, len: usize) {
-        self.socket_writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
-    }
-}
-
 struct ServerShared {
     service: Arc<GsiService>,
     config: ServerConfig,
@@ -209,32 +194,11 @@ struct ServerShared {
     /// Submits acknowledged (or still being decided) whose answer has not
     /// been written yet; the drain waits for it to reach zero.
     unwritten: AtomicUsize,
-    egress: EgressCounters,
-}
-
-impl ServerShared {
-    /// The service's metrics registry plus the server's own egress
-    /// counters, rendered in `format`.
-    fn export_metrics(&self, format: MetricFormat) -> String {
-        let mut reg = self.service.metrics();
-        let egress = &self.egress;
-        reg.counter(
-            "gsi_server_socket_writes_total",
-            "Socket writes issued: one per control-plane frame or reply flush.",
-            egress.socket_writes.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "gsi_server_bytes_written_total",
-            "Bytes those socket writes were handed.",
-            egress.bytes_written.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "gsi_server_write_failures_total",
-            "Connections closed by a failed, refused or write-deadline-expired send.",
-            egress.write_failures.load(Ordering::Relaxed),
-        );
-        reg.render(format)
-    }
+    /// What the server's sockets have been handed, declared into the
+    /// service's metrics registry at start.
+    socket_writes: Counter,
+    bytes_written: Counter,
+    write_failures: Counter,
 }
 
 /// The network front-end over one [`GsiService`].
@@ -253,6 +217,19 @@ impl GsiServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
+        let registry = service.metrics();
+        let socket_writes = registry.counter(
+            "gsi_server_socket_writes_total",
+            "Socket writes issued: one per control-plane frame or reply flush.",
+        );
+        let bytes_written = registry.counter(
+            "gsi_server_bytes_written_total",
+            "Bytes those socket writes were handed.",
+        );
+        let write_failures = registry.counter(
+            "gsi_server_write_failures_total",
+            "Connections closed by a failed, refused or write-deadline-expired send.",
+        );
         let shared = Arc::new(ServerShared {
             service,
             config,
@@ -262,7 +239,9 @@ impl GsiServer {
             conn_count: AtomicUsize::new(0),
             served_total: AtomicU64::new(0),
             unwritten: AtomicUsize::new(0),
-            egress: EgressCounters::default(),
+            socket_writes,
+            bytes_written,
+            write_failures,
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -564,7 +543,7 @@ fn handle_frame(
             (reply, true)
         }
         Frame::MetricsRequest { format } => {
-            let body = shared.export_metrics(format);
+            let body = shared.service.export_metrics(format);
             (Frame::MetricsReport { body }, true)
         }
         Frame::HealthRequest => {

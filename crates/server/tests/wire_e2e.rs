@@ -253,6 +253,92 @@ fn metrics_and_health_over_wire() {
     assert_eq!(served, 1, "connection served {served}");
 }
 
+/// Every exported metric family, `(name, type)` in export order: the 51
+/// service families, then the server's 3. A metric cannot be added,
+/// dropped, renamed or re-typed without changing this list.
+const PINNED_FAMILIES: [(&str, &str); 54] = [
+    ("gsi_queries_submitted_total", "counter"),
+    ("gsi_queries_rejected_total", "counter"),
+    ("gsi_queries_completed_total", "counter"),
+    ("gsi_engine_timeouts_total", "counter"),
+    ("gsi_deadline_expired_total", "counter"),
+    ("gsi_plan_rejected_total", "counter"),
+    ("gsi_worker_panics_total", "counter"),
+    ("gsi_query_matches_total", "counter"),
+    ("gsi_batched_queries_total", "counter"),
+    ("gsi_filter_demands_computed_total", "counter"),
+    ("gsi_filter_demands_reused_total", "counter"),
+    ("gsi_planned_greedy_total", "counter"),
+    ("gsi_planned_cost_based_total", "counter"),
+    ("gsi_plans_migrated_total", "counter"),
+    ("gsi_plans_recost_kept_total", "counter"),
+    ("gsi_plans_recost_dropped_total", "counter"),
+    ("gsi_plan_cache_hits_total", "counter"),
+    ("gsi_plan_cache_misses_total", "counter"),
+    ("gsi_plan_cache_evictions_total", "counter"),
+    ("gsi_query_replans_total", "counter"),
+    ("gsi_plan_feedback_hits_total", "counter"),
+    ("gsi_updates_incremental_total", "counter"),
+    ("gsi_updates_rebuilt_total", "counter"),
+    ("gsi_stage_queue_us_total", "counter"),
+    ("gsi_stage_plan_us_total", "counter"),
+    ("gsi_stage_filter_us_total", "counter"),
+    ("gsi_stage_join_us_total", "counter"),
+    ("gsi_stage_respond_us_total", "counter"),
+    ("gsi_device_gld_transactions_total", "counter"),
+    ("gsi_device_gst_transactions_total", "counter"),
+    ("gsi_device_kernel_launches_total", "counter"),
+    ("gsi_device_warp_tasks_total", "counter"),
+    ("gsi_device_work_units_total", "counter"),
+    ("gsi_device_device_allocs_total", "counter"),
+    ("gsi_device_device_alloc_bytes_total", "counter"),
+    ("gsi_device_idle_lane_work_total", "counter"),
+    ("gsi_queue_depth", "gauge"),
+    ("gsi_queue_depth_highwater", "gauge"),
+    ("gsi_scheduler_workers", "gauge"),
+    ("gsi_scheduler_lanes", "gauge"),
+    ("gsi_scheduler_lane_depth_max", "gauge"),
+    ("gsi_scheduler_in_flight", "gauge"),
+    ("gsi_plan_cache_size", "gauge"),
+    ("gsi_plan_cache_hit_rate", "gauge"),
+    ("gsi_mean_q_error", "gauge"),
+    ("gsi_mean_pre_replan_q_error", "gauge"),
+    ("gsi_last_update_drift", "gauge"),
+    ("gsi_flight_recorder_len", "gauge"),
+    ("gsi_service_uptime_seconds", "gauge"),
+    ("gsi_query_latency_us", "histogram"),
+    ("gsi_batch_fill", "histogram"),
+    ("gsi_server_socket_writes_total", "counter"),
+    ("gsi_server_bytes_written_total", "counter"),
+    ("gsi_server_write_failures_total", "counter"),
+];
+
+#[test]
+fn exported_metric_families_are_pinned() {
+    let (service, server) = start_server(1, test_tenants());
+    let mut client = GsiClient::connect(server.local_addr()).expect("connect");
+    client.register("g", &dense_graph(6)).expect("register");
+    client
+        .query(QueryRequest::new("g", path_query()))
+        .expect("query");
+    let families = |prom: &str| -> Vec<(String, String)> {
+        prom.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|rest| rest.split_once(' '))
+            .map(|(name, ty)| (name.to_string(), ty.to_string()))
+            .collect()
+    };
+    let pinned: Vec<(String, String)> = PINNED_FAMILIES
+        .iter()
+        .map(|&(n, t)| (n.to_string(), t.to_string()))
+        .collect();
+    let remote = client.metrics(MetricFormat::Prometheus).expect("metrics");
+    assert_eq!(families(&remote), pinned, "over the wire");
+    // The server declared its counters into the service's own registry.
+    let local = service.export_metrics(MetricFormat::Prometheus);
+    assert_eq!(families(&local), pinned, "in process");
+}
+
 #[test]
 fn light_replies_do_not_wait_out_a_timer() {
     // A multi-frame reply written frame by frame on a socket without

@@ -43,18 +43,20 @@
 //!   canonical permutation on lookup, and validated with
 //!   [`gsi_core::JoinPlan::covers`] — a hash collision degrades to a cache
 //!   miss, never a wrong plan.
-//! * **[`ServiceStats`]** (`stats`) — an aggregated ledger: throughput,
-//!   p50/p99/p99.9 end-to-end latency, plan-cache hit rate, timeout and
-//!   rejection counts. Snapshots are plain data and mergeable across
-//!   services.
+//! * **[`ServiceStats`]** (`stats`) — the metric ledger: every serving
+//!   metric (throughput, p50/p99/p99.9 end-to-end latency, plan-cache hit
+//!   rate, timeout and rejection counts, …) is a handle in one `gsi-obs`
+//!   registry, declared once when the service is built and recorded into
+//!   on the hot path. [`GsiService::stats`] is a typed read of the
+//!   handles.
 //!
 //! On top of the four, the **observability layer** (the `gsi-obs` crate)
 //! threads through every served query: each [`QueryOutcome`] carries a
 //! [`StageBreakdown`] partitioning its latency into queue / plan / filter
-//! / join / respond; [`GsiService::export_metrics`] renders a typed
-//! metrics registry (counters, gauges, log-bucketed histograms populated
-//! from the stats ledger, the scheduler, the plan cache, the update path,
-//! and the device ledger) in Prometheus-text or JSON; and a
+//! / join / respond; [`GsiService::export_metrics`] renders the live
+//! registry (counters, gauges, log-linear histograms; the scheduler's,
+//! plan cache's and device ledger's own values are copied in at scrape
+//! time) in Prometheus-text or JSON; and a
 //! [`FlightRecorder`] retains full traces of the slowest and failed
 //! queries ([`GsiService::dump_flight_recorder`]). Per-query span trees
 //! are recorded only under [`TraceConfig::On`]
@@ -413,7 +415,7 @@ impl GsiService {
             .drift(current.prepared().stats());
         if drift <= self.core.replan_drift_threshold {
             let migrated = self.core.plan_cache.rekey_scope(old_scope, new_scope);
-            self.core.stats.record_plans_migrated(migrated as u64);
+            self.core.stats.plans_migrated.add(migrated as u64);
             return;
         }
         // Drift past the bar: re-cost every cached order against the new
@@ -435,9 +437,8 @@ impl GsiService {
                 }
             },
         );
-        self.core
-            .stats
-            .record_plans_recosted(kept as u64, dropped as u64);
+        self.core.stats.plans_recost_kept.add(kept as u64);
+        self.core.stats.plans_recost_dropped.add(dropped as u64);
     }
 
     /// Unregister a graph and drop its cached plans.
@@ -482,248 +483,41 @@ impl GsiService {
         &self.core.engine
     }
 
-    /// Aggregated statistics snapshot (plan-cache counters included).
+    /// Typed read of the service's metric ledger.
     ///
-    /// `run_totals.device` is replaced by an exact device-ledger delta
-    /// (total ledger minus preparation work): per-query device snapshots
-    /// overlap when queries run concurrently on the shared simulated
-    /// device, so summing them would over-count roughly `workers`-fold.
+    /// `device` is an exact device-ledger delta (total ledger minus
+    /// preparation work): per-query device snapshots overlap when queries
+    /// run concurrently on the shared simulated device, so summing them
+    /// would over-count roughly `workers`-fold.
     pub fn stats(&self) -> ServiceStatsSnapshot {
-        let mut snap = self.core.stats.snapshot();
-        snap.plan_cache_hits = self.core.plan_cache.hits();
-        snap.plan_cache_misses = self.core.plan_cache.misses();
-        snap.run_totals.device =
-            self.core.engine.gpu().stats().snapshot() - *self.core.prepare_device.lock();
-        snap
+        self.sample();
+        self.core.stats.snapshot()
     }
 
-    /// Build the metrics registry from the service's live state.
-    ///
-    /// Rebuilt on every call (a *scrape*, in Prometheus terms) so values
-    /// are always current; registration order is fixed, so rendered
-    /// exports are snapshot-testable. Names follow
+    /// The service's metrics registry — the ledger itself, every metric
+    /// declared once when the service was built — with the values other
+    /// components own copied in (a *scrape*, in Prometheus terms).
+    /// Declaration order is fixed, so rendered exports are
+    /// snapshot-testable. Names follow
     /// `gsi_<subsystem>_<quantity>[_<unit>][_total]` — `_total` marks
     /// monotone counters, units are spelled out (`_us`, `_bytes`,
-    /// `_seconds`).
-    pub fn metrics(&self) -> MetricsRegistry {
-        let snap = self.stats();
-        let mut reg = MetricsRegistry::new();
-        reg.counter(
-            "gsi_queries_submitted_total",
-            "Queries accepted into the queue.",
-            snap.submitted,
+    /// `_seconds`). A front-end declares its own metrics into the same
+    /// registry.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.sample();
+        self.core.stats.registry()
+    }
+
+    /// Copy the scheduler's, plan cache's, flight recorder's and device
+    /// ledger's current values into their metric handles.
+    fn sample(&self) {
+        let device = self.core.engine.gpu().stats().snapshot() - *self.core.prepare_device.lock();
+        self.core.stats.sample(
+            &self.scheduler,
+            &self.core.plan_cache,
+            &self.core.flight,
+            device,
         );
-        reg.counter(
-            "gsi_queries_rejected_total",
-            "Queries turned away by admission control.",
-            snap.rejected,
-        );
-        reg.counter(
-            "gsi_queries_completed_total",
-            "Queries that ran to completion (including engine timeouts).",
-            snap.completed,
-        );
-        reg.counter(
-            "gsi_engine_timeouts_total",
-            "Completed runs that aborted on the engine timeout/guard.",
-            snap.engine_timeouts,
-        );
-        reg.counter(
-            "gsi_deadline_expired_total",
-            "Queries whose deadline expired while still queued.",
-            snap.deadline_expired,
-        );
-        reg.counter(
-            "gsi_plan_rejected_total",
-            "Queries rejected at plan time (typed error, no panic).",
-            snap.plan_rejected,
-        );
-        reg.counter(
-            "gsi_worker_panics_total",
-            "Query executions that panicked (isolated; the worker survived).",
-            snap.worker_panics,
-        );
-        reg.counter(
-            "gsi_query_matches_total",
-            "Matches produced by served queries.",
-            snap.run_totals.n_matches as u64,
-        );
-        reg.counter(
-            "gsi_batched_queries_total",
-            "Queries executed as part of a multi-query batch.",
-            snap.batched_queries,
-        );
-        reg.counter(
-            "gsi_filter_demands_computed_total",
-            "Distinct filter demands paid in full across batch runs.",
-            snap.filter_demands_computed,
-        );
-        reg.counter(
-            "gsi_filter_demands_reused_total",
-            "Filter-demand lookups served from a batch's shared cache.",
-            snap.filter_demands_reused,
-        );
-        reg.counter(
-            "gsi_planned_greedy_total",
-            "Served queries whose join order came from the greedy planner.",
-            snap.planned_greedy,
-        );
-        reg.counter(
-            "gsi_planned_cost_based_total",
-            "Served queries whose join order came from the cost-based optimizer.",
-            snap.planned_cost_based,
-        );
-        reg.counter(
-            "gsi_plans_migrated_total",
-            "Cached plans migrated across low-drift epoch publications.",
-            snap.plans_migrated,
-        );
-        reg.counter(
-            "gsi_plans_recost_kept_total",
-            "Cached plans that survived re-costing after statistics drift.",
-            snap.plans_recost_kept,
-        );
-        reg.counter(
-            "gsi_plans_recost_dropped_total",
-            "Cached plans dropped by re-costing after statistics drift.",
-            snap.plans_recost_dropped,
-        );
-        reg.counter(
-            "gsi_plan_cache_hits_total",
-            "Plan-cache lookup hits.",
-            snap.plan_cache_hits,
-        );
-        reg.counter(
-            "gsi_plan_cache_misses_total",
-            "Plan-cache lookup misses.",
-            snap.plan_cache_misses,
-        );
-        reg.counter(
-            "gsi_plan_cache_evictions_total",
-            "Plans evicted by the cache's LRU capacity bound.",
-            self.core.plan_cache.evictions(),
-        );
-        reg.counter(
-            "gsi_query_replans_total",
-            "Mid-query re-plans performed by adaptive execution.",
-            snap.run_totals.replans as u64,
-        );
-        reg.counter(
-            "gsi_plan_feedback_hits_total",
-            "Served queries that executed a feedback-refined cached plan.",
-            snap.plan_feedback_hits,
-        );
-        reg.counter(
-            "gsi_updates_incremental_total",
-            "Graph updates applied by incremental PCSR splice.",
-            snap.updates_incremental,
-        );
-        reg.counter(
-            "gsi_updates_rebuilt_total",
-            "Graph updates applied by wholesale storage rebuild.",
-            snap.updates_rebuilt,
-        );
-        for (i, stage) in ["queue", "plan", "filter", "join", "respond"]
-            .iter()
-            .enumerate()
-        {
-            reg.counter(
-                &format!("gsi_stage_{stage}_us_total"),
-                &format!("Summed {stage}-stage wall time of served queries, microseconds."),
-                snap.stage_us[i],
-            );
-        }
-        for (suffix, value) in snap.run_totals.device.metric_fields() {
-            reg.counter(
-                &format!("gsi_device_{suffix}_total"),
-                &format!("Device-ledger {suffix} attributed to serving (preparation excluded)."),
-                value,
-            );
-        }
-        reg.gauge(
-            "gsi_queue_depth",
-            "Queries currently queued.",
-            self.scheduler.queue_depth() as f64,
-        );
-        reg.gauge(
-            "gsi_queue_depth_highwater",
-            "Deepest the queue has been since the scheduler started.",
-            self.scheduler.queue_depth_highwater() as f64,
-        );
-        reg.gauge(
-            "gsi_scheduler_workers",
-            "Worker threads serving queries.",
-            self.scheduler.n_workers() as f64,
-        );
-        let lanes = self.scheduler.lanes();
-        reg.gauge(
-            "gsi_scheduler_lanes",
-            "Tenant lanes with queued or in-flight queries.",
-            lanes.len() as f64,
-        );
-        reg.gauge(
-            "gsi_scheduler_lane_depth_max",
-            "Queries queued in the deepest tenant lane.",
-            lanes.iter().map(|l| l.queued).max().unwrap_or(0) as f64,
-        );
-        reg.gauge(
-            "gsi_scheduler_in_flight",
-            "Queries dispatched whose response has not been handed over or written yet.",
-            lanes.iter().map(|l| l.in_flight).sum::<usize>() as f64,
-        );
-        reg.gauge(
-            "gsi_plan_cache_size",
-            "Plans currently cached.",
-            self.core.plan_cache.len() as f64,
-        );
-        reg.gauge(
-            "gsi_plan_cache_hit_rate",
-            "Plan-cache hit rate over all lookups (0 when none).",
-            snap.plan_cache_hit_rate(),
-        );
-        reg.gauge(
-            "gsi_mean_q_error",
-            "Mean q-error of served queries' cardinality estimates (NaN before any).",
-            snap.mean_estimation_error().unwrap_or(f64::NAN),
-        );
-        reg.gauge(
-            "gsi_mean_pre_replan_q_error",
-            "Mean q-error of the static plans adaptive runs abandoned (NaN before any).",
-            snap.mean_pre_replan_error().unwrap_or(f64::NAN),
-        );
-        reg.gauge(
-            "gsi_last_update_drift",
-            "Statistics drift reported by the most recent epoch publication (NaN before any).",
-            snap.last_update_drift.unwrap_or(f64::NAN),
-        );
-        reg.gauge(
-            "gsi_flight_recorder_len",
-            "Query traces currently retained by the flight recorder.",
-            self.core.flight.len() as f64,
-        );
-        reg.gauge(
-            "gsi_service_uptime_seconds",
-            "Time the service's statistics ledger has been live.",
-            snap.elapsed.as_secs_f64(),
-        );
-        reg.histogram(
-            "gsi_query_latency_us",
-            "End-to-end latency of served queries, microseconds (reservoir-sampled).",
-            HistogramSnapshot::from_samples(snap.latencies_us.iter().copied()),
-        );
-        // Batch-fill counts are exact small integers, so the histogram
-        // uses one bucket per observed fill instead of log spacing.
-        let fill = HistogramSnapshot {
-            buckets: snap.batch_fill.iter().map(|(&n, &c)| (n, c)).collect(),
-            sum: snap.batch_fill.iter().map(|(&n, &c)| n * c).sum(),
-            count: snap.batch_fill.values().sum(),
-        };
-        reg.histogram(
-            "gsi_batch_fill",
-            "Compatible queries drained per worker pickup.",
-            fill,
-        );
-        reg
     }
 
     /// Render the metrics registry in the requested exporter format.
@@ -1064,6 +858,32 @@ mod tests {
         let snap = service.stats();
         assert_eq!(snap.rejected, rejected);
         assert_eq!(snap.submitted + snap.rejected, 40);
+    }
+
+    #[test]
+    fn latency_histogram_counts_every_served_query() {
+        // Past 65,536 served queries (where a sample reservoir would start
+        // decimating), the exported latency histogram still counts every
+        // one: `_count` is the completed counter and `_sum` their latency.
+        let service = GsiService::new(ServiceConfig::for_tests());
+        let n = 70_000u64;
+        let mut total_us = 0u64;
+        for i in 0..n {
+            let us = 1 + i % 5_000;
+            total_us += us;
+            let latency = Duration::from_micros(us);
+            let run = gsi_core::RunStats::default();
+            service.core.stats.record_completed(0, latency, &run);
+        }
+        let text = service.export_metrics(MetricFormat::Prometheus);
+        let value = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no sample {name}"))
+        };
+        assert_eq!(value("gsi_queries_completed_total"), n);
+        assert_eq!(value("gsi_query_latency_us_count"), n);
+        assert_eq!(value("gsi_query_latency_us_sum"), total_us);
     }
 
     #[test]

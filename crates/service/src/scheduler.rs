@@ -421,9 +421,9 @@ impl QueryScheduler {
         };
         let admitted = self.queue.enqueue(req.tenant.as_deref(), cost, job);
         match &admitted {
-            Ok(()) => self.core.stats.record_submitted(),
+            Ok(()) => self.core.stats.submitted.inc(),
             Err(SubmitError::QueueFull { .. } | SubmitError::TenantQuota { .. }) => {
-                self.core.stats.record_rejected()
+                self.core.stats.rejected.inc()
             }
             Err(_) => {}
         }
@@ -552,7 +552,7 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
 
     // Pickup-size distribution (singletons included): how often batching
     // found company at all.
-    core.stats.record_batch_pickup(batch_size as u64);
+    core.stats.batch_fill.observe(batch_size as u64);
 
     // Shared filtering for the whole batch: each distinct label demand
     // pays one filter pass, repeats share the cached candidate list.
@@ -587,15 +587,15 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
         let result = result.map_err(|(error, breakdown)| {
             let outcome = match &error {
                 QueryError::DeadlineExpired { .. } => {
-                    core.stats.record_deadline_expired();
+                    core.stats.deadline_expired.inc();
                     TraceOutcome::DeadlineExpired
                 }
                 QueryError::Plan(_) => {
-                    core.stats.record_plan_rejected();
+                    core.stats.plan_rejected.inc();
                     TraceOutcome::PlanRejected
                 }
                 QueryError::Internal { message } => {
-                    core.stats.record_worker_panic();
+                    core.stats.worker_panics.inc();
                     let message = message.clone();
                     TraceOutcome::Panicked { message }
                 }
@@ -629,9 +629,10 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
     // demand repeats (or a batch whose other members expired in the
     // queue) would otherwise inflate a rate read as "what batching buys".
     if ran > 1 {
-        core.stats
-            .record_filter_demands(cache.demands_computed(), cache.demands_reused());
-        core.stats.record_batched(ran);
+        let stats = &core.stats;
+        stats.filter_demands_computed.add(cache.demands_computed());
+        stats.filter_demands_reused.add(cache.demands_reused());
+        stats.batched_queries.add(ran);
     }
 }
 

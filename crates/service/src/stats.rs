@@ -1,62 +1,29 @@
-//! Aggregated serving statistics: throughput, latency percentiles, cache
-//! and timeout rates.
+//! The service's metric ledger.
 //!
-//! Counters are lock-free atomics on the submit/complete paths; latency
-//! samples go into a mutex-guarded bounded reservoir with stride-doubling
-//! decimation (every retained sample represents the same number of
-//! observations, so percentiles stay unbiased across the whole stream)
-//! that percentile queries sort on demand. Snapshots are plain data and
-//! [`ServiceStatsSnapshot::merge`]-able, so multi-service deployments can
-//! be reported as one fleet.
+//! Every serving metric is a handle in one `gsi-obs` [`MetricsRegistry`],
+//! declared once (name, help, kind) when the ledger is built. The
+//! scheduler's `record_*` calls add to those handles — relaxed atomics, no
+//! lock except the per-epoch map — and a scrape renders the same handles,
+//! after [`ServiceStats`] has copied in the few values other components
+//! own (queue depth and lanes, plan-cache size and traffic, flight-recorder
+//! occupancy, uptime, the device ledger's serving share).
+//!
+//! End-to-end latency and batch fill are log-linear histograms
+//! ([`gsi_obs::Histogram`]): every served query is counted, and p50 / p99
+//! / p99.9 are read from those exact counts, over-reporting by at most
+//! 1/16. [`ServiceStatsSnapshot`] is a typed read of the handles.
+//! Per-epoch attribution is a keyed map, not a metric, and stays beside
+//! the registry.
 
+use crate::{PlanCache, QueryScheduler};
 use gsi_core::{PlannerKind, RunStats};
+use gsi_gpu_sim::StatsSnapshot;
+use gsi_obs::{
+    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, StageBreakdown,
+};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
-
-/// Upper bound on retained latency samples (see [`LatencyReservoir`]).
-const RESERVOIR_CAP: usize = 65_536;
-
-/// Bounded latency reservoir with stride-doubling decimation.
-///
-/// Admits every `stride`-th observation; on reaching [`RESERVOIR_CAP`] it
-/// halves the retained samples (keeping every other one) and doubles the
-/// stride. Both halves of that move keep one sample per `stride`
-/// observations, so at all times **every retained sample represents the
-/// same slice of the stream** and percentiles over the reservoir are
-/// unbiased estimates of percentiles over everything observed.
-///
-/// (The previous scheme decimated only the *retained* samples and then
-/// admitted every new observation, so after each decimation older traffic
-/// had half the representation of newer traffic — a recency bias that
-/// dragged long-run percentiles toward whatever the latest load phase
-/// looked like.)
-#[derive(Debug, Default)]
-struct LatencyReservoir {
-    samples: Vec<u64>,
-    /// Admit one observation in `2^stride_log2`.
-    stride_log2: u32,
-    /// Observations skipped since the last admission.
-    skipped: u64,
-}
-
-impl LatencyReservoir {
-    fn push(&mut self, value_us: u64) {
-        let stride = 1u64 << self.stride_log2;
-        if self.skipped + 1 < stride {
-            self.skipped += 1;
-            return;
-        }
-        self.skipped = 0;
-        self.samples.push(value_us);
-        if self.samples.len() >= RESERVOIR_CAP {
-            let kept: Vec<u64> = self.samples.iter().copied().step_by(2).collect();
-            self.samples = kept;
-            self.stride_log2 += 1;
-        }
-    }
-}
 
 /// Most recently *retired* epochs whose per-epoch counters are retained.
 /// Every `update_graph` bumps the epoch, so a long-running serving loop
@@ -67,61 +34,75 @@ impl LatencyReservoir {
 /// epoch is never dropped, however many graphs the catalog holds.
 const RETIRED_EPOCH_CAP: usize = 64;
 
-/// Live, thread-safe statistics ledger for one service.
+/// Live, thread-safe metric ledger for one service.
 #[derive(Debug)]
+///
+/// Single-counter events are recorded straight into the crate-visible
+/// handles (each one's help text says what it counts); the `record_*`
+/// methods cover events that touch several.
 pub struct ServiceStats {
     started: Instant,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    engine_timeouts: AtomicU64,
-    deadline_expired: AtomicU64,
-    plan_rejected: AtomicU64,
-    worker_panics: AtomicU64,
-    batched_queries: AtomicU64,
-    filter_demands_computed: AtomicU64,
-    filter_demands_reused: AtomicU64,
-    planned_greedy: AtomicU64,
-    planned_cost_based: AtomicU64,
-    plans_migrated: AtomicU64,
-    plans_recost_kept: AtomicU64,
-    plans_recost_dropped: AtomicU64,
-    /// Summed mean q-errors of served queries' cardinality estimates (the
-    /// divisor is `estimation_samples`); mutex-guarded because f64 has no
-    /// atomic add.
-    estimation_error_sum: Mutex<f64>,
-    estimation_samples: AtomicU64,
-    plan_feedback_hits: AtomicU64,
-    /// Summed q-errors of the static plans adaptive runs abandoned at
-    /// their first mid-query re-plan (divisor: `pre_replan_samples`).
-    pre_replan_error_sum: Mutex<f64>,
-    pre_replan_samples: AtomicU64,
-    /// Incremental (PCSR splice) graph updates applied.
-    updates_incremental: AtomicU64,
-    /// Wholesale-rebuild graph updates applied.
-    updates_rebuilt: AtomicU64,
-    /// Statistics drift reported by the most recent epoch publication.
-    last_update_drift: Mutex<Option<f64>>,
-    /// Pickup-size distribution of worker batch drains: `batch_fill[n]` =
-    /// number of pickups that drained `n` compatible queries together.
-    batch_fill: Mutex<BTreeMap<u64, u64>>,
-    /// Summed per-stage wall time of served queries, microseconds, indexed
-    /// queue/plan/filter/join/respond (the order of
-    /// `StageBreakdown::stages`). Lock-free adds on the completion path.
-    stage_us: [AtomicU64; 5],
-    /// End-to-end (submit → response) latencies of *served* queries, in
+    registry: MetricsRegistry,
+    pub(crate) submitted: Counter,
+    /// Queue-full and tenant-quota refusals.
+    pub(crate) rejected: Counter,
+    completed: Counter,
+    engine_timeouts: Counter,
+    pub(crate) deadline_expired: Counter,
+    pub(crate) plan_rejected: Counter,
+    pub(crate) worker_panics: Counter,
+    matches: Counter,
+    /// Members of multi-query batches; singleton runs are not counted.
+    pub(crate) batched_queries: Counter,
+    /// Filter-demand lookups of multi-query batches: `computed` paid a full
+    /// filter pass, `reused` shared one (singleton runs are not counted, so
+    /// the reuse rate reads as what batching bought).
+    pub(crate) filter_demands_computed: Counter,
+    pub(crate) filter_demands_reused: Counter,
+    planned_greedy: Counter,
+    planned_cost_based: Counter,
+    pub(crate) plans_migrated: Counter,
+    pub(crate) plans_recost_kept: Counter,
+    pub(crate) plans_recost_dropped: Counter,
+    plan_cache_hits: Counter,
+    plan_cache_misses: Counter,
+    plan_cache_evictions: Counter,
+    replans: Counter,
+    plan_feedback_hits: Counter,
+    updates_incremental: Counter,
+    updates_rebuilt: Counter,
+    /// Summed per-stage wall time of served queries, microseconds, in
+    /// `StageBreakdown::stages` order.
+    stage_us: [Counter; 5],
+    /// The device ledger's serving share, in `StatsSnapshot::metric_fields`
+    /// order.
+    device: [Counter; 8],
+    queue_depth: Gauge,
+    queue_depth_highwater: Gauge,
+    workers: Gauge,
+    lanes: Gauge,
+    lane_depth_max: Gauge,
+    in_flight: Gauge,
+    plan_cache_size: Gauge,
+    plan_cache_hit_rate: Gauge,
+    mean_q_error: Gauge,
+    mean_pre_replan_q_error: Gauge,
+    last_update_drift: Gauge,
+    flight_recorder_len: Gauge,
+    uptime: Gauge,
+    /// End-to-end (submit → response) latency of *served* queries,
     /// microseconds. Failed queries (deadline expiry, worker panic) are
-    /// counted but kept out of the percentile reservoir so p50/p99 reflect
-    /// answers actually delivered, not the deadline constant.
-    latencies_us: Mutex<LatencyReservoir>,
-    /// Engine-run measurements folded together with `RunStats::accumulate`.
-    ///
-    /// Device counters here are sums of per-query snapshot deltas of one
-    /// shared ledger; concurrent queries overlap in those deltas, so the
-    /// summed device numbers over-count under concurrency. The service
-    /// substitutes an exact ledger-level delta when it builds its snapshot
-    /// (see `GsiService::stats`).
-    run_totals: Mutex<RunStats>,
+    /// counted but not observed, so percentiles reflect answers actually
+    /// delivered, not the deadline constant.
+    latency_us: Histogram,
+    /// Compatible queries drained per worker pickup, singletons included,
+    /// so the distribution shows how often batching found company.
+    pub(crate) batch_fill: Histogram,
+    /// Inputs of the mean-q-error gauges (not exported themselves).
+    estimation_error_sum: Gauge,
+    estimation_samples: Counter,
+    pre_replan_error_sum: Gauge,
+    pre_replan_samples: Counter,
     /// Served-query counters keyed by the catalog epoch each query pinned —
     /// the observable record that epoch-versioned serving attributed every
     /// query to the graph state it actually ran against. Entries for live
@@ -129,7 +110,7 @@ pub struct ServiceStats {
     /// retired epochs keep the [`RETIRED_EPOCH_CAP`] most recent.
     per_epoch: Mutex<BTreeMap<u64, EpochStats>>,
     /// Epochs retired by the service, oldest first (the eviction queue).
-    retired_epochs: Mutex<std::collections::VecDeque<u64>>,
+    retired_epochs: Mutex<VecDeque<u64>>,
 }
 
 /// Served-query counters for one catalog epoch.
@@ -150,83 +131,182 @@ impl Default for ServiceStats {
 }
 
 impl ServiceStats {
-    /// Fresh ledger; throughput is measured from this instant.
+    /// Fresh ledger with every metric declared; throughput and uptime are
+    /// measured from this instant. Declaration order is export order.
     pub fn new() -> Self {
+        let r = MetricsRegistry::new();
         Self {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            engine_timeouts: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            plan_rejected: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
-            filter_demands_computed: AtomicU64::new(0),
-            filter_demands_reused: AtomicU64::new(0),
-            planned_greedy: AtomicU64::new(0),
-            planned_cost_based: AtomicU64::new(0),
-            plans_migrated: AtomicU64::new(0),
-            plans_recost_kept: AtomicU64::new(0),
-            plans_recost_dropped: AtomicU64::new(0),
-            estimation_error_sum: Mutex::new(0.0),
-            estimation_samples: AtomicU64::new(0),
-            plan_feedback_hits: AtomicU64::new(0),
-            pre_replan_error_sum: Mutex::new(0.0),
-            pre_replan_samples: AtomicU64::new(0),
-            updates_incremental: AtomicU64::new(0),
-            updates_rebuilt: AtomicU64::new(0),
-            last_update_drift: Mutex::new(None),
-            batch_fill: Mutex::new(BTreeMap::new()),
-            stage_us: std::array::from_fn(|_| AtomicU64::new(0)),
-            latencies_us: Mutex::new(LatencyReservoir::default()),
-            run_totals: Mutex::new(RunStats::default()),
+            submitted: r.counter(
+                "gsi_queries_submitted_total",
+                "Queries accepted into the queue.",
+            ),
+            rejected: r.counter(
+                "gsi_queries_rejected_total",
+                "Queries turned away by admission control.",
+            ),
+            completed: r.counter(
+                "gsi_queries_completed_total",
+                "Queries that ran to completion (including engine timeouts).",
+            ),
+            engine_timeouts: r.counter(
+                "gsi_engine_timeouts_total",
+                "Completed runs that aborted on the engine timeout/guard.",
+            ),
+            deadline_expired: r.counter(
+                "gsi_deadline_expired_total",
+                "Queries whose deadline expired while still queued.",
+            ),
+            plan_rejected: r.counter(
+                "gsi_plan_rejected_total",
+                "Queries rejected at plan time (typed error, no panic).",
+            ),
+            worker_panics: r.counter(
+                "gsi_worker_panics_total",
+                "Query executions that panicked (isolated; the worker survived).",
+            ),
+            matches: r.counter(
+                "gsi_query_matches_total",
+                "Matches produced by served queries.",
+            ),
+            batched_queries: r.counter(
+                "gsi_batched_queries_total",
+                "Queries executed as part of a multi-query batch.",
+            ),
+            filter_demands_computed: r.counter(
+                "gsi_filter_demands_computed_total",
+                "Distinct filter demands paid in full across batch runs.",
+            ),
+            filter_demands_reused: r.counter(
+                "gsi_filter_demands_reused_total",
+                "Filter-demand lookups served from a batch's shared cache.",
+            ),
+            planned_greedy: r.counter(
+                "gsi_planned_greedy_total",
+                "Served queries whose join order came from the greedy planner.",
+            ),
+            planned_cost_based: r.counter(
+                "gsi_planned_cost_based_total",
+                "Served queries whose join order came from the cost-based optimizer.",
+            ),
+            plans_migrated: r.counter(
+                "gsi_plans_migrated_total",
+                "Cached plans migrated across low-drift epoch publications.",
+            ),
+            plans_recost_kept: r.counter(
+                "gsi_plans_recost_kept_total",
+                "Cached plans that survived re-costing after statistics drift.",
+            ),
+            plans_recost_dropped: r.counter(
+                "gsi_plans_recost_dropped_total",
+                "Cached plans dropped by re-costing after statistics drift.",
+            ),
+            plan_cache_hits: r.counter("gsi_plan_cache_hits_total", "Plan-cache lookup hits."),
+            plan_cache_misses: r
+                .counter("gsi_plan_cache_misses_total", "Plan-cache lookup misses."),
+            plan_cache_evictions: r.counter(
+                "gsi_plan_cache_evictions_total",
+                "Plans evicted by the cache's LRU capacity bound.",
+            ),
+            replans: r.counter(
+                "gsi_query_replans_total",
+                "Mid-query re-plans performed by adaptive execution.",
+            ),
+            plan_feedback_hits: r.counter(
+                "gsi_plan_feedback_hits_total",
+                "Served queries that executed a feedback-refined cached plan.",
+            ),
+            updates_incremental: r.counter(
+                "gsi_updates_incremental_total",
+                "Graph updates applied by incremental PCSR splice.",
+            ),
+            updates_rebuilt: r.counter(
+                "gsi_updates_rebuilt_total",
+                "Graph updates applied by wholesale storage rebuild.",
+            ),
+            stage_us: StageBreakdown::default().stages().map(|(stage, _)| {
+                let stage = stage.name();
+                r.counter(
+                    &format!("gsi_stage_{stage}_us_total"),
+                    &format!("Summed {stage}-stage wall time of served queries, microseconds."),
+                )
+            }),
+            device: StatsSnapshot::default().metric_fields().map(|(suffix, _)| {
+                r.counter(
+                    &format!("gsi_device_{suffix}_total"),
+                    &format!(
+                        "Device-ledger {suffix} attributed to serving (preparation excluded)."
+                    ),
+                )
+            }),
+            queue_depth: r.gauge("gsi_queue_depth", "Queries currently queued."),
+            queue_depth_highwater: r.gauge(
+                "gsi_queue_depth_highwater",
+                "Deepest the queue has been since the scheduler started.",
+            ),
+            workers: r.gauge("gsi_scheduler_workers", "Worker threads serving queries."),
+            lanes: r.gauge(
+                "gsi_scheduler_lanes",
+                "Tenant lanes with queued or in-flight queries.",
+            ),
+            lane_depth_max: r.gauge(
+                "gsi_scheduler_lane_depth_max",
+                "Queries queued in the deepest tenant lane.",
+            ),
+            in_flight: r.gauge(
+                "gsi_scheduler_in_flight",
+                "Queries dispatched whose response has not been handed over or written yet.",
+            ),
+            plan_cache_size: r.gauge("gsi_plan_cache_size", "Plans currently cached."),
+            plan_cache_hit_rate: r.gauge(
+                "gsi_plan_cache_hit_rate",
+                "Plan-cache hit rate over all lookups (0 when none).",
+            ),
+            mean_q_error: r.gauge(
+                "gsi_mean_q_error",
+                "Mean q-error of served queries' cardinality estimates (NaN before any).",
+            ),
+            mean_pre_replan_q_error: r.gauge(
+                "gsi_mean_pre_replan_q_error",
+                "Mean q-error of the static plans adaptive runs abandoned (NaN before any).",
+            ),
+            last_update_drift: {
+                let drift = r.gauge(
+                    "gsi_last_update_drift",
+                    "Statistics drift reported by the most recent epoch publication (NaN before any).",
+                );
+                drift.set(f64::NAN);
+                drift
+            },
+            flight_recorder_len: r.gauge(
+                "gsi_flight_recorder_len",
+                "Query traces currently retained by the flight recorder.",
+            ),
+            uptime: r.gauge(
+                "gsi_service_uptime_seconds",
+                "Time the service's statistics ledger has been live.",
+            ),
+            latency_us: r.histogram(
+                "gsi_query_latency_us",
+                "End-to-end latency of served queries, microseconds.",
+            ),
+            batch_fill: r.histogram(
+                "gsi_batch_fill",
+                "Compatible queries drained per worker pickup.",
+            ),
+            estimation_error_sum: Gauge::default(),
+            estimation_samples: Counter::default(),
+            pre_replan_error_sum: Gauge::default(),
+            pre_replan_samples: Counter::default(),
             per_epoch: Mutex::new(BTreeMap::new()),
-            retired_epochs: Mutex::new(std::collections::VecDeque::new()),
+            retired_epochs: Mutex::new(VecDeque::new()),
+            registry: r,
         }
     }
 
-    /// A query was accepted into the queue.
-    pub fn record_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A query was turned away by admission control.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A query's deadline expired before it ran.
-    pub fn record_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A query was rejected at plan time (empty or disconnected pattern
-    /// that slipped past submit-time validation) — no panic, no run.
-    pub fn record_plan_rejected(&self) {
-        self.plan_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A query's execution panicked (isolated; the worker survives).
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` queries executed together in one multi-query batch (shared
-    /// candidate filtering). Singleton runs are not counted.
-    pub fn record_batched(&self, n: u64) {
-        self.batched_queries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A *multi-query* batch resolved `computed + reused` filter-demand
-    /// lookups, of which `computed` paid a full filter pass and `reused`
-    /// shared one. Singleton runs are not recorded, so the reuse rate
-    /// reads as what batching bought.
-    pub fn record_filter_demands(&self, computed: u64, reused: u64) {
-        self.filter_demands_computed
-            .fetch_add(computed, Ordering::Relaxed);
-        self.filter_demands_reused
-            .fetch_add(reused, Ordering::Relaxed);
+    /// The registry every metric of this ledger is declared in.
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
     /// A served query executed a join order of the given provenance;
@@ -234,15 +314,15 @@ impl ServiceStats {
     /// at least one join position.
     pub fn record_planned(&self, planner: PlannerKind, estimation_error: Option<f64>) {
         match planner {
-            PlannerKind::Greedy => self.planned_greedy.fetch_add(1, Ordering::Relaxed),
-            PlannerKind::CostBased => self.planned_cost_based.fetch_add(1, Ordering::Relaxed),
+            PlannerKind::Greedy => self.planned_greedy.inc(),
+            PlannerKind::CostBased => self.planned_cost_based.inc(),
         };
         // Belt-and-braces: `ExplainPlan::mean_q_error` guards its inputs,
         // but a non-finite sample would poison the accumulated sum for the
         // rest of the service's life, so the sink checks too.
         if let Some(err) = estimation_error.filter(|e| e.is_finite()) {
-            *self.estimation_error_sum.lock() += err;
-            self.estimation_samples.fetch_add(1, Ordering::Relaxed);
+            self.estimation_error_sum.add(err);
+            self.estimation_samples.inc();
         }
     }
 
@@ -251,15 +331,15 @@ impl ServiceStats {
     /// entry, `pre_replan_q_error` the static plan's measured q-error at
     /// the run's first mid-query re-plan (`None` when it never re-planned;
     /// non-finite samples are dropped, like `record_planned`'s). The
-    /// re-plan *count* rides in `RunStats::replans` via
+    /// re-plan *count* comes from `RunStats::replans` via
     /// [`ServiceStats::record_completed`].
     pub fn record_adaptive(&self, feedback_hit: bool, pre_replan_q_error: Option<f64>) {
         if feedback_hit {
-            self.plan_feedback_hits.fetch_add(1, Ordering::Relaxed);
+            self.plan_feedback_hits.inc();
         }
         if let Some(q) = pre_replan_q_error.filter(|q| q.is_finite()) {
-            *self.pre_replan_error_sum.lock() += q;
-            self.pre_replan_samples.fetch_add(1, Ordering::Relaxed);
+            self.pre_replan_error_sum.add(q);
+            self.pre_replan_samples.inc();
         }
     }
 
@@ -268,52 +348,32 @@ impl ServiceStats {
     /// statistics drift the epoch publication reported.
     pub fn record_update(&self, incremental: bool, drift: Option<f64>) {
         if incremental {
-            self.updates_incremental.fetch_add(1, Ordering::Relaxed);
+            self.updates_incremental.inc();
         } else {
-            self.updates_rebuilt.fetch_add(1, Ordering::Relaxed);
+            self.updates_rebuilt.inc();
         }
         if let Some(d) = drift.filter(|d| d.is_finite()) {
-            *self.last_update_drift.lock() = Some(d);
+            self.last_update_drift.set(d);
         }
-    }
-
-    /// A worker drained `n` compatible queries in one pickup (`n = 1` for
-    /// singleton pickups — recorded here, unlike `record_batched`, so the
-    /// fill distribution shows how often batching found company).
-    pub fn record_batch_pickup(&self, n: u64) {
-        *self.batch_fill.lock().entry(n).or_default() += 1;
     }
 
     /// A served query's stage breakdown (summed into per-stage totals).
-    pub fn record_stage_breakdown(&self, breakdown: &gsi_obs::StageBreakdown) {
-        for (i, (_, d)) in breakdown.stages().iter().enumerate() {
-            self.stage_us[i].fetch_add(d.as_micros() as u64, Ordering::Relaxed);
+    pub fn record_stage_breakdown(&self, breakdown: &StageBreakdown) {
+        for (total, (_, d)) in self.stage_us.iter().zip(breakdown.stages()) {
+            total.add(d.as_micros() as u64);
         }
-    }
-
-    /// An epoch publication under the drift threshold migrated `n` cached
-    /// plans to the new epoch.
-    pub fn record_plans_migrated(&self, n: u64) {
-        self.plans_migrated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// An epoch publication past the drift threshold re-costed cached
-    /// plans: `kept` survived (cheapest order unchanged), `dropped` did not.
-    pub fn record_plans_recosted(&self, kept: u64, dropped: u64) {
-        self.plans_recost_kept.fetch_add(kept, Ordering::Relaxed);
-        self.plans_recost_dropped
-            .fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// A query ran to completion (`stats` is its engine run report).
     /// `epoch` is the catalog epoch whose data the query pinned.
     pub fn record_completed(&self, epoch: u64, latency: Duration, stats: &RunStats) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.completed.inc();
         if stats.timed_out {
-            self.engine_timeouts.fetch_add(1, Ordering::Relaxed);
+            self.engine_timeouts.inc();
         }
-        self.push_latency(latency);
-        self.run_totals.lock().accumulate(stats);
+        self.latency_us.observe(latency.as_micros() as u64);
+        self.matches.add(stats.n_matches as u64);
+        self.replans.add(stats.replans as u64);
         let mut per_epoch = self.per_epoch.lock();
         let e = per_epoch.entry(epoch).or_default();
         e.completed += 1;
@@ -341,44 +401,89 @@ impl ServiceStats {
         }
     }
 
-    fn push_latency(&self, latency: Duration) {
-        self.latencies_us.lock().push(latency.as_micros() as u64);
+    /// Copy the values other components own into their handles, and
+    /// derive the rate and mean gauges; done before every read of the
+    /// ledger. `device` is the device ledger's serving share (total minus
+    /// preparation). Counters only ever rise, so racing reads cannot make
+    /// one look reset.
+    pub(crate) fn sample(
+        &self,
+        scheduler: &QueryScheduler,
+        plan_cache: &PlanCache,
+        flight: &FlightRecorder,
+        device: StatsSnapshot,
+    ) {
+        self.queue_depth.set(scheduler.queue_depth() as f64);
+        self.queue_depth_highwater
+            .set(scheduler.queue_depth_highwater() as f64);
+        self.workers.set(scheduler.n_workers() as f64);
+        let lanes = scheduler.lanes();
+        self.lanes.set(lanes.len() as f64);
+        let deepest = lanes.iter().map(|l| l.queued).max().unwrap_or(0);
+        self.lane_depth_max.set(deepest as f64);
+        let in_flight: usize = lanes.iter().map(|l| l.in_flight).sum();
+        self.in_flight.set(in_flight as f64);
+        self.plan_cache_size.set(plan_cache.len() as f64);
+        self.plan_cache_hits.raise_to(plan_cache.hits());
+        self.plan_cache_misses.raise_to(plan_cache.misses());
+        self.plan_cache_evictions.raise_to(plan_cache.evictions());
+        let (hits, misses) = (self.plan_cache_hits.get(), self.plan_cache_misses.get());
+        self.plan_cache_hit_rate.set(rate(hits, hits + misses));
+        let mean_q = mean(
+            self.estimation_error_sum.get(),
+            self.estimation_samples.get(),
+        );
+        self.mean_q_error.set(mean_q.unwrap_or(f64::NAN));
+        let pre_replan = mean(
+            self.pre_replan_error_sum.get(),
+            self.pre_replan_samples.get(),
+        );
+        self.mean_pre_replan_q_error
+            .set(pre_replan.unwrap_or(f64::NAN));
+        self.flight_recorder_len.set(flight.len() as f64);
+        self.uptime.set(self.started.elapsed().as_secs_f64());
+        for (counter, (_, value)) in self.device.iter().zip(device.metric_fields()) {
+            counter.raise_to(value);
+        }
     }
 
-    /// Point-in-time copy of everything, with percentiles computed.
+    /// Typed read of every handle. Values other components own are as of
+    /// the last sample (`GsiService::stats` samples first).
     pub fn snapshot(&self) -> ServiceStatsSnapshot {
-        let latencies = self.latencies_us.lock().samples.clone();
+        let drift = self.last_update_drift.get();
         ServiceStatsSnapshot {
             elapsed: self.started.elapsed(),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            engine_timeouts: self.engine_timeouts.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            plan_rejected: self.plan_rejected.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
-            filter_demands_computed: self.filter_demands_computed.load(Ordering::Relaxed),
-            filter_demands_reused: self.filter_demands_reused.load(Ordering::Relaxed),
-            planned_greedy: self.planned_greedy.load(Ordering::Relaxed),
-            planned_cost_based: self.planned_cost_based.load(Ordering::Relaxed),
-            plans_migrated: self.plans_migrated.load(Ordering::Relaxed),
-            plans_recost_kept: self.plans_recost_kept.load(Ordering::Relaxed),
-            plans_recost_dropped: self.plans_recost_dropped.load(Ordering::Relaxed),
-            estimation_error_sum: *self.estimation_error_sum.lock(),
-            estimation_samples: self.estimation_samples.load(Ordering::Relaxed),
-            plan_feedback_hits: self.plan_feedback_hits.load(Ordering::Relaxed),
-            pre_replan_error_sum: *self.pre_replan_error_sum.lock(),
-            pre_replan_samples: self.pre_replan_samples.load(Ordering::Relaxed),
-            updates_incremental: self.updates_incremental.load(Ordering::Relaxed),
-            updates_rebuilt: self.updates_rebuilt.load(Ordering::Relaxed),
-            last_update_drift: *self.last_update_drift.lock(),
-            batch_fill: self.batch_fill.lock().clone(),
-            stage_us: std::array::from_fn(|i| self.stage_us[i].load(Ordering::Relaxed)),
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            run_totals: self.run_totals.lock().clone(),
-            latencies_us: latencies,
+            submitted: self.submitted.get(),
+            rejected: self.rejected.get(),
+            completed: self.completed.get(),
+            engine_timeouts: self.engine_timeouts.get(),
+            deadline_expired: self.deadline_expired.get(),
+            plan_rejected: self.plan_rejected.get(),
+            worker_panics: self.worker_panics.get(),
+            matches: self.matches.get(),
+            batched_queries: self.batched_queries.get(),
+            filter_demands_computed: self.filter_demands_computed.get(),
+            filter_demands_reused: self.filter_demands_reused.get(),
+            planned_greedy: self.planned_greedy.get(),
+            planned_cost_based: self.planned_cost_based.get(),
+            plans_migrated: self.plans_migrated.get(),
+            plans_recost_kept: self.plans_recost_kept.get(),
+            plans_recost_dropped: self.plans_recost_dropped.get(),
+            estimation_error_sum: self.estimation_error_sum.get(),
+            estimation_samples: self.estimation_samples.get(),
+            plan_feedback_hits: self.plan_feedback_hits.get(),
+            replans: self.replans.get(),
+            pre_replan_error_sum: self.pre_replan_error_sum.get(),
+            pre_replan_samples: self.pre_replan_samples.get(),
+            updates_incremental: self.updates_incremental.get(),
+            updates_rebuilt: self.updates_rebuilt.get(),
+            last_update_drift: (!drift.is_nan()).then_some(drift),
+            batch_fill: self.batch_fill.snapshot(),
+            stage_us: self.stage_us.each_ref().map(Counter::get),
+            plan_cache_hits: self.plan_cache_hits.get(),
+            plan_cache_misses: self.plan_cache_misses.get(),
+            device: StatsSnapshot::from_metric_values(self.device.each_ref().map(Counter::get)),
+            latency_us: self.latency_us.snapshot(),
             per_epoch: self.per_epoch.lock().clone(),
         }
     }
@@ -390,7 +495,21 @@ impl ServiceStats {
     }
 }
 
-/// Plain-data copy of [`ServiceStats`], mergeable across services.
+/// `part / whole`, 0 when `whole` is.
+fn rate(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// `sum / n`, `None` when `n` is 0.
+fn mean(sum: f64, n: u64) -> Option<f64> {
+    (n > 0).then(|| sum / n as f64)
+}
+
+/// Typed read of one service's [`ServiceStats`] handles.
 #[derive(Debug, Clone)]
 pub struct ServiceStatsSnapshot {
     /// Time the ledger has been live.
@@ -409,6 +528,8 @@ pub struct ServiceStatsSnapshot {
     pub plan_rejected: u64,
     /// Query executions that panicked (isolated; the worker survived).
     pub worker_panics: u64,
+    /// Matches produced by completed queries.
+    pub matches: u64,
     /// Queries that executed as part of a multi-query batch (shared
     /// candidate filtering); singleton runs are not counted.
     pub batched_queries: u64,
@@ -440,9 +561,10 @@ pub struct ServiceStatsSnapshot {
     pub estimation_samples: u64,
     /// Served queries whose executed join order came from a plan-cache
     /// entry that cardinality feedback had refined (see
-    /// `PlanCache::record`). Mid-query re-plan counts ride in
-    /// `run_totals.replans`.
+    /// `PlanCache::record`).
     pub plan_feedback_hits: u64,
+    /// Mid-query re-plans performed by adaptive execution.
+    pub replans: u64,
     /// Summed q-errors of the static plans adaptive runs abandoned at
     /// their first mid-query re-plan (see
     /// [`ServiceStatsSnapshot::mean_pre_replan_error`]).
@@ -453,28 +575,24 @@ pub struct ServiceStatsSnapshot {
     pub updates_incremental: u64,
     /// Graph updates that rebuilt storage wholesale.
     pub updates_rebuilt: u64,
-    /// Statistics drift of the most recent epoch publication (merge keeps
-    /// the larger, i.e. the fleet's worst recent drift).
+    /// Statistics drift of the most recent epoch publication.
     pub last_update_drift: Option<f64>,
-    /// Batch-pickup fill distribution: size → number of pickups.
-    pub batch_fill: BTreeMap<u64, u64>,
+    /// Batch-pickup fill distribution (every fill up to 32 is a bucket of
+    /// its own).
+    pub batch_fill: HistogramSnapshot,
     /// Summed per-stage wall time of served queries, microseconds, in
     /// queue/plan/filter/join/respond order.
     pub stage_us: [u64; 5],
-    /// Plan-cache hits (filled in by the service, which owns the cache).
+    /// Plan-cache hits.
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
-    /// All engine run reports accumulated together.
-    ///
-    /// The service overwrites `run_totals.device` with an exact ledger-level
-    /// delta when building this snapshot; the remaining per-query device
-    /// fields (`filter_device`) are sums of overlapping per-query deltas and
-    /// over-count under concurrency.
-    pub run_totals: RunStats,
-    /// Retained end-to-end latency samples of *served* queries,
-    /// microseconds (unsorted). Failed queries are not sampled.
-    pub latencies_us: Vec<u64>,
+    /// Device-ledger work attributed to serving: the whole ledger minus
+    /// graph preparation. Exact under concurrency — per-query device
+    /// deltas of the shared ledger overlap, so their sum would not be.
+    pub device: StatsSnapshot,
+    /// End-to-end latency distribution of *served* queries, microseconds.
+    pub latency_us: HistogramSnapshot,
     /// Served-query counters keyed by catalog epoch: which graph state each
     /// completed query actually ran against under epoch-versioned updates
     /// (the most recent epochs; old entries are evicted).
@@ -492,15 +610,11 @@ impl ServiceStatsSnapshot {
         }
     }
 
-    /// Latency percentile (`q` in `[0, 1]`), `None` without samples.
+    /// Latency percentile (`q` in `[0, 1]`) of the served queries, read as
+    /// its histogram bucket's upper bound (at most 1/16 over the exact
+    /// nearest-rank value, never under); `None` before any.
     pub fn latency_percentile(&self, q: f64) -> Option<Duration> {
-        if self.latencies_us.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(Duration::from_micros(sorted[rank]))
+        self.latency_us.percentile(q).map(Duration::from_micros)
     }
 
     /// Median end-to-end latency.
@@ -521,19 +635,16 @@ impl ServiceStatsSnapshot {
 
     /// Plan-cache hit rate over all lookups, 0 when none.
     pub fn plan_cache_hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
+        rate(
+            self.plan_cache_hits,
+            self.plan_cache_hits + self.plan_cache_misses,
+        )
     }
 
     /// Mean q-error of served queries' per-plan cardinality estimates
     /// (1.0 = perfect estimation); `None` before any join executed.
     pub fn mean_estimation_error(&self) -> Option<f64> {
-        (self.estimation_samples > 0)
-            .then(|| self.estimation_error_sum / self.estimation_samples as f64)
+        mean(self.estimation_error_sum, self.estimation_samples)
     }
 
     /// Mean q-error of the static plans that adaptive runs abandoned at
@@ -542,68 +653,17 @@ impl ServiceStatsSnapshot {
     /// which measures the plans actually *executed*: the gap is what
     /// cardinality feedback bought.
     pub fn mean_pre_replan_error(&self) -> Option<f64> {
-        (self.pre_replan_samples > 0)
-            .then(|| self.pre_replan_error_sum / self.pre_replan_samples as f64)
+        mean(self.pre_replan_error_sum, self.pre_replan_samples)
     }
 
     /// Fraction of multi-query-batch filter-demand lookups served from
     /// the shared cache instead of a fresh filter pass, in `[0, 1]`; 0
     /// when no multi-query batch ran.
     pub fn filter_reuse_rate(&self) -> f64 {
-        let total = self.filter_demands_computed + self.filter_demands_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.filter_demands_reused as f64 / total as f64
-        }
-    }
-
-    /// Fold another snapshot into this one (fleet-level aggregation):
-    /// counters add, latency reservoirs concatenate, elapsed takes the max.
-    pub fn merge(&mut self, other: &ServiceStatsSnapshot) {
-        self.elapsed = self.elapsed.max(other.elapsed);
-        self.submitted += other.submitted;
-        self.rejected += other.rejected;
-        self.completed += other.completed;
-        self.engine_timeouts += other.engine_timeouts;
-        self.deadline_expired += other.deadline_expired;
-        self.plan_rejected += other.plan_rejected;
-        self.worker_panics += other.worker_panics;
-        self.batched_queries += other.batched_queries;
-        self.filter_demands_computed += other.filter_demands_computed;
-        self.filter_demands_reused += other.filter_demands_reused;
-        self.planned_greedy += other.planned_greedy;
-        self.planned_cost_based += other.planned_cost_based;
-        self.plans_migrated += other.plans_migrated;
-        self.plans_recost_kept += other.plans_recost_kept;
-        self.plans_recost_dropped += other.plans_recost_dropped;
-        self.estimation_error_sum += other.estimation_error_sum;
-        self.estimation_samples += other.estimation_samples;
-        self.plan_feedback_hits += other.plan_feedback_hits;
-        self.pre_replan_error_sum += other.pre_replan_error_sum;
-        self.pre_replan_samples += other.pre_replan_samples;
-        self.updates_incremental += other.updates_incremental;
-        self.updates_rebuilt += other.updates_rebuilt;
-        self.last_update_drift = match (self.last_update_drift, other.last_update_drift) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        for (&size, &count) in &other.batch_fill {
-            *self.batch_fill.entry(size).or_default() += count;
-        }
-        for (mine, theirs) in self.stage_us.iter_mut().zip(other.stage_us) {
-            *mine += theirs;
-        }
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.run_totals.accumulate(&other.run_totals);
-        self.latencies_us.extend_from_slice(&other.latencies_us);
-        for (&epoch, stats) in &other.per_epoch {
-            let e = self.per_epoch.entry(epoch).or_default();
-            e.completed += stats.completed;
-            e.matches += stats.matches;
-            e.engine_timeouts += stats.engine_timeouts;
-        }
+        rate(
+            self.filter_demands_reused,
+            self.filter_demands_computed + self.filter_demands_reused,
+        )
     }
 }
 
@@ -655,11 +715,11 @@ impl std::fmt::Display for ServiceStatsSnapshot {
             Some(err) => writeln!(f, "; mean q-error {err:.2}")?,
             None => writeln!(f)?,
         }
-        if self.run_totals.replans > 0 || self.plan_feedback_hits > 0 {
+        if self.replans > 0 || self.plan_feedback_hits > 0 {
             write!(
                 f,
                 "adaptive: {} mid-query re-plans, {} feedback hits",
-                self.run_totals.replans, self.plan_feedback_hits
+                self.replans, self.plan_feedback_hits
             )?;
             match self.mean_pre_replan_error() {
                 Some(q) => writeln!(f, "; pre-replan q-error {q:.2}")?,
@@ -684,10 +744,10 @@ impl std::fmt::Display for ServiceStatsSnapshot {
         write!(
             f,
             "matches: {} total; device: {} GLD, {} GST, {} kernels",
-            self.run_totals.n_matches,
-            self.run_totals.gld(),
-            self.run_totals.gst(),
-            self.run_totals.kernels()
+            self.matches,
+            self.device.gld_transactions,
+            self.device.gst_transactions,
+            self.device.kernel_launches
         )
     }
 }
@@ -700,7 +760,7 @@ mod tests {
     fn counters_and_percentiles() {
         let s = ServiceStats::new();
         for i in 1..=100u64 {
-            s.record_submitted();
+            s.submitted.inc();
             s.record_completed(
                 i % 2, // two epochs, evenly split
                 Duration::from_micros(i * 1000),
@@ -710,12 +770,12 @@ mod tests {
                 },
             );
         }
-        s.record_rejected();
+        s.rejected.inc();
         let snap = s.snapshot();
         assert_eq!(snap.submitted, 100);
         assert_eq!(snap.completed, 100);
         assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.run_totals.n_matches, 100);
+        assert_eq!(snap.matches, 100);
         let p50 = snap.p50().unwrap();
         assert!(p50 >= Duration::from_millis(49) && p50 <= Duration::from_millis(52));
         let p99 = snap.p99().unwrap();
@@ -741,37 +801,15 @@ mod tests {
                 ..RunStats::default()
             },
         );
-        s.record_deadline_expired();
-        s.record_worker_panic();
+        s.deadline_expired.inc();
+        s.worker_panics.inc();
         let snap = s.snapshot();
         assert_eq!(snap.engine_timeouts, 1);
         assert_eq!(snap.deadline_expired, 1);
         assert_eq!(snap.worker_panics, 1);
-        // Only the served query is sampled: failures don't skew p50/p99.
-        assert_eq!(snap.latencies_us.len(), 1);
+        // Only the served query is observed: failures don't skew p50/p99.
+        assert_eq!(snap.latency_us.count, 1);
         assert_eq!(snap.per_epoch[&3].engine_timeouts, 1);
-    }
-
-    #[test]
-    fn snapshots_merge() {
-        let a = ServiceStats::new();
-        let b = ServiceStats::new();
-        a.record_submitted();
-        a.record_completed(7, Duration::from_micros(10), &RunStats::default());
-        b.record_submitted();
-        b.record_rejected();
-        b.record_completed(7, Duration::from_micros(20), &RunStats::default());
-        let mut snap = a.snapshot();
-        snap.plan_cache_hits = 3;
-        let mut other = b.snapshot();
-        other.plan_cache_misses = 1;
-        snap.merge(&other);
-        assert_eq!(snap.submitted, 2);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.plan_cache_hits, 3);
-        assert_eq!(snap.plan_cache_misses, 1);
-        assert!(snap.plan_cache_hit_rate() > 0.7);
-        assert_eq!(snap.per_epoch[&7].completed, 2, "epoch counters add up");
     }
 
     #[test]
@@ -797,59 +835,27 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_decimates_at_cap() {
-        let s = ServiceStats::new();
-        for i in 0..(RESERVOIR_CAP + 10) {
-            s.push_latency(Duration::from_micros(i as u64));
-        }
-        let snap = s.snapshot();
-        assert!(snap.latencies_us.len() <= RESERVOIR_CAP / 2 + 10);
-        assert!(snap.p99().is_some());
-    }
-
-    #[test]
-    fn reservoir_decimation_is_unbiased_across_the_stream() {
-        // 4×CAP observations: 0..4CAP in order. The old every-other-drop
-        // scheme under-represented early traffic ~8:1 by the end; the
-        // stride-doubling reservoir must keep both halves of the stream
-        // equally represented.
-        let s = ServiceStats::new();
-        let total = 4 * RESERVOIR_CAP as u64;
-        for i in 0..total {
-            s.push_latency(Duration::from_micros(i));
-        }
-        let snap = s.snapshot();
-        let mid = total / 2;
-        let early = snap.latencies_us.iter().filter(|&&v| v < mid).count();
-        let late = snap.latencies_us.len() - early;
-        let ratio = early as f64 / late.max(1) as f64;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "early:late = {early}:{late} (ratio {ratio:.2}) — decimation bias"
-        );
-        // And the median therefore sits near the stream's true median.
-        let p50 = snap.p50().unwrap().as_micros() as u64;
-        assert!(
-            p50.abs_diff(mid) < total / 20,
-            "p50 {p50} vs true median {mid}"
-        );
-    }
-
-    #[test]
     fn p999_tracks_the_tail() {
         let s = ServiceStats::new();
         // 998 fast queries and two 1-second outliers: the top 0.2% of the
         // distribution is slow, so nearest-rank p999 must surface it while
-        // p50/p99 stay fast.
+        // p50/p99 stay fast. 100 µs is a bucket bound, so it reads exactly;
+        // 1 s reads as its bucket's bound, at most 1/16 above.
+        let served =
+            |us: u64| s.record_completed(0, Duration::from_micros(us), &RunStats::default());
         for _ in 0..998 {
-            s.push_latency(Duration::from_micros(100));
+            served(100);
         }
-        s.push_latency(Duration::from_secs(1));
-        s.push_latency(Duration::from_secs(1));
+        served(1_000_000);
+        served(1_000_000);
         let snap = s.snapshot();
         assert_eq!(snap.p50().unwrap(), Duration::from_micros(100));
         assert_eq!(snap.p99().unwrap(), Duration::from_micros(100));
-        assert_eq!(snap.p999().unwrap(), Duration::from_secs(1));
+        let p999 = snap.p999().unwrap();
+        assert!(
+            p999 >= Duration::from_secs(1) && p999 <= Duration::from_secs(1) * 17 / 16,
+            "p999 {p999:?}"
+        );
     }
 
     #[test]
@@ -865,92 +871,39 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_a_fleet_operation() {
-        // Three services with overlapping epochs, q-error samples, and
-        // latency reservoirs.
-        let mk = |epochs: &[u64], q_err: f64, latencies: &[u64]| {
-            let s = ServiceStats::new();
-            for &e in epochs {
-                s.record_completed(
-                    e,
-                    Duration::from_micros(1),
-                    &RunStats {
-                        n_matches: 2,
-                        ..RunStats::default()
-                    },
-                );
-            }
-            s.record_planned(PlannerKind::Greedy, Some(q_err));
-            for &l in latencies {
-                s.push_latency(Duration::from_micros(l));
-            }
-            s.record_update(true, Some(q_err / 10.0));
-            s.record_batch_pickup(2);
-            s.snapshot()
-        };
-        let a = mk(&[1, 1, 2], 1.5, &[10, 20]);
-        let b = mk(&[2, 3], 3.5, &[30]);
-        let c = mk(&[3], 2.0, &[40, 50, 60]);
-
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-
-        for merged in [&ab_c, &a_bc] {
-            // Counts add exactly.
-            assert_eq!(merged.completed, 6);
-            // Overlapping per-epoch keys fold, disjoint ones union.
-            assert_eq!(merged.per_epoch[&1].completed, 2);
-            assert_eq!(merged.per_epoch[&2].completed, 2);
-            assert_eq!(merged.per_epoch[&3].completed, 2);
-            assert_eq!(merged.per_epoch[&1].matches, 4);
-            // Q-error sums add; the fleet mean is the sample-weighted mean.
-            assert_eq!(merged.estimation_samples, 3);
-            assert!((merged.estimation_error_sum - 7.0).abs() < 1e-12);
-            // Reservoirs concatenate without loss below the cap: the
-            // merged reservoir holds every sample exactly once. (Each
-            // record_completed also sampled its 1µs latency.)
-            assert_eq!(merged.latencies_us.len(), 6 + 6);
-            let sum: u64 = merged.latencies_us.iter().sum();
-            assert_eq!(sum, 6 + 10 + 20 + 30 + 40 + 50 + 60);
-            // Update/batch-fill sources fold too.
-            assert_eq!(merged.updates_incremental, 3);
-            assert_eq!(merged.last_update_drift, Some(0.35), "max drift wins");
-            assert_eq!(merged.batch_fill[&2], 3);
-        }
-        // Associativity: both association orders agree field-for-field.
-        assert_eq!(ab_c.per_epoch, a_bc.per_epoch);
-        assert_eq!(ab_c.latencies_us.len(), a_bc.latencies_us.len());
-        assert_eq!(ab_c.estimation_samples, a_bc.estimation_samples);
-        assert_eq!(ab_c.batch_fill, a_bc.batch_fill);
-        assert_eq!(ab_c.stage_us, a_bc.stage_us);
-    }
-
-    #[test]
     fn stage_breakdown_sums_accumulate() {
         let s = ServiceStats::new();
-        s.record_stage_breakdown(&gsi_obs::StageBreakdown {
+        s.record_stage_breakdown(&StageBreakdown {
             queue: Duration::from_micros(5),
             plan: Duration::from_micros(1),
             filter: Duration::from_micros(2),
             join: Duration::from_micros(10),
             respond: Duration::from_micros(3),
         });
-        s.record_stage_breakdown(&gsi_obs::StageBreakdown {
+        s.record_stage_breakdown(&StageBreakdown {
             join: Duration::from_micros(7),
             ..Default::default()
         });
         assert_eq!(s.snapshot().stage_us, [5, 1, 2, 17, 3]);
+        let text = s.registry().to_prometheus_text();
+        assert!(text.contains("gsi_stage_join_us_total 17\n"), "{text}");
+    }
+
+    #[test]
+    fn batch_fill_keeps_one_bucket_per_small_fill() {
+        let s = ServiceStats::new();
+        for n in [1, 1, 3, 8, 8, 8] {
+            s.batch_fill.observe(n);
+        }
+        let fill = s.snapshot().batch_fill;
+        assert_eq!(fill.buckets, vec![(1, 2), (3, 1), (8, 3)]);
+        assert_eq!((fill.count, fill.sum), (6, 29));
     }
 
     #[test]
     fn display_is_complete() {
         let s = ServiceStats::new();
-        s.record_submitted();
+        s.submitted.inc();
         s.record_completed(0, Duration::from_micros(42), &RunStats::default());
         let mut snap = s.snapshot();
         snap.plan_cache_hits = 1;

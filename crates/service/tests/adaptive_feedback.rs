@@ -267,7 +267,7 @@ fn feedback_converges_to_the_measured_optimal_order_after_an_epoch_flip() {
 
     // The adaptive counters surface through stats and the metrics registry.
     let snap = service.stats();
-    assert!(snap.run_totals.replans >= 1, "aggregated re-plan count");
+    assert!(snap.replans >= 1, "aggregated re-plan count");
     assert!(snap.plan_feedback_hits >= 2, "two feedback hits recorded");
     let mean_pre = snap
         .mean_pre_replan_error()
@@ -317,7 +317,7 @@ fn adaptive_machinery_stays_cold_without_a_threshold() {
         assert!(outcome.output.pre_replan_q_error.is_none());
     }
     let snap = service.stats();
-    assert_eq!(snap.run_totals.replans, 0);
+    assert_eq!(snap.replans, 0);
     assert_eq!(snap.plan_feedback_hits, 0);
     assert!(snap.mean_pre_replan_error().is_none());
 }

@@ -15,7 +15,7 @@ pub struct EngineResult {
     pub elapsed: Duration,
     /// The run hit its timeout (assignments are partial and unusable).
     pub timed_out: bool,
-    /// Device-ledger delta for GPU engines, `None` for CPU engines.
+    /// The run's own device ledger for GPU engines, `None` for CPU engines.
     pub device: Option<StatsSnapshot>,
 }
 

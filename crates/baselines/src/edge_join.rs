@@ -94,15 +94,21 @@ impl EdgeJoinEngine {
         PreparedEdgeJoin { csr, filter_inputs }
     }
 
-    /// Filter candidate vertices (also used standalone for Table IV).
+    /// Filter candidate vertices (also used standalone for Table IV),
+    /// charging the engine's device ledger.
     pub fn filter(&self, prepared: &PreparedEdgeJoin, query: &Graph) -> Vec<CandidateSet> {
+        self.filter_on(&self.gpu, prepared, query)
+    }
+
+    fn filter_on(
+        &self,
+        gpu: &Gpu,
+        prepared: &PreparedEdgeJoin,
+        query: &Graph,
+    ) -> Vec<CandidateSet> {
         match self.cfg.filter {
-            BaselineFilter::LabelDegree => {
-                filter_label_degree(&self.gpu, &prepared.filter_inputs, query)
-            }
-            BaselineFilter::LabelOnly => {
-                filter_label_only(&self.gpu, &prepared.filter_inputs, query)
-            }
+            BaselineFilter::LabelDegree => filter_label_degree(gpu, &prepared.filter_inputs, query),
+            BaselineFilter::LabelOnly => filter_label_only(gpu, &prepared.filter_inputs, query),
         }
     }
 
@@ -164,7 +170,9 @@ impl EdgeJoinEngine {
         self.run_with_timeout(data, prepared, query, None)
     }
 
-    /// Run with a wall-clock timeout checked between edge joins.
+    /// Run with a wall-clock timeout checked between edge joins. The run
+    /// charges a device ledger of its own, reported as `device` and folded
+    /// into the engine's totals at the end.
     pub fn run_with_timeout(
         &self,
         data: &Graph,
@@ -178,23 +186,35 @@ impl EdgeJoinEngine {
             prepared.csr.n_vertices(),
             "prepared state belongs to a different data graph"
         );
-        let snap0 = self.gpu.stats().snapshot();
-        let deadline = timeout.map(|t| start + t);
-
-        let abort = |timed_out: bool, start: Instant, snap0| EngineResult {
-            assignments: Vec::new(),
+        let gpu = self.gpu.scoped();
+        let (assignments, timed_out) =
+            self.join_on(&gpu, prepared, query, timeout.map(|t| start + t));
+        let device = gpu.stats().snapshot();
+        self.gpu.stats().absorb(&device);
+        EngineResult {
+            assignments,
             elapsed: start.elapsed(),
             timed_out,
-            device: Some(self.gpu.stats().snapshot() - snap0),
-        };
+            device: Some(device),
+        }
+    }
 
+    /// The filter + edge-join pipeline charging `gpu`: canonical
+    /// assignments, and whether the run aborted (leaving them empty).
+    fn join_on(
+        &self,
+        gpu: &Gpu,
+        prepared: &PreparedEdgeJoin,
+        query: &Graph,
+        deadline: Option<Instant>,
+    ) -> (Vec<Vec<VertexId>>, bool) {
         if query.n_vertices() == 0 {
-            return abort(false, start, snap0);
+            return (Vec::new(), false);
         }
 
-        let cands = self.filter(prepared, query);
+        let cands = self.filter_on(gpu, prepared, query);
         if cands.iter().any(|c| c.is_empty()) {
-            return abort(false, start, snap0);
+            return (Vec::new(), false);
         }
 
         let schedule = self.schedule(query, cands.as_slice());
@@ -206,12 +226,7 @@ impl EdgeJoinEngine {
                 order: vec![0],
                 table: MatchTable::from_candidates(&cands[0].list),
             };
-            return EngineResult {
-                assignments: canonicalize(m.canonical()),
-                elapsed: start.elapsed(),
-                timed_out: false,
-                device: Some(self.gpu.stats().snapshot() - snap0),
-            };
+            return (canonicalize(m.canonical()), false);
         };
 
         // Column layout of the growing table.
@@ -219,25 +234,30 @@ impl EdgeJoinEngine {
         let mut m = MatchTable::from_candidates(&cands[root as usize].list);
 
         for edge in &schedule {
-            if let Some(d) = deadline {
-                if Instant::now() > d {
-                    return abort(true, start, snap0);
-                }
+            if deadline.is_some_and(|d| Instant::now() > d) {
+                return (Vec::new(), true);
             }
             if m.is_empty() {
                 break;
             }
             if m.n_rows() > self.cfg.max_intermediate_rows {
-                return abort(true, start, snap0);
+                return (Vec::new(), true);
             }
             let col_a = order
                 .iter()
                 .position(|&u| u == edge.a)
                 .expect("tree parent already matched");
             if edge.extends {
-                match self.extend(prepared, &m, col_a, edge.label, &cands[edge.b as usize]) {
+                match self.extend(
+                    gpu,
+                    prepared,
+                    &m,
+                    col_a,
+                    edge.label,
+                    &cands[edge.b as usize],
+                ) {
                     Some(next) => m = next,
-                    None => return abort(true, start, snap0),
+                    None => return (Vec::new(), true),
                 }
                 order.push(edge.b);
             } else {
@@ -245,17 +265,12 @@ impl EdgeJoinEngine {
                     .iter()
                     .position(|&u| u == edge.b)
                     .expect("non-tree endpoint matched");
-                m = self.semi_join(prepared, &m, col_a, col_b, edge.label);
+                m = self.semi_join(gpu, prepared, &m, col_a, col_b, edge.label);
             }
         }
 
         let matches = Matches { order, table: m };
-        EngineResult {
-            assignments: canonicalize(matches.canonical()),
-            elapsed: start.elapsed(),
-            timed_out: false,
-            device: Some(self.gpu.stats().snapshot() - snap0),
-        }
+        (canonicalize(matches.canonical()), false)
     }
 
     /// Tree-edge join: extend every row with `N(row[col_a], l) ∩ C(b)`,
@@ -263,13 +278,13 @@ impl EdgeJoinEngine {
     /// output would exceed the intermediate-row guard.
     fn extend(
         &self,
+        gpu: &Gpu,
         prepared: &PreparedEdgeJoin,
         m: &MatchTable,
         col_a: usize,
         label: EdgeLabel,
         cand_b: &CandidateSet,
     ) -> Option<MatchTable> {
-        let gpu = &self.gpu;
         let bitset =
             DeviceBitset::from_members(gpu, prepared.csr.n_vertices().max(1), &cand_b.list);
         let rows: Vec<usize> = (0..m.n_rows()).collect();
@@ -277,7 +292,7 @@ impl EdgeJoinEngine {
         // One pass of the join work for every row; `write` controls whether
         // results are stored (step 2) or merely counted (step 1).
         let pass = |write: bool| -> Vec<Vec<VertexId>> {
-            kernel::launch_map(gpu, &rows, |_wid, &r| {
+            kernel::launch_map(gpu, &rows, |gpu, _wid, &r| {
                 m.charge_row_read(gpu, r);
                 let row = m.row(r);
                 let va = row[col_a];
@@ -287,7 +302,7 @@ impl EdgeJoinEngine {
                     if row.contains(&v) {
                         continue;
                     }
-                    if bitset.probe_one(v) {
+                    if bitset.probe_one(gpu, v) {
                         if write {
                             // Uncoalesced per-element result store.
                             gpu.stats().gst_scatter([out.len()], 4);
@@ -330,16 +345,16 @@ impl EdgeJoinEngine {
     /// compacted through the two-step scheme.
     fn semi_join(
         &self,
+        gpu: &Gpu,
         prepared: &PreparedEdgeJoin,
         m: &MatchTable,
         col_a: usize,
         col_b: usize,
         label: EdgeLabel,
     ) -> MatchTable {
-        let gpu = &self.gpu;
         let rows: Vec<usize> = (0..m.n_rows()).collect();
         let pass = || -> Vec<bool> {
-            kernel::launch_map(gpu, &rows, |_wid, &r| {
+            kernel::launch_map(gpu, &rows, |gpu, _wid, &r| {
                 m.charge_row_read(gpu, r);
                 let row = m.row(r);
                 let nbrs = prepared.csr.neighbors_with_label(gpu, row[col_a], label);

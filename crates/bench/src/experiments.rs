@@ -599,14 +599,11 @@ fn run_twice(
     opts: QueryOptions<'_>,
 ) -> QueryOutput {
     let run = || {
-        let snap0 = engine.gpu().stats().snapshot();
-        let out = engine
+        engine
             .query_with_options(data, prepared, q, opts)
-            .expect("workload patterns are connected");
-        (out, engine.gpu().stats().snapshot() - snap0)
+            .expect("workload patterns are connected")
     };
-    let (first, first_delta) = run();
-    let (second, second_delta) = run();
+    let (first, second) = (run(), run());
     report.check(
         format!("{scope}/{arm}/completes"),
         first.stats.timed_out as usize + second.stats.timed_out as usize,
@@ -614,7 +611,7 @@ fn run_twice(
     report.check(
         format!("{scope}/{arm}/repeats_exactly"),
         (first.matches.table != second.matches.table) as usize
-            + (first_delta != second_delta) as usize,
+            + (first.stats.device != second.stats.device) as usize,
     );
     report.arm(scope, arm).query(&second);
     second
@@ -835,16 +832,13 @@ pub fn update_churn(
         let queries = opts.query_batch(&updated);
         let mut matches = 0usize;
         for q in &queries {
-            let snap0 = engine.gpu().stats().snapshot();
             let a = engine
                 .query_with_timeout(&updated, &inc, q, Some(opts.timeout()))
                 .expect("plans");
-            let snap1 = engine.gpu().stats().snapshot();
             let b = engine
                 .query_with_timeout(&updated, &cold, q, Some(opts.timeout()))
                 .expect("plans");
-            let snap2 = engine.gpu().stats().snapshot();
-            let same = a.matches.table == b.matches.table && snap1 - snap0 == snap2 - snap1;
+            let same = a.matches.table == b.matches.table && a.stats.device == b.stats.device;
             diverged += !same as usize;
             matches += a.matches.len();
         }
@@ -967,7 +961,6 @@ pub fn batch_queries(
         let workload: Vec<&Graph> = (0..c).map(|i| &patterns[i % pool]).collect();
 
         // Per-query serial reference: each query pays its own filtering.
-        let snap0 = engine.gpu().stats().snapshot();
         let t0 = Instant::now();
         let solo: Vec<_> = workload
             .iter()
@@ -978,15 +971,20 @@ pub fn batch_queries(
             })
             .collect();
         let t_solo = t0.elapsed();
-        let solo_gld = (engine.gpu().stats().snapshot() - snap0).gld_transactions;
+        let solo_gld: u64 = solo.iter().map(|o| o.stats.device.gld_transactions).sum();
 
         // Batched: one engine call, filtering shared per distinct demand.
-        let snap1 = engine.gpu().stats().snapshot();
         let t0 = Instant::now();
         let items: Vec<BatchItem<'_>> = workload.iter().map(|q| BatchItem::new(q)).collect();
         let batch = engine.query_batch(&data, &prepared, &items);
         let t_batch = t0.elapsed();
-        let batch_gld = (engine.gpu().stats().snapshot() - snap1).gld_transactions;
+        // A shared demand is charged to the item that computed it.
+        let batch_gld: u64 = batch
+            .results
+            .iter()
+            .flatten()
+            .map(|o| o.stats.device.gld_transactions)
+            .sum();
 
         let (mut tables_differ, mut work_differs) = (0usize, 0usize);
         let (mut matches, mut solo_matches) = (0usize, 0usize);
@@ -1475,7 +1473,6 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
             for (q, first) in queries.iter().zip(&mut reference) {
                 let mut best = Duration::MAX;
                 for rep in 0..REPS {
-                    let snap0 = engine.gpu().stats().snapshot();
                     let o = engine
                         .query_with_options(
                             data,
@@ -1488,7 +1485,7 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
                             },
                         )
                         .expect("workload patterns are connected");
-                    let delta = engine.gpu().stats().snapshot() - snap0;
+                    let delta = o.stats.device;
                     best = best.min(o.stats.join_time);
                     if trace.is_on() {
                         span_steps += o.stats.step_times.len();
@@ -1939,15 +1936,15 @@ pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
             let prepared = engine.prepare(&data);
             let mut wall = Duration::ZERO;
             let mut canon_all: Vec<Vec<u32>> = Vec::new();
-            let snap0 = engine.gpu().stats().snapshot();
+            let mut delta = StatsSnapshot::default();
             for (_, q) in &patterns {
                 let out = engine
                     .query(&data, &prepared, q)
                     .expect("multiplicity patterns are connected");
                 wall += out.stats.join_time;
+                delta = delta + out.stats.device;
                 canon_all.extend(out.matches.canonical());
             }
-            let delta = engine.gpu().stats().snapshot() - snap0;
             report
                 .arm("engine-cells", &cell)
                 .put(&JOIN_MS, wall)

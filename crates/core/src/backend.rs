@@ -23,10 +23,11 @@
 //!   built around — "all linking-edge kernels run exactly once, in
 //!   parallel" (§V Prealloc-Combine) — as actual host concurrency.
 //!
-//! Both backends charge the same per-task device transactions through the
-//! shared atomic ledger, so their counters are **exactly** equal; workers
-//! write keyed output segments into private [`TableShard`]s, so the merged
-//! tables are **bit-identical** (see `tests/backend_equivalence.rs`).
+//! Both backends charge the same per-task device transactions — a host
+//! worker charges a ledger of its own, folded into the query's when the
+//! launch returns — so their counters are **exactly** equal; workers write
+//! keyed output segments into private [`TableShard`]s, so the merged tables
+//! are **bit-identical** (see `tests/backend_equivalence.rs`).
 //!
 //! Backends also account a work/span pair per query — total streamed
 //! elements vs. the critical path of the schedule (the busiest worker's
@@ -163,7 +164,7 @@ impl ExecBackend for SerialBackend {
 /// Real intra-query parallelism: a `std::thread::scope` pool of host
 /// workers plays the device's SMs, draining each launch's blocks from a
 /// shared counter (the hardware-like greedy block scheduler). Counters
-/// stay exact (atomic ledger) and results bit-identical (keyed shard
+/// stay exact (per-worker ledgers) and results bit-identical (keyed shard
 /// segments); see the module docs.
 #[derive(Debug)]
 pub struct HostParallelBackend {

@@ -293,7 +293,9 @@ impl GsiEngine {
         Self { cfg, gpu }
     }
 
-    /// The device handle (for snapshotting counters around calls).
+    /// The device handle. Its ledger holds the device's running totals:
+    /// preparation, direct [`GsiEngine::filter`] calls, and every finished
+    /// query's own ledger, folded in once per query.
     pub fn gpu(&self) -> &Gpu {
         &self.gpu
     }
@@ -312,9 +314,8 @@ impl GsiEngine {
     }
 
     /// Like [`GsiEngine::prepare`] but *without* resetting the device
-    /// counters afterwards. A serving layer registering a graph while other
-    /// queries are in flight must use this: zeroing the shared ledger
-    /// mid-query would make concurrent snapshot deltas underflow.
+    /// counters afterwards, for a caller that keeps the device's running
+    /// totals (a serving layer registering graphs while it serves).
     pub fn prepare_shared(&self, data: &Graph) -> PreparedData {
         let store = self.build_store(data);
         let sig_table = (self.cfg.filter == FilterStrategy::Signature).then(|| {
@@ -357,56 +358,46 @@ impl GsiEngine {
         prepared.apply_updates(self, data, batch)
     }
 
-    /// Run the filtering phase only (used by the Table IV/V harness).
+    /// Run the filtering phase only (used by the Table IV/V harness),
+    /// charging the engine's device ledger.
     pub fn filter(&self, prepared: &PreparedData, query: &Graph) -> Vec<CandidateSet> {
-        match self.cfg.filter {
-            FilterStrategy::Signature => filter_signature(
-                &self.gpu,
-                prepared
-                    .sig_table
-                    .as_ref()
-                    // gsi-lint: allow(panic-freedom, reason = "prepare() always builds the table under the Signature config; absence means prepared data from a different engine config, a caller bug no typed error can repair")
-                    .expect("signature filter requires a prepared table"),
-                query,
-                &self.cfg.signature,
-            ),
-            FilterStrategy::LabelDegree => {
-                filter_label_degree(&self.gpu, &prepared.filter_inputs, query)
-            }
-            FilterStrategy::LabelOnly => {
-                filter_label_only(&self.gpu, &prepared.filter_inputs, query)
-            }
-        }
+        self.filter_on(&self.gpu, prepared, query, None)
     }
 
-    /// The filtering phase through a shared [`FilterCache`]: label demands
-    /// already computed under `cache` reuse their candidate list (one `Arc`
-    /// clone, zero device work); fresh demands are computed and cached.
-    /// Output is bit-identical to [`GsiEngine::filter`].
-    pub fn filter_cached(
+    /// The configured filter, charging `gpu`. Through a shared
+    /// [`FilterCache`], label demands already computed under `cache` reuse
+    /// their candidate list (one `Arc` clone, zero device work); fresh
+    /// demands are computed and cached. The output is bit-identical either
+    /// way.
+    fn filter_on(
         &self,
+        gpu: &Gpu,
         prepared: &PreparedData,
         query: &Graph,
-        cache: &FilterCache,
+        cache: Option<&FilterCache>,
     ) -> Vec<CandidateSet> {
-        match self.cfg.filter {
-            FilterStrategy::Signature => filter_signature_cached(
-                &self.gpu,
-                prepared
+        let inputs = &prepared.filter_inputs;
+        match (self.cfg.filter, cache) {
+            (FilterStrategy::Signature, cache) => {
+                let table = prepared
                     .sig_table
                     .as_ref()
                     // gsi-lint: allow(panic-freedom, reason = "prepare() always builds the table under the Signature config; absence means prepared data from a different engine config, a caller bug no typed error can repair")
-                    .expect("signature filter requires a prepared table"),
-                query,
-                &self.cfg.signature,
-                cache,
-            ),
-            FilterStrategy::LabelDegree => {
-                filter_label_degree_cached(&self.gpu, &prepared.filter_inputs, query, cache)
+                    .expect("signature filter requires a prepared table");
+                let cfg = &self.cfg.signature;
+                match cache {
+                    Some(cache) => filter_signature_cached(gpu, table, query, cfg, cache),
+                    None => filter_signature(gpu, table, query, cfg),
+                }
             }
-            FilterStrategy::LabelOnly => {
-                filter_label_only_cached(&self.gpu, &prepared.filter_inputs, query, cache)
+            (FilterStrategy::LabelDegree, Some(cache)) => {
+                filter_label_degree_cached(gpu, inputs, query, cache)
             }
+            (FilterStrategy::LabelDegree, None) => filter_label_degree(gpu, inputs, query),
+            (FilterStrategy::LabelOnly, Some(cache)) => {
+                filter_label_only_cached(gpu, inputs, query, cache)
+            }
+            (FilterStrategy::LabelOnly, None) => filter_label_only(gpu, inputs, query),
         }
     }
 
@@ -485,6 +476,11 @@ impl GsiEngine {
     /// themselves) always execute. Fails with a typed [`PlanError`] on
     /// queries Algorithm 2 cannot order (empty or disconnected patterns) —
     /// no panic, so serving workers reject them gracefully.
+    ///
+    /// The run charges a device ledger of its own ([`Gpu::scoped`]), so
+    /// `stats.device` is exactly this query's work however many queries
+    /// share the device; the ledger is folded into the device's totals when
+    /// the run ends, whatever its outcome.
     pub fn query_with_options(
         &self,
         data: &Graph,
@@ -492,23 +488,33 @@ impl GsiEngine {
         query: &Graph,
         opts: QueryOptions<'_>,
     ) -> Result<QueryOutput, PlanError> {
+        let gpu = self.gpu.scoped();
+        let out = self.run_query(&gpu, data, prepared, query, opts);
+        self.gpu.stats().absorb(&gpu.stats().snapshot());
+        out
+    }
+
+    /// [`GsiEngine::query_with_options`] charging `gpu`, a fresh ledger.
+    fn run_query(
+        &self,
+        gpu: &Gpu,
+        data: &Graph,
+        prepared: &PreparedData,
+        query: &Graph,
+        opts: QueryOptions<'_>,
+    ) -> Result<QueryOutput, PlanError> {
         // gsi-lint: allow(trace-gating, reason = "one timestamp per query for RunStats phase totals, not per-step tracing; amortized over the whole run")
         let t_start = Instant::now();
-        let snap_start = self.gpu.stats().snapshot();
 
         // ---- filtering phase ------------------------------------------
-        let cands = match opts.filter_cache {
-            Some(cache) => self.filter_cached(prepared, query, cache),
-            None => self.filter(prepared, query),
-        };
+        let cands = self.filter_on(gpu, prepared, query, opts.filter_cache);
         let filter_time = t_start.elapsed();
-        let snap_filter = self.gpu.stats().snapshot();
         let min_candidate = min_candidate_size(&cands);
 
         let mut stats = RunStats {
             filter_time,
             min_candidate,
-            filter_device: snap_filter - snap_start,
+            filter_device: gpu.stats().snapshot(),
             ..RunStats::default()
         };
 
@@ -610,7 +616,7 @@ impl GsiEngine {
 
         if min_candidate > 0 {
             let ctx = JoinCtx {
-                gpu: &self.gpu,
+                gpu,
                 cfg: &self.cfg,
                 store: prepared.store.as_ref(),
                 data,
@@ -739,7 +745,7 @@ impl GsiEngine {
 
         stats.join_time = t_join.elapsed();
         stats.total_time = t_start.elapsed();
-        stats.device = self.gpu.stats().snapshot() - snap_start;
+        stats.device = gpu.stats().snapshot();
         stats.n_matches = matches.len();
         (stats.join_work_units, stats.join_span_units) = backend.work_span();
         explain.fill_actuals(&stats.step_rows);
@@ -859,6 +865,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::BackendKind;
+    use gsi_gpu_sim::StatsSnapshot;
     use gsi_graph::GraphBuilder;
 
     fn test_engine(cfg: GsiConfig) -> GsiEngine {
@@ -1291,17 +1298,51 @@ mod tests {
         // Queries on the incremental re-prepare are bit-identical — tables
         // *and* device-ledger counters — to a cold rebuild.
         let cold = engine.prepare_shared(&updated);
-        let snap0 = engine.gpu().stats().snapshot();
         let a = engine.query(&updated, &inc, &query).expect("plans");
-        let snap1 = engine.gpu().stats().snapshot();
         let b = engine.query(&updated, &cold, &query).expect("plans");
-        let snap2 = engine.gpu().stats().snapshot();
         assert_eq!(a.matches.table, b.matches.table, "bit-identical tables");
-        assert_eq!(snap1 - snap0, snap2 - snap1, "exact device counters");
+        assert_eq!(a.stats.device, b.stats.device, "exact device counters");
 
         // The old prepared data still answers against the old graph.
         let before = engine.query(&data, &prepared, &query).expect("plans");
         assert_eq!(before.matches.len(), 100);
+    }
+
+    #[test]
+    fn concurrent_queries_charge_their_own_ledgers() {
+        // Each query's device counts are its own: the same alone as beside
+        // another query on the same device, and the device's totals are
+        // exactly the sum of the finished queries.
+        let (data, query) = paper_example();
+        let engine = test_engine(GsiConfig::gsi());
+        let prepared = engine.prepare(&data);
+        let alone = engine.query(&data, &prepared, &query).expect("plans");
+        assert!(alone.stats.device.gld_transactions > 0);
+        assert_eq!(engine.gpu().stats().snapshot(), alone.stats.device);
+
+        engine.gpu().reset_stats();
+        let runs = 8;
+        let side_by_side: Vec<StatsSnapshot> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..runs)
+                            .map(|_| engine.query(&data, &prepared, &query).expect("plans"))
+                            .map(|out| out.stats.device)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("query thread"))
+                .collect()
+        });
+        assert!(side_by_side.iter().all(|d| *d == alone.stats.device));
+        let total = side_by_side
+            .into_iter()
+            .fold(StatsSnapshot::default(), |acc, d| acc + d);
+        assert_eq!(engine.gpu().stats().snapshot(), total);
     }
 
     #[test]

@@ -36,6 +36,18 @@ pub struct JoinCtx<'a> {
 }
 
 impl JoinCtx<'_> {
+    /// This context charging `gpu` instead — how a kernel body charges the
+    /// ledger of the worker executing its block.
+    pub fn on<'b>(&'b self, gpu: &'b Gpu) -> JoinCtx<'b> {
+        JoinCtx {
+            gpu,
+            cfg: self.cfg,
+            store: self.store,
+            data: self.data,
+            backend: self.backend,
+        }
+    }
+
     fn exec(&self) -> SetOpExec {
         SetOpExec {
             strategy: self.cfg.set_ops,
@@ -93,7 +105,8 @@ pub fn run_edge_pass(
     for plan in &plans {
         let shards = ctx
             .backend
-            .run_kernel(ctx.gpu, plan, &|_bctx, block, shard| {
+            .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
+                let ctx = &ctx.on(bctx.gpu);
                 run_block(
                     ctx, &exec, m, col, label, kind, out_bases, loads, block, shard,
                 );
@@ -219,10 +232,10 @@ pub fn count_pass(ctx: &JoinCtx<'_>, m: &MatchTable, col: usize, label: EdgeLabe
     use std::sync::atomic::{AtomicUsize, Ordering};
     let counts: Vec<AtomicUsize> = (0..m.n_rows()).map(|_| AtomicUsize::new(0)).collect();
     let rows: Vec<usize> = (0..m.n_rows()).collect();
-    kernel::launch_warp_tasks(ctx.gpu, &rows, |_wid, &row| {
-        m.charge_cell_read(ctx.gpu, row, col);
+    kernel::launch_warp_tasks(ctx.gpu, &rows, |gpu, _wid, &row| {
+        m.charge_cell_read(gpu, row, col);
         let v = m.cell(row, col);
-        let c = ctx.store.neighbor_count(ctx.gpu, v, label);
+        let c = ctx.store.neighbor_count(gpu, v, label);
         counts[row].store(c, Ordering::Relaxed);
     });
     counts.into_iter().map(|c| c.into_inner()).collect()
@@ -277,7 +290,8 @@ pub fn link_pass(
     for plan in &plans {
         let shards = ctx
             .backend
-            .run_kernel(ctx.gpu, plan, &|_bctx, block, shard| {
+            .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
+                let ctx = &ctx.on(bctx.gpu);
                 let mut row = Vec::with_capacity(m.n_cols());
                 for task in block {
                     // Read m_i into shared memory (line 18).

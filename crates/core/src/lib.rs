@@ -31,8 +31,8 @@
 //! (Prealloc-Combine or two-step) decides *what* each iteration computes,
 //! an execution backend ([`backend::ExecBackend`] — faithful serial, or a
 //! real host worker pool) decides *how* its planned kernels run, and the
-//! simulated device underneath keeps the transaction ledger — exact under
-//! concurrency. See the [`backend`] module docs for the stack.
+//! simulated device underneath keeps the transaction ledger — one per
+//! query and per launch worker, so it is exact under concurrency. See the [`backend`] module docs for the stack.
 //!
 //! Entry point: [`engine::GsiEngine`].
 //!

@@ -159,16 +159,17 @@ impl RadixHashJoin {
         ctx: &JoinCtx<'_>,
         n_rows: usize,
         loads: &[usize],
-        body: &(dyn Fn(usize) -> Vec<VertexId> + Sync),
+        body: &(dyn Fn(&JoinCtx<'_>, usize) -> Vec<VertexId> + Sync),
     ) -> Vec<Vec<VertexId>> {
         let plans = plan_kernels(loads, None, ctx.gpu.config().warps_per_block());
         let mut segments: Vec<Segment> = Vec::new();
         for plan in &plans {
             let shards = ctx
                 .backend
-                .run_kernel(ctx.gpu, plan, &|_bctx, block, shard| {
+                .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
+                    let ctx = &ctx.on(bctx.gpu);
                     for task in block {
-                        shard.push(task.row, task.range.start, body(task.row));
+                        shard.push(task.row, task.range.start, body(ctx, task.row));
                     }
                 });
             assert_eq!(
@@ -270,7 +271,7 @@ impl RadixHashJoin {
         let loads: Vec<usize> = (0..m.n_rows())
             .map(|r| shared[row_shared[r]].len())
             .collect();
-        Self::run_rows(ctx, m.n_rows(), &loads, &|row| {
+        Self::run_rows(ctx, m.n_rows(), &loads, &|ctx, row| {
             let s = &shared[row_shared[row]];
             m.charge_row_read(ctx.gpu, row);
             // Naive set-ops re-read the row once per 128B batch probed.
@@ -325,7 +326,7 @@ impl RadixHashJoin {
         }
 
         let loads: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
-        Self::run_rows(ctx, m.n_rows(), &loads, &|row| {
+        Self::run_rows(ctx, m.n_rows(), &loads, &|ctx, row| {
             let buf = &bufs[row];
             // Stream the row's buffer from the GBA and probe the shared
             // hash table: one transaction per element probed.

@@ -81,7 +81,7 @@ impl CandidateProbe {
     /// Membership test with faithful transaction charging.
     pub fn probe(&self, gpu: &Gpu, v: VertexId) -> bool {
         match self {
-            CandidateProbe::Bitset(bs) => bs.probe_one(v),
+            CandidateProbe::Bitset(bs) => bs.probe_one(gpu, v),
             CandidateProbe::Sorted(list) => {
                 let xs = list.as_slice();
                 let mut lo = 0usize;

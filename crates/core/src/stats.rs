@@ -17,9 +17,10 @@ pub struct RunStats {
     pub join_time: Duration,
     /// End-to-end wall time.
     pub total_time: Duration,
-    /// Device-ledger delta over the whole query (GLD, GST, kernels, …).
+    /// The query's own device ledger (GLD, GST, kernels, …): exactly its
+    /// work, whatever else ran on the device meanwhile.
     pub device: StatsSnapshot,
-    /// Device-ledger delta of the filtering phase only.
+    /// The filtering phase's share of [`device`](Self::device).
     pub filter_device: StatsSnapshot,
     /// Smallest candidate-set size (the paper's minimum `|C(u)|`).
     pub min_candidate: usize,

@@ -66,20 +66,20 @@ impl DeviceBitset {
 
     /// Warp probe: decide membership for up to 32 vertices, charging one GLD
     /// transaction per distinct 128-byte segment among the probed words.
-    pub fn warp_probe(&self, vs: &[u32], out: &mut Vec<bool>) {
+    pub fn warp_probe(&self, gpu: &Gpu, vs: &[u32], out: &mut Vec<bool>) {
         debug_assert!(vs.len() <= crate::warp::WARP_SIZE);
         let stats_offsets = vs.iter().map(|&v| v as usize / 32);
         // Reuse the gather accounting of the backing buffer.
         self.words
-            .warp_gather(&stats_offsets.collect::<Vec<_>>())
+            .warp_gather(gpu, &stats_offsets.collect::<Vec<_>>())
             .iter()
             .zip(vs)
             .for_each(|(&word, &v)| out.push(word & (1 << (v % 32)) != 0));
     }
 
     /// Single-lane probe: one transaction, as the paper states.
-    pub fn probe_one(&self, v: u32) -> bool {
-        let word = self.words.warp_read_one(v as usize / 32);
+    pub fn probe_one(&self, gpu: &Gpu, v: u32) -> bool {
+        let word = self.words.warp_read_one(gpu, v as usize / 32);
         word & (1 << (v % 32)) != 0
     }
 }
@@ -119,8 +119,8 @@ mod tests {
         let g = gpu();
         let bs = DeviceBitset::from_members(&g, 1 << 20, &[77]);
         g.reset_stats();
-        assert!(bs.probe_one(77));
-        assert!(!bs.probe_one(78));
+        assert!(bs.probe_one(&g, 77));
+        assert!(!bs.probe_one(&g, 78));
         assert_eq!(g.stats().snapshot().gld_transactions, 2);
     }
 
@@ -132,7 +132,7 @@ mod tests {
         let mut out = Vec::new();
         // 32 probes all landing in the first bitset word: one segment.
         let vs: Vec<u32> = (0..32).collect();
-        bs.warp_probe(&vs, &mut out);
+        bs.warp_probe(&g, &vs, &mut out);
         assert_eq!(g.stats().snapshot().gld_transactions, 1);
         assert_eq!(out.iter().filter(|&&b| b).count(), 4);
     }
@@ -146,7 +146,7 @@ mod tests {
         let mut out = Vec::new();
         // Probes 128*32 bits apart: each lands in its own 128B segment.
         let vs: Vec<u32> = (0..32).map(|i| i * 128 * 32).collect();
-        bs.warp_probe(&vs, &mut out);
+        bs.warp_probe(&g, &vs, &mut out);
         assert_eq!(g.stats().snapshot().gld_transactions, 32);
         assert!(out.iter().all(|&b| !b));
     }

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
-
 use crate::stats::GpuStats;
 
 /// Static description of the simulated device.
@@ -95,36 +93,36 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Handle to a simulated GPU: configuration plus shared statistic counters.
+/// Handle to a simulated GPU: configuration plus the ledger this handle
+/// charges.
 ///
-/// Cheap to clone (counters are behind an [`Arc`]); every simulated kernel,
-/// device buffer and primitive charges its memory transactions and work
-/// against the same [`GpuStats`].
-///
-/// One device runs **one grid at a time**, like kernels queued on a CUDA
-/// default stream: host threads that launch on the same device (or on
-/// clones of it) take turns, launch by launch. A kernel's cost therefore
-/// does not depend on what its neighbours are doing — two grids charging
-/// the one ledger side by side bounce its cache lines between cores, which
-/// made two concurrent queries *slower* than the same two back to back,
-/// by an amount that changed from run to run.
+/// Clones share the ledger: every simulated kernel, device buffer access
+/// and primitive charges its memory transactions and work against the
+/// [`GpuStats`] of the handle it was given. [`Gpu::scoped`] makes a handle on
+/// the same device with a fresh ledger of its own — the engine runs each
+/// query on one, and a parallel launch gives one to each host worker — and
+/// the owner folds it back into the parent once, when it is done
+/// ([`GpuStats::absorb`]). Concurrent queries on one device therefore never
+/// charge the same counters, and launches need no turn-taking: a kernel's
+/// cost does not depend on what its neighbours are doing.
 #[derive(Debug, Clone)]
 pub struct Gpu {
     cfg: DeviceConfig,
     stats: Arc<GpuStats>,
-    /// Held for the length of a launch.
-    grid: Arc<Mutex<()>>,
 }
 
 impl Gpu {
     /// Create a device with the given configuration and zeroed counters.
     pub fn new(cfg: DeviceConfig) -> Self {
         let stats = Arc::new(GpuStats::new(cfg.transaction_bytes));
-        Self {
-            cfg,
-            stats,
-            grid: Arc::new(Mutex::new(())),
-        }
+        Self { cfg, stats }
+    }
+
+    /// A handle on the same device charging a fresh, zeroed ledger of its
+    /// own. Nothing reaches this handle's ledger until its owner folds the
+    /// scoped one in with `self.stats().absorb(&scoped.stats().snapshot())`.
+    pub fn scoped(&self) -> Self {
+        Self::new(self.cfg.clone())
     }
 
     /// The device configuration.
@@ -132,22 +130,9 @@ impl Gpu {
         &self.cfg
     }
 
-    /// The shared statistic counters.
+    /// The ledger this handle charges.
     pub fn stats(&self) -> &GpuStats {
         &self.stats
-    }
-
-    /// Shared-ownership handle to the counters, for device buffers that must
-    /// outlive borrows of the `Gpu`.
-    pub(crate) fn stats_arc(&self) -> &Arc<GpuStats> {
-        &self.stats
-    }
-
-    /// The device for the length of one launch; waits while another host
-    /// thread's grid is running. Not re-entrant: a kernel body must not
-    /// launch on its own device (dynamic parallelism is not modeled).
-    pub(crate) fn begin_grid(&self) -> MutexGuard<'_, ()> {
-        self.grid.lock()
     }
 
     /// Reset all counters to zero (e.g. between the offline build phase and
@@ -210,6 +195,17 @@ mod tests {
         let clone = gpu.clone();
         gpu.stats().add_gld(5);
         assert_eq!(clone.stats().snapshot().gld_transactions, 5);
+    }
+
+    #[test]
+    fn scoped_ledger_is_private_until_absorbed() {
+        let gpu = Gpu::new(DeviceConfig::test_device());
+        let scope = gpu.scoped();
+        scope.stats().add_gld(5);
+        assert_eq!(gpu.stats().snapshot().gld_transactions, 0);
+        assert_eq!(scope.config().transaction_bytes, 128);
+        gpu.stats().absorb(&scope.stats().snapshot());
+        assert_eq!(gpu.stats().snapshot().gld_transactions, 5);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! *skewed per-warp workloads produce real imbalance*, which §VI-A's 4-layer
 //! load-balance scheme then measurably repairs.
 //!
-//! A device runs one grid at a time: a launch holds its [`Gpu`] until the
-//! last block has finished, and launches from other host threads on the
-//! same device wait their turn (see [`Gpu`]).
+//! A kernel body charges the handle in its [`BlockCtx`]. A launch that runs
+//! inline hands the body the launching handle itself; a launch spread over
+//! host workers gives each worker a [`Gpu::scoped`] ledger and folds the
+//! workers' sums into the launching handle once, when the last worker has
+//! finished. Launches from different host threads therefore never charge
+//! one ledger side by side, and need not take turns on the device.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -32,28 +35,64 @@ pub enum Schedule {
 
 /// Per-block execution context handed to the kernel body.
 #[derive(Debug)]
-pub struct BlockCtx {
+pub struct BlockCtx<'a> {
     /// Index of this block within the grid.
     pub block_id: usize,
     /// Global index of the block's first warp task.
     pub first_task: usize,
     /// The block's shared-memory arena (capacity-enforced).
     pub shared: SharedMem,
+    /// The handle this block charges: the launching handle when the launch
+    /// runs inline, the executing worker's own ledger otherwise.
+    pub gpu: &'a Gpu,
+}
+
+/// Run `work(worker, handle, state)` on one scoped host thread per state,
+/// each charging a fresh ledger of its own, then fold every worker's ledger
+/// into `gpu`'s — once per worker, after all of them have finished.
+///
+/// std's scope reports child panics with its own opaque message; they are
+/// re-raised here in the simulator's "worker panicked" framing.
+fn on_workers<S, W>(gpu: &Gpu, states: &mut [S], work: W)
+where
+    S: Send,
+    W: Fn(usize, &Gpu, &mut S) + Sync,
+{
+    let ledgers: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = states
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| {
+                let work = &work;
+                s.spawn(move || {
+                    let local = gpu.scoped();
+                    work(w, &local, state);
+                    local.stats().snapshot()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    for ledger in ledgers {
+        match ledger {
+            Ok(l) => gpu.stats().absorb(&l),
+            Err(_) => panic!("simulated kernel worker panicked"),
+        }
+    }
 }
 
 /// Launch a kernel whose body processes one *block* of warp tasks at a time.
 ///
 /// `f` is invoked once per block with the block context and the slice of
 /// tasks owned by that block's warps; it should iterate the slice, treating
-/// each element as one warp's assignment. Records one kernel launch, charges
-/// the configured launch overhead, and counts `tasks.len()` warp tasks.
-/// `f` must not launch on `gpu` itself: the device is held until it returns.
+/// each element as one warp's assignment, and charge `ctx.gpu`. Records one
+/// kernel launch, charges the configured launch overhead, and counts
+/// `tasks.len()` warp tasks.
 pub fn launch_blocks<T, F>(gpu: &Gpu, tasks: &[T], warps_per_block: usize, sched: Schedule, f: F)
 where
     T: Sync,
-    F: Fn(&mut BlockCtx, &[T]) + Sync,
+    F: Fn(&mut BlockCtx<'_>, &[T]) + Sync,
 {
-    let _grid = gpu.begin_grid();
     let stats = gpu.stats();
     stats.record_kernel_launch();
     gpu.charge_launch_overhead();
@@ -66,13 +105,14 @@ where
     let num_blocks = tasks.len().div_ceil(wpb);
     let shared_cap = gpu.config().shared_mem_per_block;
 
-    let run_block = |block_id: usize| {
+    let run_block = |block_id: usize, gpu: &Gpu| {
         let first = block_id * wpb;
         let end = (first + wpb).min(tasks.len());
         let mut ctx = BlockCtx {
             block_id,
             first_task: first,
             shared: SharedMem::new(shared_cap),
+            gpu,
         };
         f(&mut ctx, &tasks[first..end]);
     };
@@ -87,50 +127,29 @@ where
     };
     if workers <= 1 {
         for b in 0..num_blocks {
-            run_block(b);
+            run_block(b, gpu);
         }
         return;
     }
 
-    // std's scope reports child panics with its own opaque message; translate
-    // it so callers (and tests) see the simulator's "worker panicked" framing.
-    let scoped = |f: &(dyn Fn() + Sync)| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .unwrap_or_else(|_| panic!("simulated kernel worker panicked"))
-    };
-
     match sched {
         Schedule::Dynamic => {
             let next = AtomicUsize::new(0);
-            scoped(&|| {
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= num_blocks {
-                                break;
-                            }
-                            run_block(b);
-                        });
-                    }
-                });
+            on_workers(gpu, &mut vec![(); workers], |_, local, ()| loop {
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                if b >= num_blocks {
+                    break;
+                }
+                run_block(b, local);
             });
         }
         Schedule::Static => {
             let per_worker = num_blocks.div_ceil(workers);
-            scoped(&|| {
-                std::thread::scope(|s| {
-                    for w in 0..workers {
-                        let lo = w * per_worker;
-                        let hi = ((w + 1) * per_worker).min(num_blocks);
-                        let run_block = &run_block;
-                        s.spawn(move || {
-                            for b in lo..hi {
-                                run_block(b);
-                            }
-                        });
-                    }
-                });
+            on_workers(gpu, &mut vec![(); workers], |w, local, ()| {
+                let hi = ((w + 1) * per_worker).min(num_blocks);
+                for b in w * per_worker..hi {
+                    run_block(b, local);
+                }
             });
         }
     }
@@ -142,10 +161,10 @@ where
 /// many host workers play SM (`states.len()` — the legacy heuristic of
 /// [`launch_blocks`] is bypassed), and each worker carries a private mutable
 /// state `S` (e.g. a shard of the output table) that `f` can write without
-/// synchronization. Blocks are pulled dynamically from a shared counter, so
-/// per-worker block sets depend on timing — callers needing determinism must
-/// make `f`'s effects order-independent (the ledger's atomic sums and keyed
-/// output segments both are).
+/// synchronization, next to the private ledger in its [`BlockCtx`]. Blocks
+/// are pulled dynamically from a shared counter, so per-worker block sets
+/// depend on timing — callers needing determinism must make `f`'s effects
+/// order-independent (ledger sums and keyed output segments both are).
 ///
 /// Records one kernel launch, charges the configured launch overhead, counts
 /// `tasks.len()` warp tasks, and returns the worker states. With a single
@@ -161,10 +180,9 @@ pub fn launch_blocks_stateful<T, S, F>(
 where
     T: Sync,
     S: Send,
-    F: Fn(&mut BlockCtx, &[T], &mut S) + Sync,
+    F: Fn(&mut BlockCtx<'_>, &[T], &mut S) + Sync,
 {
     assert!(!states.is_empty(), "at least one worker state required");
-    let _grid = gpu.begin_grid();
     let stats = gpu.stats();
     stats.record_kernel_launch();
     gpu.charge_launch_overhead();
@@ -177,13 +195,14 @@ where
     let num_blocks = tasks.len().div_ceil(wpb);
     let shared_cap = gpu.config().shared_mem_per_block;
 
-    let run_block = |block_id: usize, state: &mut S| {
+    let run_block = |block_id: usize, gpu: &Gpu, state: &mut S| {
         let first = block_id * wpb;
         let end = (first + wpb).min(tasks.len());
         let mut ctx = BlockCtx {
             block_id,
             first_task: first,
             shared: SharedMem::new(shared_cap),
+            gpu,
         };
         f(&mut ctx, &tasks[first..end], state);
     };
@@ -191,43 +210,36 @@ where
     if states.len() == 1 || num_blocks == 1 {
         let state = &mut states[0];
         for b in 0..num_blocks {
-            run_block(b, state);
+            run_block(b, gpu, state);
         }
         return states;
     }
 
+    // More states than blocks: the excess workers never start.
+    let n_workers = states.len().min(num_blocks);
     let next = AtomicUsize::new(0);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|s| {
-            // More states than blocks: the excess workers never start.
-            for state in states.iter_mut().take(num_blocks) {
-                let next = &next;
-                let run_block = &run_block;
-                s.spawn(move || loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= num_blocks {
-                        break;
-                    }
-                    run_block(b, state);
-                });
-            }
-        });
-    }));
-    result.unwrap_or_else(|_| panic!("simulated kernel worker panicked"));
+    on_workers(gpu, &mut states[..n_workers], |_, local, state| loop {
+        let b = next.fetch_add(1, Ordering::Relaxed);
+        if b >= num_blocks {
+            break;
+        }
+        run_block(b, local, state);
+    });
     states
 }
 
 /// Launch a kernel with one warp per task, using full blocks and the dynamic
-/// scheduler. `f` receives the global warp (task) id and the task itself.
+/// scheduler. `f` receives the handle to charge, the global warp (task) id
+/// and the task itself.
 pub fn launch_warp_tasks<T, F>(gpu: &Gpu, tasks: &[T], f: F)
 where
     T: Sync,
-    F: Fn(usize, &T) + Sync,
+    F: Fn(&Gpu, usize, &T) + Sync,
 {
     let wpb = gpu.config().warps_per_block();
     launch_blocks(gpu, tasks, wpb, Schedule::Dynamic, |ctx, block_tasks| {
         for (i, t) in block_tasks.iter().enumerate() {
-            f(ctx.first_task + i, t);
+            f(ctx.gpu, ctx.first_task + i, t);
         }
     });
 }
@@ -237,12 +249,12 @@ pub fn launch_map<T, R, F>(gpu: &Gpu, tasks: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(&Gpu, usize, &T) -> R + Sync,
 {
     use parking_lot::Mutex;
     let slots: Vec<Mutex<Option<R>>> = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
-    launch_warp_tasks(gpu, tasks, |wid, t| {
-        *slots[wid].lock() = Some(f(wid, t));
+    launch_warp_tasks(gpu, tasks, |g, wid, t| {
+        *slots[wid].lock() = Some(f(g, wid, t));
     });
     slots
         .into_iter()
@@ -269,7 +281,7 @@ mod tests {
             let n = 1000;
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let tasks: Vec<usize> = (0..n).collect();
-            launch_warp_tasks(&g, &tasks, |_wid, &t| {
+            launch_warp_tasks(&g, &tasks, |_, _wid, &t| {
                 hits[t].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -280,7 +292,7 @@ mod tests {
     fn warp_ids_match_tasks() {
         let g = gpu(1);
         let tasks: Vec<u32> = (0..100).collect();
-        launch_warp_tasks(&g, &tasks, |wid, &t| {
+        launch_warp_tasks(&g, &tasks, |_, wid, &t| {
             assert_eq!(wid as u32, t);
         });
     }
@@ -341,7 +353,7 @@ mod tests {
     fn launch_map_collects_in_task_order() {
         let g = gpu(4);
         let tasks: Vec<u32> = (0..5000).collect();
-        let out = launch_map(&g, &tasks, |wid, &t| {
+        let out = launch_map(&g, &tasks, |_, wid, &t| {
             assert_eq!(wid as u32, t);
             t * 2
         });
@@ -353,7 +365,7 @@ mod tests {
     fn launch_map_empty() {
         let g = gpu(2);
         let tasks: Vec<u32> = vec![];
-        let out: Vec<u32> = launch_map(&g, &tasks, |_, &t| t);
+        let out: Vec<u32> = launch_map(&g, &tasks, |_, _, &t| t);
         assert!(out.is_empty());
     }
 
@@ -363,7 +375,7 @@ mod tests {
         let g = gpu(4);
         // Large enough to take the threaded path.
         let tasks: Vec<usize> = (0..10_000).collect();
-        launch_warp_tasks(&g, &tasks, |_wid, &t| {
+        launch_warp_tasks(&g, &tasks, |_, _wid, &t| {
             assert!(t < 9_999, "injected fault");
         });
     }
@@ -423,29 +435,34 @@ mod tests {
     }
 
     #[test]
-    fn one_device_runs_one_grid_at_a_time() {
-        use std::sync::atomic::AtomicBool;
-        let g = gpu(1);
-        let running = AtomicBool::new(false);
-        let tasks: Vec<usize> = (0..256).collect();
-        let body = |_: &mut BlockCtx, _: &[usize]| {
-            assert!(!running.swap(true, Ordering::SeqCst), "two grids at once");
-            std::thread::yield_now();
-            running.store(false, Ordering::SeqCst);
-        };
-        std::thread::scope(|s| {
-            // Clones are the same device; both launch paths take turns on it.
-            for g in [g.clone(), g.clone(), g.clone()] {
-                let (tasks, body) = (&tasks, &body);
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        launch_blocks(&g, tasks, 1, Schedule::Dynamic, body);
-                        launch_blocks_stateful(&g, tasks, 1, vec![()], |c, b, ()| body(c, b));
-                    }
+    fn worker_ledgers_fold_into_the_launching_handle_exactly() {
+        // One GLD per task, charged to each worker's own ledger: every
+        // schedule and worker count folds to the same exact launch total,
+        // and nothing leaks to a handle that did not launch.
+        let n = 9_000; // above the inline threshold
+        let tasks: Vec<usize> = (0..n).collect();
+        for workers in [1, 4] {
+            for sched in [Schedule::Dynamic, Schedule::Static] {
+                let device = gpu(workers);
+                let query = device.scoped();
+                launch_blocks(&query, &tasks, 32, sched, |ctx, block| {
+                    ctx.gpu.stats().add_gld(block.len() as u64);
                 });
+                let snap = query.stats().snapshot();
+                assert_eq!(snap.gld_transactions, n as u64, "{workers} {sched:?}");
+                assert_eq!(snap.kernel_launches, 1);
+                assert_eq!(device.stats().snapshot(), Default::default());
             }
-        });
-        assert_eq!(g.stats().snapshot().kernel_launches, 300);
+            let query = gpu(1);
+            let states = launch_blocks_stateful(&query, &tasks, 8, vec![0u64; workers], {
+                |ctx: &mut BlockCtx<'_>, block: &[usize], seen: &mut u64| {
+                    ctx.gpu.stats().add_work(block.len() as u64);
+                    *seen += block.len() as u64;
+                }
+            });
+            assert_eq!(states.iter().sum::<u64>(), n as u64);
+            assert_eq!(query.stats().snapshot().work_units, n as u64);
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! * **Global memory** accessed through 128-byte transactions with coalescing
 //!   rules (consecutive, aligned accesses collapse into few transactions;
 //!   scattered gathers touch one transaction per distinct segment) —
-//!   [`memory::DeviceVec`] and the raw accounting API on [`stats::GpuStats`].
+//!   [`memory::DeviceVec`] and the raw accounting API on [`stats::GpuStats`],
+//!   charged to the ledger of the handle doing the access: a query or a
+//!   launch worker runs on a [`Gpu::scoped`] ledger of its own and folds it
+//!   into its parent when done.
 //! * **Shared memory** (fast, per-block, capacity-limited) — [`shared::SharedMem`].
 //! * **Kernels** scheduled as blocks of warps over a pool of host worker
 //!   threads — [`kernel`] — so skewed per-warp workloads produce real
@@ -36,8 +39,8 @@
 //! // Launch one warp per 32-element chunk; each warp reads its chunk
 //! // (a single coalesced 128B transaction).
 //! let tasks: Vec<usize> = (0..32).collect();
-//! kernel::launch_warp_tasks(&gpu, &tasks, |_warp_id, &chunk| {
-//!     let vals = data.warp_read(chunk * 32, 32);
+//! kernel::launch_warp_tasks(&gpu, &tasks, |g, _warp_id, &chunk| {
+//!     let vals = data.warp_read(g, chunk * 32, 32);
 //!     assert_eq!(vals[0], (chunk * 32) as u32);
 //! });
 //! assert_eq!(gpu.stats().snapshot().gld_transactions, 32);

@@ -3,12 +3,13 @@
 //! A [`DeviceVec`] behaves like device global memory: element 0 is assumed to
 //! sit on a 128-byte transaction boundary (as `cudaMalloc` guarantees), and
 //! every *warp-visible* access reports the coalesced transaction count to the
-//! device ledger. Host-side accessors (`as_slice`, indexing) are free — they
+//! ledger of the handle performing it — the buffer itself holds no ledger,
+//! so a graph prepared once charges each query that reads it to that
+//! query. Host-side accessors (`as_slice`, indexing) are free — they
 //! model the algorithm author's view, not a device access — so structures can
 //! be built and verified without perturbing measurements.
 
 use crate::device::Gpu;
-use crate::stats::GpuStats;
 use std::sync::Arc;
 
 /// Where a [`DeviceVec`]'s contents live on the host side.
@@ -36,17 +37,15 @@ impl<T> Backing<T> {
 #[derive(Debug, Clone)]
 pub struct DeviceVec<T> {
     data: Backing<T>,
-    stats: Arc<GpuStats>,
 }
 
 impl<T: Copy> DeviceVec<T> {
     /// Allocate from an existing host vector (counts one device allocation).
     pub fn from_vec(gpu: &Gpu, data: Vec<T>) -> Self {
-        let stats = gpu.stats();
-        stats.record_alloc((data.len() * std::mem::size_of::<T>()) as u64);
+        gpu.stats()
+            .record_alloc((data.len() * std::mem::size_of::<T>()) as u64);
         Self {
             data: Backing::Owned(data),
-            stats: Arc::clone(stats_arc(gpu)),
         }
     }
 
@@ -56,11 +55,10 @@ impl<T: Copy> DeviceVec<T> {
     /// `Arc` itself — repeated builds over one cached candidate list stop
     /// cloning it.
     pub fn from_shared(gpu: &Gpu, data: Arc<Vec<T>>) -> Self {
-        let stats = gpu.stats();
-        stats.record_alloc((data.len() * std::mem::size_of::<T>()) as u64);
+        gpu.stats()
+            .record_alloc((data.len() * std::mem::size_of::<T>()) as u64);
         Self {
             data: Backing::Shared(data),
-            stats: Arc::clone(stats_arc(gpu)),
         }
     }
 
@@ -119,43 +117,39 @@ impl<T: Copy> DeviceVec<T> {
 
     /// Warp-coalesced read of `len` consecutive elements starting at `start`.
     /// Charges one GLD transaction per 128-byte segment spanned.
-    pub fn warp_read(&self, start: usize, len: usize) -> &[T] {
-        self.stats.gld_range(start, len, Self::elem_bytes());
+    pub fn warp_read(&self, gpu: &Gpu, start: usize, len: usize) -> &[T] {
+        gpu.stats().gld_range(start, len, Self::elem_bytes());
         &self.data.as_slice()[start..start + len]
     }
 
     /// Warp-coalesced write of `src` at `start`. Charges GST transactions
     /// for the spanned segments.
-    pub fn warp_write(&mut self, start: usize, src: &[T]) {
-        self.stats.gst_range(start, src.len(), Self::elem_bytes());
+    pub fn warp_write(&mut self, gpu: &Gpu, start: usize, src: &[T]) {
+        gpu.stats().gst_range(start, src.len(), Self::elem_bytes());
         self.as_mut_slice()[start..start + src.len()].copy_from_slice(src);
     }
 
     /// Warp gather of scattered elements; charges one GLD transaction per
     /// distinct 128-byte segment among the (≤ 32) indices.
-    pub fn warp_gather(&self, indices: &[usize]) -> Vec<T> {
+    pub fn warp_gather(&self, gpu: &Gpu, indices: &[usize]) -> Vec<T> {
         debug_assert!(indices.len() <= crate::warp::WARP_SIZE);
-        self.stats
+        gpu.stats()
             .gld_gather(indices.iter().copied(), Self::elem_bytes());
         let xs = self.data.as_slice();
         indices.iter().map(|&i| xs[i]).collect()
     }
 
     /// Single-lane read (one transaction — the degenerate gather).
-    pub fn warp_read_one(&self, index: usize) -> T {
-        self.stats.gld_gather([index], Self::elem_bytes());
+    pub fn warp_read_one(&self, gpu: &Gpu, index: usize) -> T {
+        gpu.stats().gld_gather([index], Self::elem_bytes());
         self.data.as_slice()[index]
     }
 
     /// Single-lane write (one transaction).
-    pub fn warp_write_one(&mut self, index: usize, value: T) {
-        self.stats.gst_scatter([index], Self::elem_bytes());
+    pub fn warp_write_one(&mut self, gpu: &Gpu, index: usize, value: T) {
+        gpu.stats().gst_scatter([index], Self::elem_bytes());
         self.as_mut_slice()[index] = value;
     }
-}
-
-fn stats_arc(gpu: &Gpu) -> &Arc<GpuStats> {
-    gpu.stats_arc()
 }
 
 #[cfg(test)]
@@ -182,10 +176,10 @@ mod tests {
         let g = gpu();
         let v: DeviceVec<u32> = DeviceVec::from_vec(&g, (0..256).collect());
         g.reset_stats();
-        let s = v.warp_read(0, 32); // exactly one 128B segment
+        let s = v.warp_read(&g, 0, 32); // exactly one 128B segment
         assert_eq!(s.len(), 32);
         assert_eq!(g.stats().snapshot().gld_transactions, 1);
-        v.warp_read(16, 32); // straddles a boundary
+        v.warp_read(&g, 16, 32); // straddles a boundary
         assert_eq!(g.stats().snapshot().gld_transactions, 3);
     }
 
@@ -194,7 +188,7 @@ mod tests {
         let g = gpu();
         let mut v: DeviceVec<u32> = DeviceVec::zeroed(&g, 64);
         g.reset_stats();
-        v.warp_write(0, &[7; 32]);
+        v.warp_write(&g, 0, &[7; 32]);
         assert_eq!(v.as_slice()[31], 7);
         assert_eq!(g.stats().snapshot().gst_transactions, 1);
     }
@@ -205,7 +199,7 @@ mod tests {
         let v: DeviceVec<u32> = DeviceVec::from_vec(&g, (0..4096).collect());
         g.reset_stats();
         // Four indices in four different 128-byte segments.
-        let out = v.warp_gather(&[0, 100, 200, 300]);
+        let out = v.warp_gather(&g, &[0, 100, 200, 300]);
         assert_eq!(out, vec![0, 100, 200, 300]);
         assert_eq!(g.stats().snapshot().gld_transactions, 4);
     }
@@ -215,8 +209,8 @@ mod tests {
         let g = gpu();
         let mut v: DeviceVec<u32> = DeviceVec::zeroed(&g, 8);
         g.reset_stats();
-        v.warp_write_one(3, 42);
-        assert_eq!(v.warp_read_one(3), 42);
+        v.warp_write_one(&g, 3, 42);
+        assert_eq!(v.warp_read_one(&g, 3), 42);
         let snap = g.stats().snapshot();
         assert_eq!(snap.gst_transactions, 1);
         assert_eq!(snap.gld_transactions, 1);
@@ -236,7 +230,7 @@ mod tests {
         // Reads charge identically through either backing.
         g1.reset_stats();
         g2.reset_stats();
-        assert_eq!(shared.warp_read_one(77), owned.warp_read_one(77));
+        assert_eq!(shared.warp_read_one(&g1, 77), owned.warp_read_one(&g2, 77));
         assert_eq!(g1.stats().snapshot(), g2.stats().snapshot());
     }
 
@@ -249,6 +243,17 @@ mod tests {
         assert_eq!(v.as_slice(), &[9, 2, 3]);
         assert_eq!(list.as_ref(), &vec![1, 2, 3], "original untouched");
         assert_eq!(v.into_vec(), vec![9, 2, 3]);
+    }
+
+    #[test]
+    fn reads_charge_the_reading_handle_not_the_allocating_one() {
+        let g = gpu();
+        let v: DeviceVec<u32> = DeviceVec::from_vec(&g, (0..64).collect());
+        g.reset_stats();
+        let reader = g.scoped();
+        v.warp_read(&reader, 0, 64);
+        assert_eq!(reader.stats().snapshot().gld_transactions, 2);
+        assert_eq!(g.stats().snapshot().gld_transactions, 0);
     }
 
     #[test]

@@ -2,56 +2,44 @@
 //!
 //! The paper's evaluation (Tables VI, VII, XI) reports *global memory load
 //! transactions* (GLD), *global memory store transactions* (GST) and query
-//! time. [`GpuStats`] is the shared ledger those numbers come from: every
+//! time. [`GpuStats`] is the ledger those numbers come from: every
 //! simulated memory access computes how many 128-byte transactions a real
 //! warp would have issued (per the coalescing rules of §II-B, Figs. 5–6) and
 //! adds them here.
+//!
+//! A ledger belongs to whoever charges it. A device handle owns one
+//! ([`crate::Gpu::stats`]); a query runs on a handle with a ledger of its own
+//! ([`crate::Gpu::scoped`]), and so does every host worker of a parallel
+//! launch. A finished ledger is folded into its parent once, with
+//! [`GpuStats::absorb`], so no two threads ever charge one ledger side by
+//! side and its counts are exact by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One ledger counter, padded to its own cache line.
-///
-/// The ledger is charged concurrently by every worker of a parallel
-/// execution backend; atomicity alone keeps the counts *exact*, but eight
-/// adjacent atomics on two cache lines would ping-pong between cores.
-/// Padding keeps exactness cheap under the `HostParallel` backend.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Counter(AtomicU64);
-
-impl Counter {
-    fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn zero(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Shared atomic counters for one simulated device.
+/// Eight counters for one ledger.
 ///
 /// All counters use relaxed ordering: they are statistics, not
-/// synchronization. Accesses are batched (one update per 128-byte segment
-/// batch) and each counter sits on its own cache line, so the workers of
-/// one grid — including the `HostParallel` backend's pool — keep *exact*
-/// counts. Grids of different host threads do not charge side by side:
-/// a device runs one at a time (see [`crate::Gpu`]).
+/// synchronization. One thread charges a ledger at a time; the atomics only
+/// let a finished ledger be folded into a shared parent without a lock.
 #[derive(Debug)]
 pub struct GpuStats {
     transaction_bytes: u64,
-    gld: Counter,
-    gst: Counter,
-    kernel_launches: Counter,
-    warp_tasks: Counter,
-    work_units: Counter,
-    device_allocs: Counter,
-    device_alloc_bytes: Counter,
-    idle_lane_work: Counter,
+    gld: AtomicU64,
+    gst: AtomicU64,
+    kernel_launches: AtomicU64,
+    warp_tasks: AtomicU64,
+    work_units: AtomicU64,
+    device_allocs: AtomicU64,
+    device_alloc_bytes: AtomicU64,
+    idle_lane_work: AtomicU64,
+}
+
+fn add(c: &AtomicU64, n: u64) {
+    c.fetch_add(n, Ordering::Relaxed);
+}
+
+fn get(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
 }
 
 impl GpuStats {
@@ -59,14 +47,14 @@ impl GpuStats {
     pub fn new(transaction_bytes: usize) -> Self {
         Self {
             transaction_bytes: transaction_bytes as u64,
-            gld: Counter::default(),
-            gst: Counter::default(),
-            kernel_launches: Counter::default(),
-            warp_tasks: Counter::default(),
-            work_units: Counter::default(),
-            device_allocs: Counter::default(),
-            device_alloc_bytes: Counter::default(),
-            idle_lane_work: Counter::default(),
+            gld: AtomicU64::new(0),
+            gst: AtomicU64::new(0),
+            kernel_launches: AtomicU64::new(0),
+            warp_tasks: AtomicU64::new(0),
+            work_units: AtomicU64::new(0),
+            device_allocs: AtomicU64::new(0),
+            device_alloc_bytes: AtomicU64::new(0),
+            idle_lane_work: AtomicU64::new(0),
         }
     }
 
@@ -79,40 +67,40 @@ impl GpuStats {
 
     /// Record `n` global-memory load transactions.
     pub fn add_gld(&self, n: u64) {
-        self.gld.add(n);
+        add(&self.gld, n);
     }
 
     /// Record `n` global-memory store transactions.
     pub fn add_gst(&self, n: u64) {
-        self.gst.add(n);
+        add(&self.gst, n);
     }
 
     /// Record one kernel launch.
     pub fn record_kernel_launch(&self) {
-        self.kernel_launches.add(1);
+        add(&self.kernel_launches, 1);
     }
 
     /// Record `n` warp tasks (one per intermediate-table row handled).
     pub fn add_warp_tasks(&self, n: u64) {
-        self.warp_tasks.add(n);
+        add(&self.warp_tasks, n);
     }
 
     /// Record `n` abstract work units (elements processed by lanes).
     pub fn add_work(&self, n: u64) {
-        self.work_units.add(n);
+        add(&self.work_units, n);
     }
 
     /// Record a device allocation request of `bytes` (Prealloc-Combine's GBA
     /// argument in §V is about *reducing the number of allocation requests*).
     pub fn record_alloc(&self, bytes: u64) {
-        self.device_allocs.add(1);
-        self.device_alloc_bytes.add(bytes);
+        add(&self.device_allocs, 1);
+        add(&self.device_alloc_bytes, bytes);
     }
 
     /// Record wasted SIMD lanes (warp divergence / thread underutilization,
     /// e.g. CSR label scans where lanes holding wrong-label edges idle).
     pub fn add_idle_lanes(&self, n: u64) {
-        self.idle_lane_work.add(n);
+        add(&self.idle_lane_work, n);
     }
 
     // ---- coalescing-aware accounting ------------------------------------
@@ -211,27 +199,44 @@ impl GpuStats {
     /// Copy the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            gld_transactions: self.gld.get(),
-            gst_transactions: self.gst.get(),
-            kernel_launches: self.kernel_launches.get(),
-            warp_tasks: self.warp_tasks.get(),
-            work_units: self.work_units.get(),
-            device_allocs: self.device_allocs.get(),
-            device_alloc_bytes: self.device_alloc_bytes.get(),
-            idle_lane_work: self.idle_lane_work.get(),
+            gld_transactions: get(&self.gld),
+            gst_transactions: get(&self.gst),
+            kernel_launches: get(&self.kernel_launches),
+            warp_tasks: get(&self.warp_tasks),
+            work_units: get(&self.work_units),
+            device_allocs: get(&self.device_allocs),
+            device_alloc_bytes: get(&self.device_alloc_bytes),
+            idle_lane_work: get(&self.idle_lane_work),
         }
+    }
+
+    /// Add a finished ledger's totals: how a launch worker's ledger joins
+    /// its query's, and a query's joins its device's.
+    pub fn absorb(&self, s: &StatsSnapshot) {
+        add(&self.gld, s.gld_transactions);
+        add(&self.gst, s.gst_transactions);
+        add(&self.kernel_launches, s.kernel_launches);
+        add(&self.warp_tasks, s.warp_tasks);
+        add(&self.work_units, s.work_units);
+        add(&self.device_allocs, s.device_allocs);
+        add(&self.device_alloc_bytes, s.device_alloc_bytes);
+        add(&self.idle_lane_work, s.idle_lane_work);
     }
 
     /// Zero every counter.
     pub fn reset(&self) {
-        self.gld.zero();
-        self.gst.zero();
-        self.kernel_launches.zero();
-        self.warp_tasks.zero();
-        self.work_units.zero();
-        self.device_allocs.zero();
-        self.device_alloc_bytes.zero();
-        self.idle_lane_work.zero();
+        for c in [
+            &self.gld,
+            &self.gst,
+            &self.kernel_launches,
+            &self.warp_tasks,
+            &self.work_units,
+            &self.device_allocs,
+            &self.device_alloc_bytes,
+            &self.idle_lane_work,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 

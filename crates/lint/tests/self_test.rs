@@ -94,7 +94,7 @@ fn charge_row(gpu: &Gpu) {
 }
 fn kernel(gpu: &Gpu, buf: &DeviceVec) {
     gpu.stats().gld(1);
-    buf.warp_read(0, 4);
+    buf.warp_read(gpu, 0, 4);
 }
 ";
     let rep = report_for("crates/core/src/set_ops.rs", src);

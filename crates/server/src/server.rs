@@ -314,17 +314,19 @@ impl GsiServer {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        // Phase 3: typed goodbye to every live connection, then close.
+        // Phase 3: typed goodbye to every live connection, then close. The
+        // readers are told to stop only afterwards: a reader that saw
+        // `closed` on an idle tick would shut its socket before the goodbye.
         let conns: Vec<Arc<ConnShared>> = {
             let guard = self.shared.conns.lock();
             guard.iter().filter_map(|w| w.upgrade()).collect()
         };
         let connections_drained = conns.len();
-        self.shared.closed.store(true, Ordering::SeqCst);
         for conn in conns {
             let _ = conn.send(0, &Frame::Goodbye);
             let _ = conn.stream.lock().shutdown(Shutdown::Both);
         }
+        self.shared.closed.store(true, Ordering::SeqCst);
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.readers.lock());
         for h in handles {
             let _ = h.join();

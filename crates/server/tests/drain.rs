@@ -201,7 +201,17 @@ fn submits_after_drain_get_shutting_down() {
         write_frame(&mut anchor_writer, &header, &frame).expect("anchor submit");
     }
     let anchor_collector = std::thread::spawn(move || collect_until_goodbye(anchor));
-    std::thread::sleep(Duration::from_millis(10)); // anchors acknowledged
+    // Every anchor acknowledged before the drain starts: a reader starved
+    // on a busy host would otherwise see the drain first and answer all
+    // eight with ShuttingDown.
+    let acked = std::time::Instant::now();
+    while service.stats().submitted < n_anchors {
+        assert!(
+            acked.elapsed() < Duration::from_secs(30),
+            "anchors never acknowledged"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let stream = TcpStream::connect(addr).expect("connect");
     stream

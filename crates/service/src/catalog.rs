@@ -159,8 +159,8 @@ impl GraphCatalog {
     ///
     /// Preparation happens *outside* the catalog lock (it is the expensive
     /// offline phase), so serving continues while a graph is loading, and
-    /// uses [`GsiEngine::prepare_shared`] so the shared device ledger is
-    /// never reset under in-flight queries.
+    /// uses [`GsiEngine::prepare_shared`] so the device's running totals
+    /// are never reset by a registration.
     pub fn register(&self, engine: &GsiEngine, name: &str, graph: Graph) -> Registration {
         let prepared = Arc::new(engine.prepare_shared(&graph));
         let entry = Arc::new(CatalogEntry {

@@ -54,9 +54,9 @@
 //! threads through every served query: each [`QueryOutcome`] carries a
 //! [`StageBreakdown`] partitioning its latency into queue / plan / filter
 //! / join / respond; [`GsiService::export_metrics`] renders the live
-//! registry (counters, gauges, log-linear histograms; the scheduler's,
-//! plan cache's and device ledger's own values are copied in at scrape
-//! time) in Prometheus-text or JSON; and a
+//! registry (counters, gauges, log-linear histograms; the scheduler's and
+//! plan cache's own values are copied in at scrape time) in
+//! Prometheus-text or JSON; and a
 //! [`FlightRecorder`] retains full traces of the slowest and failed
 //! queries ([`GsiService::dump_flight_recorder`]). Per-query span trees
 //! are recorded only under [`TraceConfig::On`]
@@ -121,9 +121,8 @@ pub use gsi_obs::{
 };
 
 use gsi_core::{plan_join_estimated, GsiConfig, GsiEngine, JoinPlan, PlannerKind, PreparedData};
-use gsi_gpu_sim::{DeviceConfig, Gpu, StatsSnapshot};
+use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::Graph;
-use parking_lot::Mutex;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
@@ -256,10 +255,6 @@ pub(crate) struct ServiceCore {
     /// are held for each query's full run, so their sum stays bounded by
     /// `intra_budget` (plus the 1-thread floor per running query).
     pub(crate) intra_granted: std::sync::atomic::AtomicUsize,
-    /// Device-ledger work attributable to graph preparation, accumulated
-    /// across registrations and subtracted from the serving aggregate in
-    /// [`GsiService::stats`].
-    pub(crate) prepare_device: Mutex<StatsSnapshot>,
     /// Per-query tracing mode (see [`ServiceConfig::trace`]).
     pub(crate) trace: TraceConfig,
     /// Retained traces of the slowest / failed / panicked queries.
@@ -305,7 +300,6 @@ impl GsiService {
             intra_budget,
             busy_workers: std::sync::atomic::AtomicUsize::new(0),
             intra_granted: std::sync::atomic::AtomicUsize::new(0),
-            prepare_device: Mutex::new(StatsSnapshot::default()),
             trace: config.trace,
             flight: FlightRecorder::new(config.flight_recorder_capacity),
             query_seq: AtomicU64::new(0),
@@ -322,20 +316,10 @@ impl GsiService {
 
     /// Prepare and register a data graph under `name` (replacing any
     /// previous registration; in-flight queries keep the old graph alive).
-    ///
-    /// The preparation's device work is tracked separately so the serving
-    /// aggregate in [`GsiService::stats`] reflects query work only. When a
-    /// registration runs concurrently with queries, work from those queries
-    /// that lands inside the preparation window is attributed to
-    /// preparation — register up front for exact accounting.
+    /// The preparation's device work is not serving work:
+    /// [`GsiService::stats`] counts only what served queries charged.
     pub fn register(&self, name: &str, graph: Graph) -> Registration {
-        let before = self.core.engine.gpu().stats().snapshot();
         let reg = self.core.catalog.register(&self.core.engine, name, graph);
-        let delta = self.core.engine.gpu().stats().snapshot() - before;
-        {
-            let mut prep = self.core.prepare_device.lock();
-            *prep = *prep + delta;
-        }
         // A replaced registration's epoch can never match again; drop its
         // plans instead of waiting for LRU pressure to evict them, and
         // retire its stats entry.
@@ -351,7 +335,7 @@ impl GsiService {
     ///
     /// Queries in flight keep the old epoch's data pinned and finish
     /// against it; queries submitted after this returns see the new epoch.
-    /// The re-prepare's device work is attributed to preparation, like
+    /// The re-prepare's device work is not serving work, like
     /// registration's.
     ///
     /// **Cached plans survive the publication when the data barely moved.**
@@ -377,14 +361,7 @@ impl GsiService {
         name: &str,
         batch: &UpdateBatch,
     ) -> Result<CatalogUpdate, CatalogUpdateError> {
-        let before = self.core.engine.gpu().stats().snapshot();
-        let result = self.core.catalog.update(&self.core.engine, name, batch);
-        let delta = self.core.engine.gpu().stats().snapshot() - before;
-        {
-            let mut prep = self.core.prepare_device.lock();
-            *prep = *prep + delta;
-        }
-        let up = result?;
+        let up = self.core.catalog.update(&self.core.engine, name, batch)?;
         if up.entry.epoch() != up.displaced.epoch() {
             let drift = up
                 .displaced
@@ -483,12 +460,9 @@ impl GsiService {
         &self.core.engine
     }
 
-    /// Typed read of the service's metric ledger.
-    ///
-    /// `device` is an exact device-ledger delta (total ledger minus
-    /// preparation work): per-query device snapshots overlap when queries
-    /// run concurrently on the shared simulated device, so summing them
-    /// would over-count roughly `workers`-fold.
+    /// Typed read of the service's metric ledger. `device` is the sum of
+    /// the completed queries' own device ledgers — exact however many ran
+    /// side by side, since each query charges a ledger of its own.
     pub fn stats(&self) -> ServiceStatsSnapshot {
         self.sample();
         self.core.stats.snapshot()
@@ -508,16 +482,12 @@ impl GsiService {
         self.core.stats.registry()
     }
 
-    /// Copy the scheduler's, plan cache's, flight recorder's and device
-    /// ledger's current values into their metric handles.
+    /// Copy the scheduler's, plan cache's and flight recorder's current
+    /// values into their metric handles.
     fn sample(&self) {
-        let device = self.core.engine.gpu().stats().snapshot() - *self.core.prepare_device.lock();
-        self.core.stats.sample(
-            &self.scheduler,
-            &self.core.plan_cache,
-            &self.core.flight,
-            device,
-        );
+        self.core
+            .stats
+            .sample(&self.scheduler, &self.core.plan_cache, &self.core.flight);
     }
 
     /// Render the metrics registry in the requested exporter format.

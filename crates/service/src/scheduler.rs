@@ -41,10 +41,10 @@
 //! pool degrades gracefully to one thread per query instead of
 //! oversubscribing the host `workers × threads`-fold.
 //!
-//! Workers share the engine's one modeled device, and a device runs one
-//! grid at a time (`gsi_gpu_sim::Gpu`): queries on different workers
-//! overlap their host-side work — planning, table materialisation, the
-//! hand-off to the caller — while their kernels take turns.
+//! Workers share the engine's one modeled device, and each query charges a
+//! device ledger of its own (`gsi_gpu_sim::Gpu::scoped`): queries on
+//! different workers run side by side, kernels included, and each one's
+//! device counts are its own.
 
 use crate::canon::canonicalize;
 use crate::catalog::CatalogEntry;
@@ -172,11 +172,8 @@ impl From<QueryError> for ApiError {
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The engine's full output (matches, run stats, executed plan).
-    ///
-    /// `output.stats.device` is a snapshot delta of the service's shared
-    /// device ledger; when other queries ran concurrently, their
-    /// transactions are included. Wall times and match counts are exact;
-    /// for exact aggregate device work use `GsiService::stats`.
+    /// `output.stats.device` is this query's own device ledger: exact, and
+    /// the same whether or not other queries ran beside it.
     pub output: QueryOutput,
     /// Catalog epoch whose data the query pinned at submit time. Under
     /// concurrent `GraphCatalog::update`s this is the proof of which graph

@@ -6,7 +6,8 @@
 //! lock except the per-epoch map — and a scrape renders the same handles,
 //! after [`ServiceStats`] has copied in the few values other components
 //! own (queue depth and lanes, plan-cache size and traffic, flight-recorder
-//! occupancy, uptime, the device ledger's serving share).
+//! occupancy, uptime). Device work is recorded per completed query, from
+//! the query's own device ledger.
 //!
 //! End-to-end latency and batch fill are log-linear histograms
 //! ([`gsi_obs::Histogram`]): every served query is counted, and p50 / p99
@@ -74,8 +75,8 @@ pub struct ServiceStats {
     /// Summed per-stage wall time of served queries, microseconds, in
     /// `StageBreakdown::stages` order.
     stage_us: [Counter; 5],
-    /// The device ledger's serving share, in `StatsSnapshot::metric_fields`
-    /// order.
+    /// Summed device ledgers of completed queries, in
+    /// `StatsSnapshot::metric_fields` order.
     device: [Counter; 8],
     queue_depth: Gauge,
     queue_depth_highwater: Gauge,
@@ -364,10 +365,14 @@ impl ServiceStats {
         }
     }
 
-    /// A query ran to completion (`stats` is its engine run report).
-    /// `epoch` is the catalog epoch whose data the query pinned.
+    /// A query ran to completion (`stats` is its engine run report, with
+    /// its own device ledger). `epoch` is the catalog epoch whose data the
+    /// query pinned.
     pub fn record_completed(&self, epoch: u64, latency: Duration, stats: &RunStats) {
         self.completed.inc();
+        for (counter, (_, value)) in self.device.iter().zip(stats.device.metric_fields()) {
+            counter.add(value);
+        }
         if stats.timed_out {
             self.engine_timeouts.inc();
         }
@@ -403,15 +408,13 @@ impl ServiceStats {
 
     /// Copy the values other components own into their handles, and
     /// derive the rate and mean gauges; done before every read of the
-    /// ledger. `device` is the device ledger's serving share (total minus
-    /// preparation). Counters only ever rise, so racing reads cannot make
-    /// one look reset.
+    /// ledger. Counters only ever rise, so racing reads cannot make one
+    /// look reset.
     pub(crate) fn sample(
         &self,
         scheduler: &QueryScheduler,
         plan_cache: &PlanCache,
         flight: &FlightRecorder,
-        device: StatsSnapshot,
     ) {
         self.queue_depth.set(scheduler.queue_depth() as f64);
         self.queue_depth_highwater
@@ -442,9 +445,6 @@ impl ServiceStats {
             .set(pre_replan.unwrap_or(f64::NAN));
         self.flight_recorder_len.set(flight.len() as f64);
         self.uptime.set(self.started.elapsed().as_secs_f64());
-        for (counter, (_, value)) in self.device.iter().zip(device.metric_fields()) {
-            counter.raise_to(value);
-        }
     }
 
     /// Typed read of every handle. Values other components own are as of
@@ -587,9 +587,9 @@ pub struct ServiceStatsSnapshot {
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
-    /// Device-ledger work attributed to serving: the whole ledger minus
-    /// graph preparation. Exact under concurrency — per-query device
-    /// deltas of the shared ledger overlap, so their sum would not be.
+    /// Device work of completed queries: the sum of their own device
+    /// ledgers (graph preparation excluded). Exact under concurrency —
+    /// each query charges a ledger no other query touches.
     pub device: StatsSnapshot,
     /// End-to-end latency distribution of *served* queries, microseconds.
     pub latency_us: HistogramSnapshot,

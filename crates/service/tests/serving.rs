@@ -91,6 +91,47 @@ fn concurrent_matches_equal_serial() {
     assert_eq!(snap.engine_timeouts, 0);
 }
 
+/// Each query charges a device ledger of its own: run side by side on two
+/// workers, every query reports exactly the device work it reports when it
+/// runs alone, and the service's device totals are the sum of them.
+/// (Batching is off: a batch shares filter work, and charges it once.)
+#[test]
+fn concurrent_queries_report_the_device_work_they_report_alone() {
+    let graphs = catalog_graphs();
+    let queries = workload(&graphs, 6);
+    let service = GsiService::new(ServiceConfig {
+        batch_window: 1,
+        ..test_service(2)
+    });
+    for (name, g) in &graphs {
+        service.register(name, g.clone());
+    }
+    let device_of =
+        |resp: gsi_service::QueryResponse| resp.result.expect("query ran").output.stats.device;
+    let alone: Vec<_> = queries
+        .iter()
+        .map(|(name, q)| {
+            device_of(
+                service
+                    .query_blocking(QueryRequest::new(*name, q.clone()))
+                    .unwrap(),
+            )
+        })
+        .collect();
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|(name, q)| service.submit(QueryRequest::new(*name, q.clone())).unwrap())
+        .collect();
+    let side_by_side: Vec<_> = tickets.into_iter().map(|t| device_of(t.wait())).collect();
+    assert_eq!(side_by_side, alone);
+    assert!(alone.iter().all(|d| d.gld_transactions > 0));
+    let total = alone
+        .iter()
+        .chain(&side_by_side)
+        .fold(gsi_gpu_sim::StatsSnapshot::default(), |acc, &d| acc + d);
+    assert_eq!(service.stats().device, total, "preparation excluded");
+}
+
 /// Two identical service runs give identical results (scheduling noise
 /// never leaks into outputs), and full matches — not just counts — equal
 /// the serial canonical form.

@@ -104,7 +104,8 @@ fn signature_scan(gpu: &Gpu, table: &SignatureTable, qwords: &[u32]) -> Vec<Vert
     let batches: Vec<usize> = (0..n_batches).collect();
     let bitmap: Vec<AtomicU32> = (0..n.div_ceil(32)).map(|_| AtomicU32::new(0)).collect();
 
-    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |_ctx, block| {
+    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |ctx, block| {
+        let gpu = ctx.gpu;
         let mut lanes: Vec<usize> = Vec::with_capacity(WARP_SIZE);
         for &batch in block {
             let base = batch * WARP_SIZE;
@@ -231,12 +232,13 @@ fn predicate_scan(
     let batches: Vec<usize> = (0..n_batches).collect();
     let bitmap: Vec<AtomicU32> = (0..n.div_ceil(32)).map(|_| AtomicU32::new(0)).collect();
 
-    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |_ctx, block| {
+    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |ctx, block| {
+        let gpu = ctx.gpu;
         for &batch in block {
             let base = batch * WARP_SIZE;
             let end = (base + WARP_SIZE).min(n);
             // Coalesced label read for the warp.
-            let labels = inputs.vlabels.warp_read(base, end - base);
+            let labels = inputs.vlabels.warp_read(gpu, base, end - base);
             let mut lanes: Vec<usize> = (base..end).filter(|&v| labels[v - base] == ql).collect();
             if use_degree && !lanes.is_empty() {
                 // Degree read only for surviving lanes.

@@ -81,7 +81,6 @@ fn run_once(
     planner: PlannerKind,
     adaptive: bool,
 ) -> (Vec<Vec<u32>>, gsi::sim::StatsSnapshot, Vec<u32>, u32) {
-    let snap0 = engine.gpu().stats().snapshot();
     let out = engine
         .query_with_options(
             data,
@@ -94,7 +93,7 @@ fn run_once(
             },
         )
         .expect("connected queries plan");
-    let delta = engine.gpu().stats().snapshot() - snap0;
+    let delta = out.stats.device;
     assert!(out.plan.covers(query), "executed plan must cover");
     assert_eq!(
         out.explain.steps.len(),

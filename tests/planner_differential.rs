@@ -36,7 +36,6 @@ fn run_once(
     query: &Graph,
     planner: PlannerKind,
 ) -> (Vec<Vec<u32>>, gsi::sim::StatsSnapshot, Vec<u32>) {
-    let snap0 = engine.gpu().stats().snapshot();
     let out = engine
         .query_with_options(
             data,
@@ -48,7 +47,7 @@ fn run_once(
             },
         )
         .expect("random-walk queries are connected");
-    let delta = engine.gpu().stats().snapshot() - snap0;
+    let delta = out.stats.device;
     assert!(out.plan.covers(query), "executed plan must cover");
     assert_eq!(
         out.explain.steps.len(),

@@ -12,7 +12,7 @@
 //! report — `{schema, experiment, description, params, rows, gates}` — to
 //! `--out`; a failed gate fails the run *after* the report is on disk.
 //! What each one measures and gates is on its function in `experiments`.
-//!   backend        serial vs host-parallel join execution (BENCH_PR2.json)
+//!   backend        one- vs many-thread join pool (BENCH_PR2.json)
 //!   update-churn   incremental re-prepare vs full rebuild (BENCH_PR3.json)
 //!   batch          shared candidate filtering vs solo runs (BENCH_PR4.json)
 //!   optimize       cost-based vs greedy join orders (BENCH_PR5.json)
@@ -27,7 +27,8 @@
 //!   --seed <n>         RNG seed (default 42)
 //!   --timeout <ms>     per-query timeout for GPU engines (default 30000)
 //!   --cpu-timeout <ms> per-query timeout for CPU baselines (default 10000)
-//!   --threads <n>      host-parallel backend workers (backend only, default 4)
+//!   --threads <n>      join-pool width of the host-parallel arm (backend only,
+//!                      default 4)
 //!   --latency <ns>     modeled memory latency per streamed element
 //!                      (backend only, default 100)
 //!   --rounds <n>       mutation rounds (update-churn only, default 8)

@@ -622,14 +622,14 @@ fn melem_per_s(work_units: u64, wall: Duration) -> f64 {
     ratio(work_units, wall.as_secs_f64()) / 1e6
 }
 
-/// PR 2 perf trajectory — serial vs `HostParallel` execution backend on the
+/// PR 2 perf trajectory — a one-thread vs a `threads`-wide join pool on the
 /// join workload (not part of the paper; the repo's own scaling series).
 ///
 /// Both runs use an identical `bench_device` with the memory-latency
 /// model enabled at `latency_ns` per streamed element — the regime where a
 /// real GPU's SMs earn their parallelism by hiding latency, and where the
-/// `HostParallel` backend's overlapping workers show real wall-clock
-/// speedup even on a single-core host. Gate: the backends' device counters
+/// wide pool's overlapping workers show real wall-clock speedup even on a
+/// single-core host. Gate: the two arms' device counters
 /// and match counts are *exactly* equal — only wall clock may move.
 /// Committed copy: `BENCH_PR2.json`.
 pub fn backend(opts: &HarnessOpts, threads: usize, latency_ns: u64, out_path: &str) -> Outcome {
@@ -648,7 +648,7 @@ pub fn backend(opts: &HarnessOpts, threads: usize, latency_ns: u64, out_path: &s
 
     let serial = run_gsi_on_device(&cfg, device.clone(), &data, &queries, opts);
     let parallel = run_gsi_on_device(
-        &cfg.clone().with_backend(BackendKind::HostParallel, threads),
+        &cfg.clone().with_join_threads(threads),
         device.clone(),
         &data,
         &queries,
@@ -657,7 +657,7 @@ pub fn backend(opts: &HarnessOpts, threads: usize, latency_ns: u64, out_path: &s
 
     let mut report = Report::new(
         "backend",
-        "serial vs HostParallel join execution backend, identical device, \
+        "one-thread vs many-thread join pool, identical device, \
          memory-latency model enabled",
         opts,
     );
@@ -1665,9 +1665,9 @@ fn multiplicity_patterns() -> Vec<(&'static str, Graph)> {
 ///    *cut GLD transactions* vs Prealloc-Combine (the promotion cell
 ///    proves the threshold actually fired).
 /// 3. **Engine-level kernel equivalence** — the same workload under
-///    scalar vs vectorized kernels on both backends: all four cells must
-///    charge exactly equal device counters and produce bit-identical
-///    tables.
+///    scalar vs vectorized kernels on one- and three-thread join pools: all
+///    four cells must charge exactly equal device counters and produce
+///    bit-identical tables.
 ///
 /// Committed copy: `BENCH_PR7.json`.
 pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
@@ -1920,17 +1920,14 @@ pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
         ("scalar", SetOpKernels::Scalar),
         ("vectorized", SetOpKernels::Vectorized),
     ] {
-        for (bname, backend, threads) in [
-            ("serial", BackendKind::Serial, 0usize),
-            ("host-parallel", BackendKind::HostParallel, 3),
-        ] {
+        for (bname, join_threads) in [("serial", 1), ("host-parallel", 3)] {
             let cell = format!("{kname}/{bname}");
             let engine = bench_engine(
                 GsiConfig {
                     set_op_kernels: kernels,
                     ..GsiConfig::gsi_opt()
                 }
-                .with_backend(backend, threads),
+                .with_join_threads(join_threads),
                 0,
             );
             let prepared = engine.prepare(&data);

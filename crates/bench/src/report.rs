@@ -100,10 +100,10 @@ pub mod metric {
     pub const ALLOCS: Metric = Metric::exact("gpu-sim.allocs", "count", Lower);
     /// Device-ledger work units (lane-elements processed).
     pub const DEVICE_WORK: Metric = Metric::exact("gpu-sim.work_units", "count", Lower);
-    /// Join-backend work: total streamed elements.
+    /// Join-pool work: total streamed elements.
     pub const JOIN_WORK: Metric = Metric::exact("core.join_work_units", "count", Lower);
-    /// Join-backend span: the schedule's critical path (which worker ends
-    /// up busiest varies from run to run under `HostParallel`).
+    /// Join-pool span: the schedule's critical path (which worker ends up
+    /// busiest varies from run to run on a many-thread pool).
     pub const JOIN_SPAN: Metric = Metric::measured("core.join_span_units", "count", Lower);
     /// Join-work ratio of the scope's baseline arm over this arm.
     pub const WORK_RATIO: Metric = Metric::exact("work_ratio_vs_baseline", "x", Higher);

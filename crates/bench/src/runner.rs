@@ -87,8 +87,8 @@ pub fn run_gsi(cfg: &GsiConfig, data: &Graph, queries: &[Graph], opts: &HarnessO
     run_gsi_on_device(cfg, DeviceConfig::titan_xp(), data, queries, opts)
 }
 
-/// Run a GSI config over a query batch on an explicit device (backend
-/// comparisons fix `worker_threads` / latency modeling here).
+/// Run a GSI config over a query batch on an explicit device (join-pool
+/// width comparisons fix `worker_threads` / latency modeling here).
 pub fn run_gsi_on_device(
     cfg: &GsiConfig,
     device: DeviceConfig,
@@ -223,13 +223,7 @@ mod tests {
         };
         let cfg = GsiConfig::gsi_opt();
         let serial = run_gsi_on_device(&cfg, device.clone(), &data, &queries, &opts);
-        let par = run_gsi_on_device(
-            &cfg.with_backend(BackendKind::HostParallel, 3),
-            device,
-            &data,
-            &queries,
-            &opts,
-        );
+        let par = run_gsi_on_device(&cfg.with_join_threads(3), device, &data, &queries, &opts);
         assert_eq!(serial.stats.n_matches, par.stats.n_matches);
         assert_eq!(serial.stats.device, par.stats.device);
         assert_eq!(serial.stats.join_work_units, par.stats.join_work_units);

@@ -40,20 +40,6 @@ pub enum SetOpKernels {
     Vectorized,
 }
 
-/// Which execution backend drives the join phase's planned kernels (see
-/// the [`crate::backend`] module for the layer stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Faithful single-threaded simulation: blocks run in grid order on the
-    /// calling thread. Deterministic; the reference for every comparison.
-    #[default]
-    Serial,
-    /// Real intra-query parallelism: a `std::thread::scope` worker pool
-    /// drains each launch's blocks the way a GPU's SMs do. Exact counters,
-    /// bit-identical results, lower wall-clock on multi-core hosts.
-    HostParallel,
-}
-
 /// How set operations are executed (§V "GPU-friendly Set Operation").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetOpStrategy {
@@ -174,13 +160,13 @@ pub struct GsiConfig {
     /// set — only the order work is paid in. `None` (all presets) keeps the
     /// plan static for the whole query.
     pub replan_qerror_threshold: Option<f64>,
-    /// Execution backend for the join phase's planned kernels.
-    pub backend: BackendKind,
-    /// Worker threads of the [`BackendKind::HostParallel`] backend
-    /// (`0` = all available host parallelism). Ignored by `Serial`. A
-    /// serving layer overrides this per query to budget intra- against
-    /// inter-query parallelism (see `gsi-service`).
-    pub intra_query_threads: usize,
+    /// Host threads that drain each join launch's blocks, the way a GPU's
+    /// SMs drain a launch (§II-B; see [`crate::backend`]). `1` (every
+    /// preset) runs the blocks in grid order on the calling thread; `0`
+    /// means every available core, resolved once by
+    /// [`crate::GsiEngine::with_gpu`]. Device counters and match tables are
+    /// identical at every width.
+    pub join_threads: usize,
 }
 
 impl GsiConfig {
@@ -205,8 +191,7 @@ impl GsiConfig {
             planner: PlannerKind::Greedy,
             radix_join_threshold: None,
             replan_qerror_threshold: None,
-            backend: BackendKind::Serial,
-            intra_query_threads: 0,
+            join_threads: 1,
         }
     }
 
@@ -227,11 +212,10 @@ impl GsiConfig {
         }
     }
 
-    /// This configuration with another execution backend.
-    pub fn with_backend(self, backend: BackendKind, intra_query_threads: usize) -> Self {
+    /// This configuration with another join-pool width (`0` = all cores).
+    pub fn with_join_threads(self, join_threads: usize) -> Self {
         Self {
-            backend,
-            intra_query_threads,
+            join_threads,
             ..self
         }
     }
@@ -345,14 +329,13 @@ mod tests {
         let cfg = GsiConfig::default();
         cfg.validate();
         assert!(cfg.duplicate_removal);
-        assert_eq!(cfg.backend, BackendKind::Serial, "serial is the reference");
+        assert_eq!(cfg.join_threads, 1, "one thread is the reference");
     }
 
     #[test]
     fn with_backend_overrides_only_execution() {
-        let cfg = GsiConfig::gsi_opt().with_backend(BackendKind::HostParallel, 4);
-        assert_eq!(cfg.backend, BackendKind::HostParallel);
-        assert_eq!(cfg.intra_query_threads, 4);
+        let cfg = GsiConfig::gsi_opt().with_join_threads(4);
+        assert_eq!(cfg.join_threads, 4);
         assert!(cfg.duplicate_removal, "other knobs untouched");
         cfg.validate();
     }

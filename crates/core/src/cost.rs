@@ -36,7 +36,7 @@
 //!
 //! Every plan the optimizer emits covers the query exactly like a greedy
 //! plan does, so match tables are bit-identical across planners (the
-//! differential suite asserts this across backends and join schemes); only
+//! differential suite asserts this across join-pool widths and join schemes); only
 //! the work to produce them changes.
 
 use crate::config::{GsiConfig, JoinScheme, SetOpStrategy};

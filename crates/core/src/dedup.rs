@@ -31,7 +31,7 @@ pub fn first_occurrences(vs: &[VertexId]) -> Vec<usize> {
 /// so its warp must stream its own sub-range. With duplicate removal off,
 /// every warp owns its input. Depends solely on the block's composition
 /// (which the planner fixes), never on which worker executes it — the
-/// property that keeps parallel backends charge-exact.
+/// property that keeps a many-thread join pool charge-exact.
 pub fn block_input_owners(
     enabled: bool,
     block: &[ChunkTask],

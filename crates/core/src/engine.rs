@@ -1,6 +1,6 @@
 //! The end-to-end GSI engine: prepare (offline) + query (online).
 
-use crate::backend::{make_backend, ExecBackend};
+use crate::backend::JoinPool;
 use crate::config::{FilterStrategy, GsiConfig, JoinScheme};
 use crate::cost::{
     estimate_for_plan, plan_join_costed, replan_suffix, splice_replanned, ExplainPlan, PlannerKind,
@@ -11,6 +11,7 @@ use crate::plan::{plan_join, JoinPlan, PlanError};
 use crate::stats::RunStats;
 use crate::strategy::strategy_for;
 use crate::table::MatchTable;
+use gsi_gpu_sim::device::resolve_threads;
 use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::basic::BasicStore;
 use gsi_graph::compressed::CompressedStore;
@@ -182,11 +183,6 @@ pub struct QueryOptions<'a> {
     /// validated with [`JoinPlan::covers`]; one that does not cover `query`
     /// is ignored and a fresh plan is computed.
     pub plan: Option<&'a JoinPlan>,
-    /// `HostParallel` worker-thread override for this run (`0` = all
-    /// available cores); `None` uses [`GsiConfig::intra_query_threads`].
-    /// A serving layer sets this per query to budget intra- against
-    /// inter-query parallelism.
-    pub intra_query_threads: Option<usize>,
     /// Shared filter cache for this run: distinct label demands already
     /// computed under it are reused instead of re-scanned, so a batch of
     /// queries against one prepared graph pays each demand once
@@ -255,26 +251,6 @@ pub struct QueryOutput {
     pub pre_replan_q_error: Option<f64>,
 }
 
-impl QueryOutput {
-    /// Merge another run of the *same query pattern* into this one,
-    /// concatenating matches and accumulating stats — the aggregation
-    /// primitive batch/shard consumers build on. Fails if the join orders
-    /// differ (results would not be column-compatible).
-    pub fn merge(&mut self, other: &QueryOutput) -> Result<(), String> {
-        if self.matches.order != other.matches.order {
-            return Err(format!(
-                "cannot merge outputs with different join orders ({:?} vs {:?})",
-                self.matches.order, other.matches.order
-            ));
-        }
-        self.matches.table.append(&other.matches.table)?;
-        self.stats.accumulate(&other.stats);
-        // accumulate() sums n_matches; recompute from the merged table.
-        self.stats.n_matches = self.matches.len();
-        Ok(())
-    }
-}
-
 /// The GSI engine: a configuration bound to a simulated device.
 pub struct GsiEngine {
     cfg: GsiConfig,
@@ -288,8 +264,11 @@ impl GsiEngine {
     }
 
     /// Engine on an explicit device (tests use a single-threaded one).
-    pub fn with_gpu(cfg: GsiConfig, gpu: Gpu) -> Self {
+    /// A `join_threads` of `0` is resolved here, once, to the host's
+    /// available parallelism; [`GsiEngine::config`] reports the result.
+    pub fn with_gpu(mut cfg: GsiConfig, gpu: Gpu) -> Self {
         cfg.validate();
+        cfg.join_threads = resolve_threads(cfg.join_threads);
         Self { cfg, gpu }
     }
 
@@ -467,8 +446,8 @@ impl GsiEngine {
     }
 
     /// The fully general entry point: [`GsiEngine::query`] plus a timeout,
-    /// an optional reusable [`JoinPlan`], and execution-backend overrides
-    /// (see [`QueryOptions`]).
+    /// an optional reusable [`JoinPlan`], and the other per-run overrides
+    /// of [`QueryOptions`].
     ///
     /// The run is split into the cacheable and per-run halves of the joining
     /// phase: Algorithm 2 (join-order construction) only executes when no
@@ -568,9 +547,9 @@ impl GsiEngine {
         let planner = explain.planner;
         let mut matches = Matches::empty(plan.order.clone());
 
-        // Strategy (what each iteration computes) and backend (how its
-        // planned kernels execute) are resolved per run; the backend is
-        // per-query state, carrying the run's work/span ledger. With
+        // Strategy (what each iteration computes) is resolved per run and
+        // the join pool (which runs its planned kernels) is per-query
+        // state, carrying the run's work/span ledger. With
         // `radix_join_threshold` set, individual steps whose estimated
         // fan-out (next-step rows over current rows, from the explain's
         // cardinality model) crosses the threshold are promoted to the
@@ -597,11 +576,7 @@ impl GsiEngine {
             }
         };
         let mut radix_steps: Vec<bool> = radix_flags(&explain, plan.steps.len());
-        let backend: Box<dyn ExecBackend> = make_backend(
-            self.cfg.backend,
-            opts.intra_query_threads
-                .unwrap_or(self.cfg.intra_query_threads),
-        );
+        let pool = JoinPool::new(self.cfg.join_threads);
 
         // Adaptive execution: with a finite threshold resolved, each step's
         // actual output cardinality is checked against the estimate and a
@@ -620,7 +595,7 @@ impl GsiEngine {
                 cfg: &self.cfg,
                 store: prepared.store.as_ref(),
                 data,
-                backend: backend.as_ref(),
+                backend: &pool,
             };
             let mut m = MatchTable::from_candidates(&cands[plan.order[0] as usize].list);
             stats.max_intermediate_rows = m.n_rows();
@@ -747,7 +722,7 @@ impl GsiEngine {
         stats.total_time = t_start.elapsed();
         stats.device = gpu.stats().snapshot();
         stats.n_matches = matches.len();
-        (stats.join_work_units, stats.join_span_units) = backend.work_span();
+        (stats.join_work_units, stats.join_span_units) = pool.work_span();
         explain.fill_actuals(&stats.step_rows);
 
         Ok(QueryOutput {
@@ -769,7 +744,7 @@ impl GsiEngine {
     /// a batch each **distinct** demand pays exactly one pass over the
     /// prepared structures; every repeat — across queries or within one —
     /// reuses the cached candidate list by `Arc`. The join phase then runs
-    /// per query through the configured [`ExecBackend`], honoring each
+    /// per query through the configured [`JoinPool`] width, honoring each
     /// item's own [`QueryOptions`] (timeout, cached plan, planner override).
     ///
     /// Results are **bit-identical** to running each item alone through
@@ -864,7 +839,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendKind;
     use gsi_gpu_sim::StatsSnapshot;
     use gsi_graph::GraphBuilder;
 
@@ -1101,24 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn outputs_merge_and_reject_mismatched_orders() {
-        let (data, query) = paper_example();
-        let engine = test_engine(GsiConfig::gsi());
-        let prepared = engine.prepare(&data);
-        let mut a = engine.query(&data, &prepared, &query).expect("plans");
-        let b = engine.query(&data, &prepared, &query).expect("plans");
-        a.merge(&b).expect("same pattern merges");
-        assert_eq!(a.matches.len(), 200);
-        assert_eq!(a.stats.n_matches, 200);
-
-        let mut qb = GraphBuilder::new();
-        qb.add_vertex(0);
-        let single = qb.build();
-        let c = engine.query(&data, &prepared, &single).expect("plans");
-        assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
     fn prepared_data_is_shareable_across_threads() {
         let (data, query) = paper_example();
         let engine = test_engine(GsiConfig::gsi());
@@ -1151,7 +1107,7 @@ mod tests {
             let prepared = serial.prepare(&data);
             let a = serial.query(&data, &prepared, &query).expect("plans");
 
-            let par = test_engine(cfg.with_backend(crate::BackendKind::HostParallel, 4));
+            let par = test_engine(cfg.with_join_threads(4));
             let prepared = par.prepare(&data);
             let b = par.query(&data, &prepared, &query).expect("plans");
 
@@ -1255,7 +1211,7 @@ mod tests {
     #[test]
     fn query_batch_shares_filters_on_host_parallel_backend_too() {
         let (data, query) = paper_example();
-        let cfg = GsiConfig::gsi_opt().with_backend(crate::BackendKind::HostParallel, 4);
+        let cfg = GsiConfig::gsi_opt().with_join_threads(4);
         let engine = test_engine(cfg);
         let prepared = engine.prepare(&data);
         let serial = test_engine(GsiConfig::gsi_opt());
@@ -1501,11 +1457,8 @@ mod tests {
     #[test]
     fn adaptive_execution_is_bit_identical_to_static() {
         let (data, query) = skewed_fork();
-        for backend in [BackendKind::Serial, BackendKind::HostParallel] {
-            let engine = test_engine(
-                GsiConfig::gsi_opt()
-                    .with_backend(backend, if backend == BackendKind::Serial { 0 } else { 3 }),
-            );
+        for join_threads in [1, 3] {
+            let engine = test_engine(GsiConfig::gsi_opt().with_join_threads(join_threads));
             let prepared = engine.prepare(&data);
             let static_out = engine.query(&data, &prepared, &query).expect("plans");
             assert_eq!(static_out.stats.replans, 0, "no threshold, no re-plans");

@@ -4,7 +4,7 @@
 //! Both output schemes (Prealloc-Combine and two-step) drive these passes;
 //! they differ only in where buffers live and how often passes run.
 
-use crate::backend::ExecBackend;
+use crate::backend::JoinPool;
 use crate::config::{GsiConfig, SetOpStrategy};
 use crate::dedup::block_input_owners;
 use crate::load_balance::{plan_kernels, ChunkTask};
@@ -31,8 +31,8 @@ pub struct JoinCtx<'a> {
     pub store: &'a dyn LabeledStore,
     /// The data graph (host-side metadata: label frequencies, planning).
     pub data: &'a Graph,
-    /// The execution backend running this query's planned kernels.
-    pub backend: &'a dyn ExecBackend,
+    /// The pool running this query's planned kernels.
+    pub backend: &'a JoinPool,
 }
 
 impl JoinCtx<'_> {
@@ -100,7 +100,7 @@ pub fn run_edge_pass(
     let plans = plan_kernels(loads, ctx.cfg.load_balance.as_ref(), ctx.warps_per_block());
 
     // (row, chunk-start) keyed segments collected from every launch; each
-    // backend worker appends to its private shard — no slot mutexes.
+    // pool worker appends to its private shard — no slot mutexes.
     let mut segments: Vec<Segment> = Vec::new();
     for plan in &plans {
         let shards = ctx

@@ -29,8 +29,8 @@
 //!
 //! The joining phase is a layered pipeline: a [`strategy::JoinStrategy`]
 //! (Prealloc-Combine or two-step) decides *what* each iteration computes,
-//! an execution backend ([`backend::ExecBackend`] — faithful serial, or a
-//! real host worker pool) decides *how* its planned kernels run, and the
+//! the [`backend::JoinPool`] runs its planned kernels on `join_threads`
+//! host threads (one by default — the faithful serial order), and the
 //! simulated device underneath keeps the transaction ledger — one per
 //! query and per launch worker, so it is exact under concurrency. See the [`backend`] module docs for the stack.
 //!
@@ -86,10 +86,8 @@ pub mod table;
 pub mod two_step;
 pub mod write_cache;
 
-pub use backend::{ExecBackend, HostParallelBackend, SerialBackend};
-pub use config::{
-    BackendKind, FilterStrategy, GsiConfig, JoinScheme, LbParams, SetOpKernels, SetOpStrategy,
-};
+pub use backend::JoinPool;
+pub use config::{FilterStrategy, GsiConfig, JoinScheme, LbParams, SetOpKernels, SetOpStrategy};
 pub use cost::{
     estimate_for_plan, plan_from_order, plan_join_costed, plan_join_estimated, replan_suffix,
     splice_replanned, CostModel, ExplainPlan, ExplainStep, PlannerKind, MAX_EXACT_SEARCH_VERTICES,

@@ -23,8 +23,8 @@
 //! sorted min-multiplicity semantics of the merge). The device-ledger
 //! charges follow this strategy's own deterministic model — partition
 //! gather, one build per distinct vertex, one probe transaction per buffer
-//! element — independent of backend scheduling, so counters are exact and
-//! reproducible across `Serial`/`HostParallel` like the other strategies.
+//! element — independent of block scheduling, so counters are exact and
+//! reproducible at every join-pool width like the other strategies.
 //! Row-level work always runs as flat one-warp-per-row tasks: the radix
 //! partitioning itself is the load-balancing story here, so the 4-layer
 //! scheme is not applied inside this strategy.
@@ -153,7 +153,7 @@ fn hash_probe_intersect(buf: &[VertexId], table: &HashMap<VertexId, u32>) -> Vec
 pub struct RadixHashJoin;
 
 impl RadixHashJoin {
-    /// Run the per-row tasks of one edge through the execution backend as
+    /// Run the per-row tasks of one edge through the join pool as
     /// flat one-warp-per-row kernels, collecting per-row buffers.
     fn run_rows(
         ctx: &JoinCtx<'_>,
@@ -248,7 +248,7 @@ impl RadixHashJoin {
         let parts = radix_partition(link_col);
 
         // Host pre-pass (serial, so per-distinct charges stay deterministic
-        // under any backend): the shared `N ∩ C` of each partition. The
+        // at any pool width): the shared `N ∩ C` of each partition. The
         // candidate probe is charged once per distinct vertex here — the
         // saving over the per-row schemes.
         let mut row_shared: Vec<usize> = vec![0; m.n_rows()];
@@ -264,7 +264,7 @@ impl RadixHashJoin {
             shared.push(s);
         }
 
-        // Probe pass through the backend: each row filters the shared list
+        // Probe pass through the pool: each row filters the shared list
         // against its own partial match and streams survivors to the GBA.
         let naive = exec.strategy == SetOpStrategy::Naive;
         let n_cols = m.n_cols();

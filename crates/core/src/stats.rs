@@ -50,12 +50,12 @@ pub struct RunStats {
     /// replaced the remaining plan. `0` whenever the threshold is unset or
     /// the estimates stayed within it.
     pub replans: u32,
-    /// Total streamed elements executed by the join backend (parallel
+    /// Total streamed elements executed by the join pool (parallel
     /// "work" in the work/span sense).
     pub join_work_units: u64,
-    /// Critical path of the executed join schedule: the busiest backend
+    /// Critical path of the executed join schedule: the busiest pool
     /// worker's elements, summed over launches ("span"). Equals
-    /// `join_work_units` under the serial backend.
+    /// `join_work_units` on one join thread.
     pub join_span_units: u64,
 }
 
@@ -86,7 +86,7 @@ impl RunStats {
     }
 
     /// Parallel speedup the executed join schedule admits (work / span);
-    /// `1.0` when no backend work was recorded.
+    /// `1.0` when no join work was recorded.
     pub fn join_schedule_speedup(&self) -> f64 {
         if self.join_span_units == 0 {
             1.0

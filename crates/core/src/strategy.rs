@@ -5,9 +5,9 @@
 //! [`JoinStrategy`] captures that contract, so the engine dispatches on a
 //! trait object instead of matching [`JoinScheme`] inline, and new schemes
 //! (e.g. a hybrid that switches per iteration) plug in without touching the
-//! engine. Below the strategy sits the execution backend
-//! ([`crate::backend`]), which decides how the planned kernels run on the
-//! host; below that, the simulated device.
+//! engine. Below the strategy sits the join pool ([`crate::backend`]),
+//! which runs the planned kernels on the host; below that, the simulated
+//! device.
 
 use crate::config::JoinScheme;
 use crate::join::{order_linking_edges, JoinCtx, JoinOverflow};

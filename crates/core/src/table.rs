@@ -144,26 +144,6 @@ impl MatchTable {
     #[inline(always)]
     fn assert_rectangular(&self, _op: &str) {}
 
-    /// Append all rows of a column-compatible table (host-side aggregation;
-    /// no device transactions are charged). Fails on column-count mismatch.
-    /// Each column buffer reserves the exact incoming length up front.
-    pub fn append(&mut self, other: &MatchTable) -> Result<(), String> {
-        if self.n_cols() != other.n_cols() {
-            return Err(format!(
-                "cannot append a {}-column table to a {}-column table",
-                other.n_cols(),
-                self.n_cols()
-            ));
-        }
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            dst.reserve_exact(src.len());
-            dst.extend_from_slice(src);
-        }
-        self.n_rows += other.n_rows;
-        self.assert_rectangular("append");
-        Ok(())
-    }
-
     /// Bytes of simulated global memory the table occupies.
     pub fn size_bytes(&self) -> usize {
         self.n_rows * self.n_cols() * 4
@@ -211,7 +191,7 @@ impl MatchTable {
 /// The key is pass-specific: an edge pass uses `(row, offset-within-row)`,
 /// the link pass `(output row start, rows-in-segment)`. Keys order segments
 /// totally, so merging is independent of which worker produced which
-/// segment — the property that makes the `HostParallel` backend
+/// segment — the property that makes a many-thread join pool
 /// bit-identical to the serial simulation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Segment {
@@ -226,7 +206,7 @@ pub struct Segment {
 
 /// One worker's private, lock-free output buffer for a kernel launch.
 ///
-/// Each execution-backend worker owns exactly one shard and appends the
+/// Each join-pool worker owns exactly one shard and appends the
 /// segments of the warp tasks it executed — no mutex, no per-chunk slot.
 #[derive(Debug, Default)]
 pub struct TableShard {
@@ -426,17 +406,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_columns_rejected() {
         MatchTable::from_columns(vec![vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn append_preserves_columns_and_counts() {
-        let mut a = MatchTable::from_raw(2, vec![1, 10, 2, 20]);
-        let b = MatchTable::from_raw(2, vec![3, 30]);
-        a.append(&b).expect("compatible");
-        assert_eq!(a.n_rows(), 3);
-        assert_eq!(a.column(1), &[10, 20, 30]);
-        let c = MatchTable::new(3);
-        assert!(a.append(&c).is_err(), "column mismatch rejected");
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property test: the `HostParallel` execution backend is indistinguishable
-//! from the faithful serial simulation — bit-identical match tables (and
+//! Property test: a join pool of several threads is indistinguishable from
+//! the faithful one-thread simulation — bit-identical match tables (and
 //! canonical row sets), identical match counts, and *exact* device counters
 //! — on random data graphs and random connected queries, across both join
 //! schemes and both load-balance settings.
 
-use gsi_core::{BackendKind, GsiConfig, GsiEngine, JoinScheme};
+use gsi_core::{GsiConfig, GsiEngine, JoinScheme};
 use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::generate::{erdos_renyi, LabelModel};
 use gsi_graph::query_gen::random_walk_query;
@@ -49,7 +49,7 @@ proptest! {
         let prepared = serial.prepare(&data);
         let a = serial.query(&data, &prepared, &query).expect("plans");
 
-        let parallel = engine(cfg.with_backend(BackendKind::HostParallel, threads));
+        let parallel = engine(cfg.with_join_threads(threads));
         let prepared = parallel.prepare(&data);
         let b = parallel.query(&data, &prepared, &query).expect("plans");
 

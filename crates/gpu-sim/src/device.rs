@@ -31,7 +31,8 @@ pub struct DeviceConfig {
     /// of §V pays this per set operation, which is why it loses.
     pub kernel_launch_overhead_ns: u64,
     /// Host worker threads that play the role of SMs when executing blocks.
-    /// `0` means "use all available parallelism".
+    /// `0` means "use all available parallelism"; [`Gpu::new`] resolves it
+    /// once, so a handle's [`Gpu::config`] always reports the count.
     pub worker_threads: usize,
     /// Emulated global-memory latency, in nanoseconds per streamed element.
     ///
@@ -77,13 +78,20 @@ impl DeviceConfig {
 
     /// Resolved number of host worker threads.
     pub fn resolved_workers(&self) -> usize {
-        if self.worker_threads > 0 {
-            self.worker_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        resolve_threads(self.worker_threads)
+    }
+}
+
+/// `threads`, or the host's available parallelism when it is `0` — the one
+/// spelling of "`0` = all cores" for every thread-count knob. On Linux the
+/// lookup reads cgroup files, so callers resolve once, at construction.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 }
 
@@ -112,8 +120,10 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Create a device with the given configuration and zeroed counters.
-    pub fn new(cfg: DeviceConfig) -> Self {
+    /// Create a device with the given configuration and zeroed counters,
+    /// resolving `worker_threads` (see [`DeviceConfig::worker_threads`]).
+    pub fn new(mut cfg: DeviceConfig) -> Self {
+        cfg.worker_threads = cfg.resolved_workers();
         let stats = Arc::new(GpuStats::new(cfg.transaction_bytes));
         Self { cfg, stats }
     }
@@ -187,6 +197,16 @@ mod tests {
         let mut cfg = DeviceConfig::titan_xp();
         cfg.worker_threads = 0;
         assert!(cfg.resolved_workers() >= 1);
+    }
+
+    #[test]
+    fn gpu_resolves_auto_workers_once() {
+        let gpu = Gpu::new(DeviceConfig::titan_xp());
+        assert!(gpu.config().worker_threads >= 1);
+        assert_eq!(
+            gpu.scoped().config().worker_threads,
+            gpu.config().worker_threads
+        );
     }
 
     #[test]

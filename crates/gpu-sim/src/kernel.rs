@@ -21,18 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::device::Gpu;
 use crate::shared::SharedMem;
 
-/// How blocks are assigned to worker threads (SMs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Contiguous chunks of blocks per worker, fixed up front. Most sensitive
-    /// to inter-block imbalance; models a naive grid-stride assignment.
-    Static,
-    /// Workers pull the next block from a shared counter as they finish —
-    /// the hardware-like greedy block scheduler.
-    #[default]
-    Dynamic,
-}
-
 /// Per-block execution context handed to the kernel body.
 #[derive(Debug)]
 pub struct BlockCtx<'a> {
@@ -47,39 +35,11 @@ pub struct BlockCtx<'a> {
     pub gpu: &'a Gpu,
 }
 
-/// Run `work(worker, handle, state)` on one scoped host thread per state,
-/// each charging a fresh ledger of its own, then fold every worker's ledger
-/// into `gpu`'s — once per worker, after all of them have finished.
-///
-/// std's scope reports child panics with its own opaque message; they are
-/// re-raised here in the simulator's "worker panicked" framing.
-fn on_workers<S, W>(gpu: &Gpu, states: &mut [S], work: W)
-where
-    S: Send,
-    W: Fn(usize, &Gpu, &mut S) + Sync,
-{
-    let ledgers: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = states
-            .iter_mut()
-            .enumerate()
-            .map(|(w, state)| {
-                let work = &work;
-                s.spawn(move || {
-                    let local = gpu.scoped();
-                    work(w, &local, state);
-                    local.stats().snapshot()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    for ledger in ledgers {
-        match ledger {
-            Ok(l) => gpu.stats().absorb(&l),
-            Err(_) => panic!("simulated kernel worker panicked"),
-        }
-    }
-}
+/// Launches with fewer warp tasks than this run inline: spawning host
+/// threads costs ~50 µs each, far more than a real kernel launch, and would
+/// drown the measurement. Launches big enough for wall-clock signal get the
+/// device's full worker pool.
+const INLINE_TASKS: usize = 4096;
 
 /// Launch a kernel whose body processes one *block* of warp tasks at a time.
 ///
@@ -87,81 +47,34 @@ where
 /// tasks owned by that block's warps; it should iterate the slice, treating
 /// each element as one warp's assignment, and charge `ctx.gpu`. Records one
 /// kernel launch, charges the configured launch overhead, and counts
-/// `tasks.len()` warp tasks.
-pub fn launch_blocks<T, F>(gpu: &Gpu, tasks: &[T], warps_per_block: usize, sched: Schedule, f: F)
+/// `tasks.len()` warp tasks. Launches of 4,096 tasks or more are
+/// drained by the device's `worker_threads`, the way SMs drain a launch.
+pub fn launch_blocks<T, F>(gpu: &Gpu, tasks: &[T], warps_per_block: usize, f: F)
 where
     T: Sync,
     F: Fn(&mut BlockCtx<'_>, &[T]) + Sync,
 {
-    let stats = gpu.stats();
-    stats.record_kernel_launch();
-    gpu.charge_launch_overhead();
-    stats.add_warp_tasks(tasks.len() as u64);
-    if tasks.is_empty() {
-        return;
-    }
-
-    let wpb = warps_per_block.clamp(1, gpu.config().warps_per_block());
-    let num_blocks = tasks.len().div_ceil(wpb);
-    let shared_cap = gpu.config().shared_mem_per_block;
-
-    let run_block = |block_id: usize, gpu: &Gpu| {
-        let first = block_id * wpb;
-        let end = (first + wpb).min(tasks.len());
-        let mut ctx = BlockCtx {
-            block_id,
-            first_task: first,
-            shared: SharedMem::new(shared_cap),
-            gpu,
-        };
-        f(&mut ctx, &tasks[first..end]);
-    };
-
-    // Small launches run inline: spawning host threads costs ~50 µs each,
-    // far more than a real kernel launch, and would drown the measurement.
-    // Launches big enough for wall-clock signal get the full pool.
-    let workers = if tasks.len() < 4096 {
+    let workers = if tasks.len() < INLINE_TASKS {
         1
     } else {
-        gpu.config().resolved_workers().min(num_blocks)
+        gpu.config().worker_threads
     };
-    if workers <= 1 {
-        for b in 0..num_blocks {
-            run_block(b, gpu);
-        }
-        return;
-    }
-
-    match sched {
-        Schedule::Dynamic => {
-            let next = AtomicUsize::new(0);
-            on_workers(gpu, &mut vec![(); workers], |_, local, ()| loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= num_blocks {
-                    break;
-                }
-                run_block(b, local);
-            });
-        }
-        Schedule::Static => {
-            let per_worker = num_blocks.div_ceil(workers);
-            on_workers(gpu, &mut vec![(); workers], |w, local, ()| {
-                let hi = ((w + 1) * per_worker).min(num_blocks);
-                for b in w * per_worker..hi {
-                    run_block(b, local);
-                }
-            });
-        }
-    }
+    launch_blocks_stateful(
+        gpu,
+        tasks,
+        warps_per_block,
+        vec![(); workers],
+        |ctx, block, ()| f(ctx, block),
+    );
 }
 
 /// Launch a kernel over an *explicit* worker pool with per-worker state.
 ///
-/// This is the primitive execution backends build on: the caller decides how
-/// many host workers play SM (`states.len()` — the legacy heuristic of
-/// [`launch_blocks`] is bypassed), and each worker carries a private mutable
-/// state `S` (e.g. a shard of the output table) that `f` can write without
-/// synchronization, next to the private ledger in its [`BlockCtx`]. Blocks
+/// This is the primitive [`launch_blocks`] and the engine's join pool build
+/// on: the caller decides how many host workers play SM (`states.len()`),
+/// and each worker carries a private mutable state `S` (e.g. a shard of the
+/// output table) that `f` can write without synchronization, next to the
+/// private ledger in its [`BlockCtx`]. Blocks
 /// are pulled dynamically from a shared counter, so per-worker block sets
 /// depend on timing — callers needing determinism must make `f`'s effects
 /// order-independent (ledger sums and keyed output segments both are).
@@ -215,29 +128,51 @@ where
         return states;
     }
 
-    // More states than blocks: the excess workers never start.
+    // More states than blocks: the excess workers never start. Each worker
+    // charges a fresh ledger of its own; every ledger is folded into
+    // `gpu`'s once, after all workers have finished. std's scope reports
+    // child panics with its own opaque message; they are re-raised here in
+    // the simulator's "worker panicked" framing.
     let n_workers = states.len().min(num_blocks);
     let next = AtomicUsize::new(0);
-    on_workers(gpu, &mut states[..n_workers], |_, local, state| loop {
-        let b = next.fetch_add(1, Ordering::Relaxed);
-        if b >= num_blocks {
-            break;
-        }
-        run_block(b, local, state);
+    let ledgers: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = states[..n_workers]
+            .iter_mut()
+            .map(|state| {
+                let (next, run_block) = (&next, &run_block);
+                s.spawn(move || {
+                    let local = gpu.scoped();
+                    loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        if b >= num_blocks {
+                            break;
+                        }
+                        run_block(b, &local, state);
+                    }
+                    local.stats().snapshot()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    for ledger in ledgers {
+        match ledger {
+            Ok(l) => gpu.stats().absorb(&l),
+            Err(_) => panic!("simulated kernel worker panicked"),
+        }
+    }
     states
 }
 
-/// Launch a kernel with one warp per task, using full blocks and the dynamic
-/// scheduler. `f` receives the handle to charge, the global warp (task) id
-/// and the task itself.
+/// Launch a kernel with one warp per task, using full blocks. `f` receives
+/// the handle to charge, the global warp (task) id and the task itself.
 pub fn launch_warp_tasks<T, F>(gpu: &Gpu, tasks: &[T], f: F)
 where
     T: Sync,
     F: Fn(&Gpu, usize, &T) + Sync,
 {
     let wpb = gpu.config().warps_per_block();
-    launch_blocks(gpu, tasks, wpb, Schedule::Dynamic, |ctx, block_tasks| {
+    launch_blocks(gpu, tasks, wpb, |ctx, block_tasks| {
         for (i, t) in block_tasks.iter().enumerate() {
             f(ctx.gpu, ctx.first_task + i, t);
         }
@@ -301,7 +236,7 @@ mod tests {
     fn records_launch_and_warp_tasks() {
         let g = gpu(2);
         let tasks = vec![(); 65];
-        launch_blocks(&g, &tasks, 32, Schedule::Dynamic, |_, _| {});
+        launch_blocks(&g, &tasks, 32, |_, _| {});
         let snap = g.stats().snapshot();
         assert_eq!(snap.kernel_launches, 1);
         assert_eq!(snap.warp_tasks, 65);
@@ -311,7 +246,7 @@ mod tests {
     fn empty_launch_still_counts_kernel() {
         let g = gpu(2);
         let tasks: Vec<u32> = vec![];
-        launch_blocks(&g, &tasks, 32, Schedule::Dynamic, |_, _| {});
+        launch_blocks(&g, &tasks, 32, |_, _| {});
         assert_eq!(g.stats().snapshot().kernel_launches, 1);
     }
 
@@ -320,7 +255,7 @@ mod tests {
         let g = gpu(3);
         let tasks: Vec<usize> = (0..77).collect();
         let seen: Vec<AtomicU64> = (0..77).map(|_| AtomicU64::new(0)).collect();
-        launch_blocks(&g, &tasks, 8, Schedule::Static, |ctx, block| {
+        launch_blocks(&g, &tasks, 8, |ctx, block| {
             assert!(block.len() <= 8);
             assert_eq!(ctx.first_task % 8, 0);
             for t in block {
@@ -334,7 +269,7 @@ mod tests {
     fn shared_memory_capacity_is_device_limit() {
         let g = gpu(1);
         let tasks = vec![()];
-        launch_blocks(&g, &tasks, 32, Schedule::Dynamic, |ctx, _| {
+        launch_blocks(&g, &tasks, 32, |ctx, _| {
             assert_eq!(ctx.shared.capacity(), 48 * 1024);
         });
     }
@@ -344,7 +279,7 @@ mod tests {
         let g = gpu(1);
         let tasks = vec![0u32; 100];
         // Request an over-wide block; the launcher clamps to the device max.
-        launch_blocks(&g, &tasks, 10_000, Schedule::Dynamic, |_, block| {
+        launch_blocks(&g, &tasks, 10_000, |_, block| {
             assert!(block.len() <= 32);
         });
     }
@@ -437,22 +372,20 @@ mod tests {
     #[test]
     fn worker_ledgers_fold_into_the_launching_handle_exactly() {
         // One GLD per task, charged to each worker's own ledger: every
-        // schedule and worker count folds to the same exact launch total,
-        // and nothing leaks to a handle that did not launch.
+        // worker count folds to the same exact launch total, and nothing
+        // leaks to a handle that did not launch.
         let n = 9_000; // above the inline threshold
         let tasks: Vec<usize> = (0..n).collect();
         for workers in [1, 4] {
-            for sched in [Schedule::Dynamic, Schedule::Static] {
-                let device = gpu(workers);
-                let query = device.scoped();
-                launch_blocks(&query, &tasks, 32, sched, |ctx, block| {
-                    ctx.gpu.stats().add_gld(block.len() as u64);
-                });
-                let snap = query.stats().snapshot();
-                assert_eq!(snap.gld_transactions, n as u64, "{workers} {sched:?}");
-                assert_eq!(snap.kernel_launches, 1);
-                assert_eq!(device.stats().snapshot(), Default::default());
-            }
+            let device = gpu(workers);
+            let query = device.scoped();
+            launch_blocks(&query, &tasks, 32, |ctx, block| {
+                ctx.gpu.stats().add_gld(block.len() as u64);
+            });
+            let snap = query.stats().snapshot();
+            assert_eq!(snap.gld_transactions, n as u64, "{workers}");
+            assert_eq!(snap.kernel_launches, 1);
+            assert_eq!(device.stats().snapshot(), Default::default());
             let query = gpu(1);
             let states = launch_blocks_stateful(&query, &tasks, 8, vec![0u64; workers], {
                 |ctx: &mut BlockCtx<'_>, block: &[usize], seen: &mut u64| {
@@ -463,19 +396,5 @@ mod tests {
             assert_eq!(states.iter().sum::<u64>(), n as u64);
             assert_eq!(query.stats().snapshot().work_units, n as u64);
         }
-    }
-
-    #[test]
-    fn static_schedule_covers_all_tasks_multithreaded() {
-        let g = gpu(6);
-        let n = 9_000; // above the inline threshold
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let tasks: Vec<usize> = (0..n).collect();
-        launch_blocks(&g, &tasks, 32, Schedule::Static, |_ctx, block| {
-            for &t in block {
-                hits[t].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

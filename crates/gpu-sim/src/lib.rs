@@ -59,7 +59,7 @@ pub mod warp;
 
 pub use bitset::DeviceBitset;
 pub use device::{DeviceConfig, Gpu};
-pub use kernel::{launch_blocks, launch_warp_tasks, BlockCtx, Schedule};
+pub use kernel::{launch_blocks, launch_warp_tasks, BlockCtx};
 pub use memory::DeviceVec;
 pub use shared::SharedMem;
 pub use stats::{GpuStats, StatsSnapshot};

@@ -83,10 +83,10 @@ pub use gsi_signature as signature;
 pub mod prelude {
     pub use gsi_api::{ApiError, Completion, PartialReason};
     pub use gsi_core::{
-        BackendKind, BatchItem, BatchOutput, ExplainPlan, FilterCache, FilterStrategy, GraphOp,
-        GraphStats, GsiConfig, GsiEngine, JoinPlan, JoinScheme, LbParams, Matches, PlanError,
-        PlannerKind, QueryOptions, QueryOutput, RunStats, SetOpKernels, SetOpStrategy, TraceConfig,
-        UpdateBatch, UpdateError, UpdateReport,
+        BatchItem, BatchOutput, ExplainPlan, FilterCache, FilterStrategy, GraphOp, GraphStats,
+        GsiConfig, GsiEngine, JoinPlan, JoinScheme, LbParams, Matches, PlanError, PlannerKind,
+        QueryOptions, QueryOutput, RunStats, SetOpKernels, SetOpStrategy, TraceConfig, UpdateBatch,
+        UpdateError, UpdateReport,
     };
     pub use gsi_datasets::{DatasetKind, DatasetSpec};
     pub use gsi_gpu_sim::{DeviceConfig, Gpu};

@@ -167,16 +167,6 @@ pub struct ServiceConfig {
     /// cost-based; a greedy-planner service drops displaced plans outright
     /// (the pre-optimizer behavior).
     pub replan_drift_threshold: f64,
-    /// Host-thread budget shared by the intra-query worker pools of
-    /// concurrently executing queries (engine backend `HostParallel`;
-    /// ignored by `Serial`). Each running query holds a grant of
-    /// `budget / busy_workers` threads, capped by what earlier grants
-    /// left unclaimed and released when the query finishes — so a lone
-    /// query fans out across the whole budget while the *sum* of
-    /// concurrent grants stays bounded by the budget (plus the 1-thread
-    /// floor each running query keeps), never oversubscribing cores
-    /// `workers × threads`-fold. `0` = all available host parallelism.
-    pub intra_query_parallelism: usize,
     /// Per-query tracing. `Off` (the default) records no span trees and
     /// skips every per-join-step clock read — the zero-cost path; every
     /// served query still gets its coarse [`StageBreakdown`]. `On` builds
@@ -203,7 +193,6 @@ impl Default for ServiceConfig {
             default_deadline: None,
             plan_cache_capacity: 1024,
             replan_drift_threshold: 0.25,
-            intra_query_parallelism: 0,
             trace: TraceConfig::Off,
             flight_recorder_capacity: 64,
         }
@@ -229,7 +218,6 @@ impl ServiceConfig {
             plan_cache_capacity: 64,
             default_deadline: None,
             replan_drift_threshold: 0.25,
-            intra_query_parallelism: 0,
             trace: TraceConfig::Off,
             flight_recorder_capacity: 16,
         }
@@ -246,15 +234,8 @@ pub(crate) struct ServiceCore {
     /// Statistics-drift bar for cached-plan survival across epochs (see
     /// [`ServiceConfig::replan_drift_threshold`]).
     pub(crate) replan_drift_threshold: f64,
-    /// Resolved intra-query thread budget (see
-    /// [`ServiceConfig::intra_query_parallelism`]).
-    pub(crate) intra_budget: usize,
-    /// Workers currently executing a query (divides `intra_budget`).
+    /// Workers currently executing a query (the batch window reads it).
     pub(crate) busy_workers: std::sync::atomic::AtomicUsize,
-    /// Intra-query threads currently granted to running queries; grants
-    /// are held for each query's full run, so their sum stays bounded by
-    /// `intra_budget` (plus the 1-thread floor per running query).
-    pub(crate) intra_granted: std::sync::atomic::AtomicUsize,
     /// Per-query tracing mode (see [`ServiceConfig::trace`]).
     pub(crate) trace: TraceConfig,
     /// Retained traces of the slowest / failed / panicked queries.
@@ -283,13 +264,6 @@ pub struct GsiService {
 impl GsiService {
     /// Build the service and spawn its worker pool.
     pub fn new(config: ServiceConfig) -> Self {
-        let intra_budget = if config.intra_query_parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.intra_query_parallelism
-        };
         let core = Arc::new(ServiceCore {
             engine: GsiEngine::with_gpu(config.engine, Gpu::new(config.device)),
             catalog: GraphCatalog::new(),
@@ -297,9 +271,7 @@ impl GsiService {
             stats: ServiceStats::new(),
             default_deadline: config.default_deadline,
             replan_drift_threshold: config.replan_drift_threshold,
-            intra_budget,
             busy_workers: std::sync::atomic::AtomicUsize::new(0),
-            intra_granted: std::sync::atomic::AtomicUsize::new(0),
             trace: config.trace,
             flight: FlightRecorder::new(config.flight_recorder_capacity),
             query_seq: AtomicU64::new(0),
@@ -682,34 +654,6 @@ mod tests {
             .unwrap();
         assert!(!resp.result.unwrap().plan_cache_hit);
         assert_eq!(service.plan_cache().len(), 1);
-    }
-
-    #[test]
-    fn host_parallel_service_grants_budgeted_intra_threads() {
-        use gsi_core::BackendKind;
-        let mut cfg = ServiceConfig::for_tests();
-        cfg.engine = cfg.engine.with_backend(BackendKind::HostParallel, 1);
-        cfg.workers = 1;
-        cfg.intra_query_parallelism = 6;
-        let service = GsiService::new(cfg);
-        service.register("g", data_graph());
-        let resp = service
-            .query_blocking(QueryRequest::new("g", edge_query()))
-            .unwrap();
-        let outcome = resp.result.expect("runs");
-        // One busy worker → the whole budget goes to this query.
-        assert_eq!(outcome.intra_threads, 6);
-        assert_eq!(outcome.output.matches.len(), 10);
-    }
-
-    #[test]
-    fn serial_service_reports_one_intra_thread() {
-        let service = GsiService::new(ServiceConfig::for_tests());
-        service.register("g", data_graph());
-        let resp = service
-            .query_blocking(QueryRequest::new("g", edge_query()))
-            .unwrap();
-        assert_eq!(resp.result.expect("runs").intra_threads, 1);
     }
 
     #[test]

@@ -34,17 +34,12 @@
 //! one worker), and jobs for other graphs or epochs are left queued in
 //! order for the next worker.
 //!
-//! When the engine runs the `HostParallel` backend, the scheduler also
-//! budgets **intra- against inter-query parallelism**: the service's core
-//! budget is divided by the number of currently busy workers, so one query
-//! on an idle service fans out across every core while a saturated worker
-//! pool degrades gracefully to one thread per query instead of
-//! oversubscribing the host `workers × threads`-fold.
-//!
 //! Workers share the engine's one modeled device, and each query charges a
 //! device ledger of its own (`gsi_gpu_sim::Gpu::scoped`): queries on
 //! different workers run side by side, kernels included, and each one's
-//! device counts are its own.
+//! device counts are its own. Every query's join runs at the engine's
+//! width (`gsi_core::GsiConfig::join_threads`); the scheduler hands out
+//! no threads of its own.
 
 use crate::canon::canonicalize;
 use crate::catalog::CatalogEntry;
@@ -52,7 +47,7 @@ use crate::plan_cache::PlanEstimates;
 use crate::tenant::{FairQueue, LaneSlot, LaneSnapshot, TenantPolicy};
 use crate::ServiceCore;
 use gsi_api::{ApiError, Completion, PartialReason};
-use gsi_core::{BackendKind, FilterCache, PlanError, PlannerKind, QueryOptions, QueryOutput};
+use gsi_core::{FilterCache, PlanError, PlannerKind, QueryOptions, QueryOutput};
 use gsi_graph::Graph;
 use gsi_obs::{QueryTrace, Stage, StageBreakdown, TraceOutcome, TraceSpan};
 use std::sync::atomic::Ordering;
@@ -198,9 +193,6 @@ pub struct QueryOutcome {
     pub plan_feedback: bool,
     /// Cross-run size estimates for the pattern, when cached.
     pub estimates: Option<PlanEstimates>,
-    /// Intra-query worker threads granted to this run by the scheduler's
-    /// parallelism budget (1 whenever the engine backend is serial).
-    pub intra_threads: usize,
     /// How many queries were drained into the pickup this query executed
     /// in (`1` when it executed alone; members that expired in the queue
     /// are included). Queries in a batch share one filtering pass per
@@ -327,13 +319,7 @@ impl QueryScheduler {
         batch_window: usize,
         tenants: TenantPolicy,
     ) -> Self {
-        let n = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        };
+        let n = gsi_gpu_sim::device::resolve_threads(workers);
         let queue = Arc::new(FairQueue::new(queue_capacity, tenants));
         let batch_window = batch_window.max(1);
         let handles = (0..n)
@@ -460,55 +446,9 @@ fn worker_loop(
         }
     };
     while let Some(jobs) = queue.dequeue_batch(window, compatible) {
-        // The busy count (self included) divides the intra-query budget.
         core.busy_workers.fetch_add(1, Ordering::SeqCst);
         execute_batch(core, jobs);
         core.busy_workers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// This worker's intra-query thread grant: the service's core budget split
-/// evenly over the workers currently executing queries, further capped by
-/// what earlier grants left unclaimed. Monotone in load — an idle service
-/// grants the whole budget, a saturated pool at least 1.
-fn intra_share(budget: usize, busy: usize, outstanding: usize) -> usize {
-    let fair = budget / busy.max(1);
-    fair.min(budget.saturating_sub(outstanding)).max(1)
-}
-
-/// A held intra-query thread grant: registered in the service's
-/// outstanding-grant ledger on creation, released on drop. Holding grants
-/// for each query's full run (not just its start instant) is what bounds
-/// the *sum* of concurrent grants by the budget.
-struct IntraGrant<'a> {
-    core: &'a ServiceCore,
-    threads: usize,
-}
-
-impl<'a> IntraGrant<'a> {
-    fn take(core: &'a ServiceCore) -> Self {
-        let busy = core.busy_workers.load(Ordering::SeqCst);
-        let mut outstanding = core.intra_granted.load(Ordering::SeqCst);
-        loop {
-            let threads = intra_share(core.intra_budget, busy, outstanding);
-            match core.intra_granted.compare_exchange(
-                outstanding,
-                outstanding + threads,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Self { core, threads },
-                Err(now) => outstanding = now,
-            }
-        }
-    }
-}
-
-impl Drop for IntraGrant<'_> {
-    fn drop(&mut self) {
-        self.core
-            .intra_granted
-            .fetch_sub(self.threads, Ordering::SeqCst);
     }
 }
 
@@ -534,19 +474,6 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
     let scope = entry.epoch();
     let batch_size = jobs.len();
 
-    // Budget intra- vs inter-query parallelism: meaningful only when the
-    // engine executes joins on the HostParallel backend. The grant is held
-    // in the outstanding-grant ledger for the batch's whole run, so
-    // staggered arrivals cannot stack full-budget grants: concurrent
-    // grants never exceed the budget (beyond the 1-thread floor each
-    // running batch keeps).
-    let grant = if core.engine.config().backend == BackendKind::HostParallel {
-        Some(IntraGrant::take(core))
-    } else {
-        None
-    };
-    let intra_threads = grant.as_ref().map_or(1, |g| g.threads);
-
     // Pickup-size distribution (singletons included): how often batching
     // found company at all.
     core.stats.batch_fill.observe(batch_size as u64);
@@ -559,15 +486,7 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
         let graph = entry.name().to_string();
         let query_id = core.next_query_id();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                core,
-                &entry,
-                intra_threads,
-                batch_size,
-                &cache,
-                query_id,
-                &job,
-            )
+            run_job(core, &entry, batch_size, &cache, query_id, &job)
         }))
         .unwrap_or_else(|payload| {
             // The panic is this item's alone.
@@ -619,7 +538,6 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
             _slot: slot,
         });
     }
-    drop(grant);
 
     // Only real batches — two or more items that actually reached the
     // engine — count toward the sharing stats: singletons' intra-query
@@ -638,7 +556,6 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
 fn run_job(
     core: &ServiceCore,
     entry: &Arc<CatalogEntry>,
-    intra_threads: usize,
     batch_size: usize,
     cache: &FilterCache,
     query_id: u64,
@@ -676,7 +593,6 @@ fn run_job(
         QueryOptions {
             timeout: remaining,
             plan: cached.as_ref().map(|c| &c.plan),
-            intra_query_threads: Some(intra_threads),
             filter_cache: Some(cache),
             trace: core.trace,
             ..QueryOptions::default()
@@ -800,7 +716,6 @@ fn run_job(
         estimation_error,
         plan_feedback,
         estimates: cached.map(|c| c.estimates),
-        intra_threads,
         batch_size,
         queue_wait: waited,
         latency,
@@ -869,7 +784,7 @@ fn build_spans(breakdown: &StageBreakdown, output: &QueryOutput) -> Vec<TraceSpa
 
 #[cfg(test)]
 mod tests {
-    use super::{compatible, intra_share, Job};
+    use super::{compatible, Job};
     use crate::tenant::{FairQueue, TenantPolicy};
     use crate::GraphCatalog;
     use gsi_core::{GsiConfig, GsiEngine};
@@ -942,26 +857,5 @@ mod tests {
         assert!(Arc::ptr_eq(&kept[2].entry, &a2));
         // Lane 2's compatible jobs were never pulled into lane 1's batch.
         assert_eq!(lane(2).len(), 2);
-    }
-
-    #[test]
-    fn intra_share_divides_budget_over_busy_workers() {
-        assert_eq!(intra_share(8, 1, 0), 8, "idle service: whole budget");
-        assert_eq!(intra_share(8, 2, 0), 4);
-        assert_eq!(intra_share(8, 3, 0), 2);
-        assert_eq!(intra_share(8, 16, 0), 1, "saturated: never below 1");
-        assert_eq!(intra_share(0, 0, 0), 1, "degenerate budget still runs");
-    }
-
-    #[test]
-    fn intra_share_respects_outstanding_grants() {
-        // A long-running query already holds 8 of 8: later arrivals get
-        // the 1-thread floor, not a fresh fair share.
-        assert_eq!(intra_share(8, 2, 8), 1);
-        // 5 of 8 held by one query, two workers busy: fair share 4 is
-        // capped to the 3 threads actually left.
-        assert_eq!(intra_share(8, 2, 5), 3);
-        // Released grants open the budget back up.
-        assert_eq!(intra_share(8, 2, 0), 4);
     }
 }

@@ -3,13 +3,12 @@
 //! worker. Every degenerate pattern either fails submit-time validation
 //! with a typed [`SubmitError`], fails at plan time with a typed
 //! [`QueryError::Plan`], or runs to an ordinary (possibly empty) result.
-//! Exercised on both execution backends.
+//! Exercised on one- and two-thread join pools.
 //!
 //! Self-loop queries are covered separately: the graph builder (and the
 //! update vocabulary) reject self-loops at construction, so one can never
 //! reach `submit` in the first place — asserted below.
 
-use gsi_core::BackendKind;
 use gsi_graph::{Graph, GraphBuilder};
 use gsi_service::{GsiService, QueryError, QueryRequest, ServiceConfig, SubmitError};
 use proptest::prelude::*;
@@ -77,12 +76,9 @@ fn degenerate_query(kind: usize, rng: &mut StdRng) -> Graph {
     }
 }
 
-fn service_for(backend: BackendKind) -> GsiService {
+fn service_for(join_threads: usize) -> GsiService {
     let mut cfg = ServiceConfig::for_tests();
-    if backend == BackendKind::HostParallel {
-        cfg.engine = cfg.engine.with_backend(BackendKind::HostParallel, 2);
-        cfg.intra_query_parallelism = 2;
-    }
+    cfg.engine = cfg.engine.with_join_threads(join_threads);
     let service = GsiService::new(cfg);
     service.register("g", data_graph());
     service
@@ -97,12 +93,7 @@ proptest! {
         kinds in proptest::collection::vec(0usize..5, 1..6),
         parallel in any::<bool>(),
     ) {
-        let backend = if parallel {
-            BackendKind::HostParallel
-        } else {
-            BackendKind::Serial
-        };
-        let service = service_for(backend);
+        let service = service_for(if parallel { 2 } else { 1 });
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Submit the whole degenerate workload first (so compatible jobs

@@ -13,7 +13,7 @@
 use crate::encode::{encode_vertex, SignatureConfig};
 use crate::shared::{FilterCache, FilterDemand};
 use crate::table::SignatureTable;
-use gsi_gpu_sim::{kernel, DeviceVec, Gpu, Schedule, WARP_SIZE};
+use gsi_gpu_sim::{kernel, DeviceVec, Gpu, WARP_SIZE};
 use gsi_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ fn signature_scan(gpu: &Gpu, table: &SignatureTable, qwords: &[u32]) -> Vec<Vert
     let batches: Vec<usize> = (0..n_batches).collect();
     let bitmap: Vec<AtomicU32> = (0..n.div_ceil(32)).map(|_| AtomicU32::new(0)).collect();
 
-    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |ctx, block| {
+    kernel::launch_blocks(gpu, &batches, 32, |ctx, block| {
         let gpu = ctx.gpu;
         let mut lanes: Vec<usize> = Vec::with_capacity(WARP_SIZE);
         for &batch in block {
@@ -232,7 +232,7 @@ fn predicate_scan(
     let batches: Vec<usize> = (0..n_batches).collect();
     let bitmap: Vec<AtomicU32> = (0..n.div_ceil(32)).map(|_| AtomicU32::new(0)).collect();
 
-    kernel::launch_blocks(gpu, &batches, 32, Schedule::Dynamic, |ctx, block| {
+    kernel::launch_blocks(gpu, &batches, 32, |ctx, block| {
         let gpu = ctx.gpu;
         for &batch in block {
             let base = batch * WARP_SIZE;

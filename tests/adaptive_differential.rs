@@ -2,8 +2,8 @@
 //! fuzzed query, an adaptive run (threshold 1.0 — every join position is
 //! examined against its estimate) must produce a match table **bit-identical**
 //! (in canonical, query-vertex-indexed form) to the static plan of the same
-//! planner AND to both static planners, across **both execution backends and
-//! all four join-scheme cells** (including the mixed radix-promotion cell) —
+//! planner AND to both static planners, across **one- and three-thread join
+//! pools and all four join-scheme cells** (including the mixed radix-promotion cell) —
 //! with exactly reproducible device counters per arm, and counters identical
 //! to the static run whenever the adaptive run kept the static order. A
 //! re-plan that changed even one row would make every cardinality-feedback
@@ -44,32 +44,29 @@ fn test_engine(cfg: GsiConfig) -> GsiEngine {
     GsiEngine::with_gpu(cfg, Gpu::new(DeviceConfig::test_device()))
 }
 
-/// The (backend × scheme) configuration matrix every case runs under.
+/// The (join-pool width × scheme) configuration matrix every case runs under.
 fn config_matrix() -> Vec<(String, GsiConfig)> {
-    [
-        ("serial", BackendKind::Serial),
-        ("host-parallel", BackendKind::HostParallel),
-    ]
-    .into_iter()
-    .flat_map(|(bname, backend)| {
-        [
-            ("prealloc", JoinScheme::PreallocCombine, None),
-            ("two-step", JoinScheme::TwoStep, None),
-            ("radix-hash", JoinScheme::RadixHash, None),
-            ("prealloc+radix", JoinScheme::PreallocCombine, Some(1.0)),
-        ]
+    [("serial", 1), ("host-parallel", 3)]
         .into_iter()
-        .map(move |(sname, scheme, radix_at)| {
-            let cfg = GsiConfig {
-                join_scheme: scheme,
-                radix_join_threshold: radix_at,
-                ..GsiConfig::gsi_opt()
-            }
-            .with_backend(backend, if backend == BackendKind::Serial { 0 } else { 3 });
-            (format!("{bname}/{sname}"), cfg)
+        .flat_map(|(bname, join_threads)| {
+            [
+                ("prealloc", JoinScheme::PreallocCombine, None),
+                ("two-step", JoinScheme::TwoStep, None),
+                ("radix-hash", JoinScheme::RadixHash, None),
+                ("prealloc+radix", JoinScheme::PreallocCombine, Some(1.0)),
+            ]
+            .into_iter()
+            .map(move |(sname, scheme, radix_at)| {
+                let cfg = GsiConfig {
+                    join_scheme: scheme,
+                    radix_join_threshold: radix_at,
+                    ..GsiConfig::gsi_opt()
+                }
+                .with_join_threads(join_threads);
+                (format!("{bname}/{sname}"), cfg)
+            })
         })
-    })
-    .collect()
+        .collect()
 }
 
 /// One run; returns (canonical matches, device delta, order, replans).

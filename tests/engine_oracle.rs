@@ -121,7 +121,7 @@ fn queries_with_no_matches_are_empty_for_both() {
 /// Differential oracle under churn: interleave mutation batches with
 /// queries. After every batch, the engine — serving from *incrementally*
 /// re-prepared structures — must return exactly VF2's match set on the
-/// mutated graph, across both execution backends and both join schemes.
+/// mutated graph, on one- and three-thread join pools and both join schemes.
 /// The incremental path must also be indistinguishable from a cold rebuild:
 /// bit-identical match tables and exact device-ledger counters.
 #[test]
@@ -135,10 +135,7 @@ fn mutated_graphs_track_vf2_across_backends_and_schemes() {
             };
             [
                 (format!("{scheme:?}/serial"), base.clone()),
-                (
-                    format!("{scheme:?}/parallel"),
-                    base.with_backend(BackendKind::HostParallel, 3),
-                ),
+                (format!("{scheme:?}/parallel"), base.with_join_threads(3)),
             ]
         })
         .collect();

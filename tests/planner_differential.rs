@@ -1,12 +1,12 @@
 //! Differential gate for the cost-based join-order optimizer: for every
 //! fuzzed query, the optimized plan's match table must be **bit-identical**
 //! (in canonical, query-vertex-indexed form — the join orders differ by
-//! design) to the greedy plan's, across **both execution backends and all
-//! three join schemes** (plus a mixed cell where the cost model promotes
-//! high-multiplicity steps to radix-hash), with exactly reproducible
-//! device counters per
-//! `(planner, backend, scheme)` cell. A cheaper plan that changed even one
-//! row would be a correctness bug, not an optimization.
+//! design) to the greedy plan's, across **one- and three-thread join pools
+//! and all three join schemes** (plus a mixed cell where the cost model
+//! promotes high-multiplicity steps to radix-hash), with exactly
+//! reproducible device counters per `(planner, join-pool width, scheme)`
+//! cell. A cheaper plan that changed even one row would be a correctness
+//! bug, not an optimization.
 //!
 //! `PLANNER_FUZZ_CASES` scales the number of fuzzed queries (default 24;
 //! CI raises it).
@@ -70,34 +70,31 @@ fn costed_plans_match_greedy_plans_across_backends_and_schemes() {
     let mut order_diverged = 0usize;
 
     for (gi, data) in graphs.iter().enumerate() {
-        // Engines per (backend, scheme); all four must agree per planner.
-        let configs: Vec<(String, GsiConfig)> = [
-            ("serial", BackendKind::Serial),
-            ("host-parallel", BackendKind::HostParallel),
-        ]
-        .into_iter()
-        .flat_map(|(bname, backend)| {
-            [
-                ("prealloc", JoinScheme::PreallocCombine, None),
-                ("two-step", JoinScheme::TwoStep, None),
-                ("radix-hash", JoinScheme::RadixHash, None),
-                // Prealloc base scheme with cost-model promotion: any step
-                // whose estimated fan-out crosses 1.0 runs radix-hash, so
-                // fuzzed queries exercise mixed-strategy plans too.
-                ("prealloc+radix", JoinScheme::PreallocCombine, Some(1.0)),
-            ]
+        // Engines per (join-pool width, scheme); all must agree per planner.
+        let configs: Vec<(String, GsiConfig)> = [("serial", 1), ("host-parallel", 3)]
             .into_iter()
-            .map(move |(sname, scheme, radix_at)| {
-                let cfg = GsiConfig {
-                    join_scheme: scheme,
-                    radix_join_threshold: radix_at,
-                    ..GsiConfig::gsi_opt()
-                }
-                .with_backend(backend, if backend == BackendKind::Serial { 0 } else { 3 });
-                (format!("{bname}/{sname}"), cfg)
+            .flat_map(|(bname, join_threads)| {
+                [
+                    ("prealloc", JoinScheme::PreallocCombine, None),
+                    ("two-step", JoinScheme::TwoStep, None),
+                    ("radix-hash", JoinScheme::RadixHash, None),
+                    // Prealloc base scheme with cost-model promotion: any step
+                    // whose estimated fan-out crosses 1.0 runs radix-hash, so
+                    // fuzzed queries exercise mixed-strategy plans too.
+                    ("prealloc+radix", JoinScheme::PreallocCombine, Some(1.0)),
+                ]
+                .into_iter()
+                .map(move |(sname, scheme, radix_at)| {
+                    let cfg = GsiConfig {
+                        join_scheme: scheme,
+                        radix_join_threshold: radix_at,
+                        ..GsiConfig::gsi_opt()
+                    }
+                    .with_join_threads(join_threads);
+                    (format!("{bname}/{sname}"), cfg)
+                })
             })
-        })
-        .collect();
+            .collect();
 
         let engines: Vec<(String, GsiEngine, Graph)> = configs
             .into_iter()
@@ -137,7 +134,7 @@ fn costed_plans_match_greedy_plans_across_backends_and_schemes() {
                 assert_eq!(g_dev, g2_dev, "greedy counters non-deterministic [{name}]");
                 assert_eq!(c_dev, c2_dev, "costed counters non-deterministic [{name}]");
 
-                // All (backend, scheme) cells agree on the match set.
+                // All (width, scheme) cells agree on the match set.
                 match &reference {
                     None => reference = Some(c_canon),
                     Some(expect) => {

@@ -15,10 +15,10 @@
 //!   backend        one- vs many-thread join pool (BENCH_PR2.json)
 //!   update-churn   incremental re-prepare vs full rebuild (BENCH_PR3.json)
 //!   batch          shared candidate filtering vs solo runs (BENCH_PR4.json)
-//!   optimize       cost-based vs greedy join orders (BENCH_PR5.json)
+//!   optimize       cost-based vs greedy vs best-of-40 random join orders
+//!                  (BENCH_PR5.json)
 //!   observe        tracing Off vs On, exporters, recorder (BENCH_PR6.json)
 //!   setops         scalar vs vectorized kernels, radix joins (BENCH_PR7.json)
-//!   adapt          mid-query re-planning vs stale plans (BENCH_PR8.json)
 //!
 //! options:
 //!   --scale <f64>      multiplier on the default dataset scales (default 1.0)
@@ -37,11 +37,9 @@
 //!   --min-speedup <f>  required wall-clock speedup: shared filtering at 16
 //!                      concurrent queries (batch, default 1.3), costed
 //!                      join orders (optimize, default 1.5), vectorized
-//!                      set-op kernels (setops, default 1.5), or adaptive
-//!                      re-planning (adapt, default 1.3); 0 disables
-//!   --min-work-ratio <f> required deterministic join-work ratio: greedy
-//!                      over costed (optimize, default 1.5) or stale-static
-//!                      over adaptive (adapt)
+//!                      set-op kernels (setops, default 1.5); 0 disables
+//!   --min-work-ratio <f> required deterministic join-work ratio of greedy
+//!                      over costed (optimize, default 1.5)
 //!   --max-overhead <f> allowed enabled-tracing join-wall overhead as a
 //!                      fraction (observe only, default 0.05); 0 keeps only
 //!                      the deterministic counter-equality gates
@@ -53,7 +51,7 @@ use gsi_bench::workloads::HarnessOpts;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <table2..table11|fig12..fig15|backend|update-churn|batch|optimize|observe|setops|adapt|all> \
+        "usage: paper <table2..table11|fig12..fig15|backend|update-churn|batch|optimize|observe|setops|all> \
          [--scale F] [--queries N] [--query-size N] [--seed N] \
          [--timeout MS] [--cpu-timeout MS] [--threads N] [--latency NS] \
          [--rounds N] [--batch N] [--pool N] [--min-speedup F] \
@@ -127,12 +125,6 @@ fn main() {
         ),
         "observe" => experiments::observe(&opts, max_overhead, out("BENCH_PR6.json")),
         "setops" => experiments::setops(&opts, min_speedup.unwrap_or(1.5), out("BENCH_PR7.json")),
-        "adapt" => experiments::adapt(
-            &opts,
-            min_speedup.unwrap_or(1.3),
-            min_work_ratio,
-            out("BENCH_PR8.json"),
-        ),
         table => {
             match experiments::PAPER.iter().find(|(name, _)| *name == table) {
                 Some((_, run)) => run(&opts),

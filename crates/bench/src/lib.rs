@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The repo-trajectory experiments (`backend`, `update-churn`, `batch`,
-//! `optimize`, `observe`, `setops`, `adapt`) compare arms under
+//! `optimize`, `observe`, `setops`) compare arms under
 //! deterministic gates and write one [`report::Report`] each. How fast the
 //! shipped arm is end to end is `benchmark/`'s question, not this crate's.
 

@@ -144,22 +144,6 @@ pub struct GsiConfig {
     /// statistics-driven cost-based optimizer of [`crate::cost`]. The
     /// serving layer (`gsi-service`) defaults to the cost-based planner.
     pub planner: PlannerKind,
-    /// When `Some(t)`, the engine switches an individual join step to the
-    /// [`JoinScheme::RadixHash`] strategy whenever the cost model's
-    /// estimated step multiplicity (estimated output rows / input rows)
-    /// reaches `t`. Requires a cost-based plan (the estimates come from its
-    /// [`crate::cost::ExplainPlan`]); `None` (all presets) never switches.
-    pub radix_join_threshold: Option<f64>,
-    /// When `Some(t)`, adaptive execution is enabled: after each join step
-    /// the engine compares the actual intermediate cardinality against the
-    /// [`crate::cost::ExplainPlan`] estimate for the *next* position, and
-    /// when the (smoothed) misestimate ratio `max(est, act) / min(est, act)`
-    /// reaches `t`, the subset-DP re-plans the remaining pattern vertices
-    /// seeded with the true intermediate row count and splices the new
-    /// suffix into the running join. Re-planning never changes the match
-    /// set — only the order work is paid in. `None` (all presets) keeps the
-    /// plan static for the whole query.
-    pub replan_qerror_threshold: Option<f64>,
     /// Host threads that drain each join launch's blocks, the way a GPU's
     /// SMs drain a launch (§II-B; see [`crate::backend`]). `1` (every
     /// preset) runs the blocks in grid order on the calling thread; `0`
@@ -189,8 +173,6 @@ impl GsiConfig {
             combined_alloc: true,
             max_intermediate_rows: 10_000_000,
             planner: PlannerKind::Greedy,
-            radix_join_threshold: None,
-            replan_qerror_threshold: None,
             join_threads: 1,
         }
     }
@@ -223,15 +205,6 @@ impl GsiConfig {
     /// This configuration with another join-order planner.
     pub fn with_planner(self, planner: PlannerKind) -> Self {
         Self { planner, ..self }
-    }
-
-    /// This configuration with an adaptive re-planning threshold (`None`
-    /// disables mid-query re-planning).
-    pub fn with_replan_qerror_threshold(self, replan_qerror_threshold: Option<f64>) -> Self {
-        Self {
-            replan_qerror_threshold,
-            ..self
-        }
     }
 
     /// "+DS" of Table VI: GSI- with the PCSR data structure.
@@ -355,19 +328,15 @@ mod tests {
     #[test]
     fn kernel_and_radix_knobs_default_conservatively() {
         // Vectorized kernels are the default everywhere (charges are
-        // identical by contract); radix auto-selection is opt-in.
+        // identical by contract); the radix-hash scheme is opt-in.
         for cfg in [
             GsiConfig::gsi_base(),
             GsiConfig::gsi(),
             GsiConfig::gsi_opt(),
         ] {
             assert_eq!(cfg.set_op_kernels, SetOpKernels::Vectorized);
-            assert_eq!(cfg.radix_join_threshold, None);
-            assert_eq!(cfg.replan_qerror_threshold, None);
+            assert_ne!(cfg.join_scheme, JoinScheme::RadixHash);
         }
-        let adaptive = GsiConfig::gsi_opt().with_replan_qerror_threshold(Some(4.0));
-        assert_eq!(adaptive.replan_qerror_threshold, Some(4.0));
-        assert!(adaptive.duplicate_removal, "other knobs untouched");
         let scalar = GsiConfig::gsi_opt().with_set_op_kernels(SetOpKernels::Scalar);
         assert_eq!(scalar.set_op_kernels, SetOpKernels::Scalar);
         assert!(scalar.duplicate_removal, "other knobs untouched");

@@ -90,6 +90,18 @@ pub struct ExplainStep {
 }
 
 /// A join plan's cost report: per-step estimated vs. actual cardinality.
+///
+/// The estimates are rough. Under the independence model they miss the
+/// actual intermediate rows by two to four orders of magnitude on
+/// realistic graphs: the mean q-error per pattern on the repo benchmark's
+/// `engine-join` pool runs from 181 to 56,083. The cost-based order is
+/// still within 0.5 % of the best of 40 random connected orders there,
+/// because only the estimates' *ranking* of orders matters (`paper
+/// optimize` reports this as `core.plan_regret`). Nothing re-plans on a
+/// miss. The only readers of the numbers are the explain rows themselves
+/// (the service's query traces and its `gsi_mean_q_error` gauge) and the
+/// serving layer's keep-or-replace decision when it re-costs cached plans
+/// at an epoch publication (`PlanCache::recost_scope`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainPlan {
     /// The planner that produced the executed order (the cost-based
@@ -426,170 +438,6 @@ fn cheapest_order(
     Ok(order)
 }
 
-/// Mid-query suffix re-planning: re-run the subset DP over the pattern
-/// vertices **not yet joined**, treating the executed `prefix` (join-order
-/// positions already materialized) as a single joined set whose cardinality
-/// is the *observed* `actual_rows` — the true intermediate-table size the
-/// static estimate missed. Returns the full re-planned order with the
-/// prefix preserved verbatim and the remaining vertices re-ordered, or
-/// `None` when re-planning is not applicable:
-///
-/// * the pattern exceeds [`MAX_EXACT_SEARCH_VERTICES`] (the suffix DP
-///   would just replay the greedy fallback),
-/// * fewer than two vertices remain (a one-vertex suffix has exactly one
-///   order — nothing to improve),
-/// * the inputs are inconsistent (sizes/prefix not matching the query), or
-/// * the remaining vertices cannot be connected to the prefix (impossible
-///   for a plan that covered the query, but checked rather than trusted).
-///
-/// The DP is seeded at the prefix's subset with zero cost (its work is
-/// sunk) and `actual_rows` rows, then relaxes exactly like
-/// [`plan_join_costed`]'s full search restricted to supersets of the
-/// prefix. Any order it returns covers the query if the original plan did,
-/// so splicing it can never change the match set — only the work to finish
-/// the join.
-pub fn replan_suffix(
-    query: &Graph,
-    stats: &GraphStats,
-    sizes: &[f64],
-    cfg: &GsiConfig,
-    prefix: &[VertexId],
-    actual_rows: usize,
-) -> Option<Vec<VertexId>> {
-    let nq = query.n_vertices();
-    if nq == 0 || nq > MAX_EXACT_SEARCH_VERTICES || sizes.len() != nq {
-        return None;
-    }
-    if prefix.is_empty() || nq.saturating_sub(prefix.len()) < 2 {
-        return None;
-    }
-    let mut prefix_mask = 0usize;
-    for &u in prefix {
-        if u as usize >= nq {
-            return None;
-        }
-        let bit = 1usize << u as usize;
-        if prefix_mask & bit != 0 {
-            return None; // duplicate prefix vertex
-        }
-        prefix_mask |= bit;
-    }
-
-    let model = CostModel::new(stats, cfg);
-    let n_states = 1usize << nq;
-    let mut cost = vec![f64::INFINITY; n_states];
-    let mut rows = vec![0.0f64; n_states];
-    let mut parent = vec![usize::MAX; n_states];
-    cost[prefix_mask] = 0.0; // prefix work is already paid
-    rows[prefix_mask] = (actual_rows as f64).clamp(0.0, MAX_EST_ROWS);
-
-    // Ascending masks, restricted to supersets of the prefix.
-    for mask in prefix_mask..n_states {
-        if mask & prefix_mask != prefix_mask || !cost[mask].is_finite() {
-            continue;
-        }
-        for (u, &size) in sizes.iter().enumerate() {
-            let bit = 1usize << u;
-            if mask & bit != 0 {
-                continue;
-            }
-            let linking: Vec<(VertexId, EdgeLabel)> = query
-                .neighbors(u as VertexId)
-                .iter()
-                .filter(|&&(w, _)| mask & (1usize << w as usize) != 0)
-                .map(|&(w, l)| (w, l))
-                .collect();
-            if linking.is_empty() {
-                continue; // connected orders only
-            }
-            let (rows_new, step_cost) =
-                model.step_estimate(query, rows[mask], u as VertexId, size, &linking);
-            let next = mask | bit;
-            let total = cost[mask] + step_cost;
-            if total < cost[next] {
-                cost[next] = total;
-                rows[next] = rows_new;
-                parent[next] = u;
-            }
-        }
-    }
-
-    let full = n_states - 1;
-    if !cost[full].is_finite() {
-        return None;
-    }
-    let mut suffix = Vec::with_capacity(nq - prefix.len());
-    let mut mask = full;
-    while mask != prefix_mask {
-        let u = parent[mask];
-        if u == usize::MAX {
-            return None;
-        }
-        suffix.push(u as VertexId);
-        mask &= !(1usize << u);
-    }
-    suffix.reverse();
-    let mut order = prefix.to_vec();
-    order.extend(suffix);
-    Some(order)
-}
-
-/// Materialize the spliced plan and its cost report for an adaptive
-/// re-plan: `order` is the full re-planned order (executed prefix of
-/// `keep` positions preserved verbatim, suffix re-ordered — see
-/// [`replan_suffix`]), `base` the explain of the plan being replaced.
-/// The returned [`ExplainPlan`] keeps `base`'s estimates for the executed
-/// prefix (they are history — the pre-replan record) and re-estimates the
-/// suffix positions by walking the cost model **from the observed
-/// `actual_rows`**, so downstream consumers (per-step radix promotion,
-/// post-replan q-error) see estimates anchored at the true cardinality.
-#[allow(clippy::too_many_arguments)]
-pub fn splice_replanned(
-    query: &Graph,
-    stats: &GraphStats,
-    sizes: &[f64],
-    cfg: &GsiConfig,
-    base: &ExplainPlan,
-    order: &[VertexId],
-    keep: usize,
-    actual_rows: usize,
-) -> (JoinPlan, ExplainPlan) {
-    let plan = plan_from_order(query, order);
-    let model = CostModel::new(stats, cfg);
-    let mut steps = Vec::with_capacity(order.len());
-    let mut total = 0.0f64;
-    let mut rows = (actual_rows as f64).clamp(0.0, MAX_EST_ROWS);
-    for (pos, &u) in order.iter().enumerate() {
-        if pos < keep {
-            let kept = base.steps[pos].clone();
-            total = (total + kept.estimated_cost).clamp(0.0, MAX_EST_ROWS);
-            steps.push(kept);
-            continue;
-        }
-        let size = sizes.get(u as usize).copied().unwrap_or(0.0);
-        let linking: Vec<(VertexId, EdgeLabel)> = plan.steps[pos - 1]
-            .linking
-            .iter()
-            .map(|&(col, l)| (plan.order[col], l))
-            .collect();
-        let (rows_new, cost) = model.step_estimate(query, rows, u, size, &linking);
-        total = (total + cost).clamp(0.0, MAX_EST_ROWS);
-        steps.push(ExplainStep {
-            vertex: u,
-            estimated_rows: rows_new,
-            estimated_cost: cost,
-            actual_rows: None,
-        });
-        rows = rows_new;
-    }
-    let explain = ExplainPlan {
-        planner: base.planner,
-        steps,
-        estimated_total_cost: total,
-    };
-    (plan, explain)
-}
-
 /// Algorithm 2's greedy order computed from the statistics catalog
 /// (`elabel_count` equals the data graph's `elabel_freq`, so for exact
 /// candidate sizes this reproduces [`crate::plan::plan_join`]'s order,
@@ -638,9 +486,10 @@ fn greedy_order(
 }
 
 /// Materialize the [`JoinPlan`] for a connected vertex order: each step
-/// links the next vertex to every already-ordered neighbor. Public so
-/// consumers of [`replan_suffix`] (and tests exercising the adaptive
-/// splice) can rebuild an executable plan from a vertex order.
+/// links the next vertex to every already-ordered neighbor. Public so a
+/// caller can execute an order of its own choosing through
+/// [`crate::QueryOptions::plan`] (the `paper optimize` random-order arm
+/// does).
 pub fn plan_from_order(query: &Graph, order: &[VertexId]) -> JoinPlan {
     let mut steps = Vec::with_capacity(order.len().saturating_sub(1));
     for (pos, &u) in order.iter().enumerate().skip(1) {
@@ -887,108 +736,6 @@ mod tests {
         let q = weird.mean_q_error().expect("the clamped -5.0 step counts");
         assert!(q.is_finite());
         assert_eq!(q, 4.0, "est clamps to 0 → (3+1)/(0+1)");
-    }
-
-    /// Query a(0) –0– b(1) –1– c(2) –2– d(3) against skewed-like data with
-    /// a fourth label class so a 4-vertex path exists.
-    fn path4_setup() -> (Graph, GraphStats, Graph) {
-        let mut b = GraphBuilder::new();
-        let a: Vec<u32> = (0..2).map(|_| b.add_vertex(0)).collect();
-        let bs: Vec<u32> = (0..40).map(|_| b.add_vertex(1)).collect();
-        let cs: Vec<u32> = (0..4).map(|_| b.add_vertex(2)).collect();
-        let ds: Vec<u32> = (0..3).map(|_| b.add_vertex(3)).collect();
-        for (i, &vb) in bs.iter().enumerate() {
-            b.add_edge(a[i % 2], vb, 0);
-        }
-        for (i, &vc) in cs.iter().enumerate() {
-            b.add_edge(bs[i], vc, 1);
-        }
-        for (i, &vd) in ds.iter().enumerate() {
-            b.add_edge(cs[i], vd, 2);
-        }
-        let data = b.build();
-        let stats = GraphStats::build(&data);
-        let mut qb = GraphBuilder::new();
-        let qa = qb.add_vertex(0);
-        let qbv = qb.add_vertex(1);
-        let qc = qb.add_vertex(2);
-        let qd = qb.add_vertex(3);
-        qb.add_edge(qa, qbv, 0);
-        qb.add_edge(qbv, qc, 1);
-        qb.add_edge(qc, qd, 2);
-        let q = qb.build();
-        (data, stats, q)
-    }
-
-    #[test]
-    fn replan_suffix_preserves_the_prefix_and_covers() {
-        let (_, stats, q) = path4_setup();
-        let cfg = GsiConfig::gsi_opt();
-        let sizes = vec![2.0, 40.0, 4.0, 3.0];
-        // Executed prefix: seeded at the greedy trap a(0), then b(1).
-        let order = replan_suffix(&q, &stats, &sizes, &cfg, &[0, 1], 80).expect("re-plans");
-        assert_eq!(&order[..2], &[0, 1], "prefix preserved verbatim");
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3], "a permutation of the query");
-        let plan = plan_from_order(&q, &order);
-        assert!(plan.covers(&q), "spliced orders stay executable");
-    }
-
-    #[test]
-    fn replan_suffix_declines_degenerate_inputs() {
-        let (_, stats, q) = path4_setup();
-        let cfg = GsiConfig::gsi_opt();
-        let sizes = vec![2.0, 40.0, 4.0, 3.0];
-        // One remaining vertex: exactly one order, nothing to improve.
-        assert_eq!(replan_suffix(&q, &stats, &sizes, &cfg, &[0, 1, 2], 7), None);
-        // Empty prefix is not a mid-query state.
-        assert_eq!(replan_suffix(&q, &stats, &sizes, &cfg, &[], 7), None);
-        // Duplicate prefix vertices are inconsistent.
-        assert_eq!(replan_suffix(&q, &stats, &sizes, &cfg, &[0, 0], 7), None);
-        // Candidate-size mismatch is inconsistent.
-        assert_eq!(replan_suffix(&q, &stats, &sizes[..3], &cfg, &[0], 7), None);
-        // Beyond the exact-search cap the suffix DP declines (the greedy
-        // fallback produced the order; replaying it would change nothing).
-        let mut qb = GraphBuilder::new();
-        let vs: Vec<u32> = (0..18).map(|i| qb.add_vertex(i % 3)).collect();
-        for w in vs.windows(2) {
-            qb.add_edge(w[0], w[1], 0);
-        }
-        let big = qb.build();
-        let big_sizes = vec![4.0; 18];
-        assert_eq!(replan_suffix(&big, &stats, &big_sizes, &cfg, &[0], 7), None);
-    }
-
-    #[test]
-    fn splice_replanned_keeps_prefix_estimates_and_reseeds_the_suffix() {
-        let (_, stats, q) = path4_setup();
-        let cfg = GsiConfig::gsi_opt();
-        let sizes = vec![2.0, 40.0, 4.0, 3.0];
-        let (base_plan, base) = plan_join_estimated(&q, &stats, &sizes, &cfg).expect("plans");
-        let order = base_plan.order.clone();
-        // Pretend the first step's output was wildly underestimated.
-        let actual = 500usize;
-        let (plan, explain) = splice_replanned(&q, &stats, &sizes, &cfg, &base, &order, 2, actual);
-        assert_eq!(plan, plan_from_order(&q, &order));
-        assert!(plan.covers(&q));
-        assert_eq!(explain.steps.len(), base.steps.len());
-        assert_eq!(explain.planner, base.planner);
-        for pos in 0..2 {
-            assert_eq!(
-                explain.steps[pos].estimated_rows, base.steps[pos].estimated_rows,
-                "prefix estimates are history, kept verbatim"
-            );
-        }
-        // The suffix walk is seeded from the observed cardinality, so its
-        // first re-estimated position reflects 500 rows, not the old
-        // (much smaller) estimate.
-        assert!(
-            explain.steps[2].estimated_rows > base.steps[2].estimated_rows,
-            "re-seeded estimate absorbs the underestimate ({} vs {})",
-            explain.steps[2].estimated_rows,
-            base.steps[2].estimated_rows
-        );
     }
 
     #[test]

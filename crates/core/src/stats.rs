@@ -44,11 +44,9 @@ pub struct RunStats {
     /// the `Off` path skips them entirely. Not folded by
     /// [`RunStats::accumulate`] (same reason as `step_rows`).
     pub step_times: Vec<Duration>,
-    /// Mid-query re-plans this run performed: each counts one suffix
-    /// subset-DP run triggered by the adaptive misestimate threshold
-    /// (`GsiConfig::replan_qerror_threshold`) whose spliced order actually
-    /// replaced the remaining plan. `0` whenever the threshold is unset or
-    /// the estimates stayed within it.
+    /// Always `0`: the engine orders each query's joins once and never
+    /// re-plans mid-query. Kept only because the repo benchmark still
+    /// reports it as `core.replans_per_query`.
     pub replans: u32,
     /// Total streamed elements executed by the join pool (parallel
     /// "work" in the work/span sense).

@@ -4,8 +4,7 @@
 //! cost-based planning); this crate ties their siloed telemetry together,
 //! the same "measure everything, prove it" discipline the paper applies to
 //! its per-kernel GLD/GST transaction accounting. Three pieces, shared by
-//! every layer of the stack and by every later roadmap item (server load
-//! harness, adaptive re-planning, sharding):
+//! every layer of the stack, the network server included:
 //!
 //! * **Per-query structured tracing** ([`trace`]) — a lightweight span API:
 //!   one [`QueryTrace`] per query carries a [`StageBreakdown`]

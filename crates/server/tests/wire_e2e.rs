@@ -253,10 +253,10 @@ fn metrics_and_health_over_wire() {
     assert_eq!(served, 1, "connection served {served}");
 }
 
-/// Every exported metric family, `(name, type)` in export order: the 51
+/// Every exported metric family, `(name, type)` in export order: the 48
 /// service families, then the server's 3. A metric cannot be added,
 /// dropped, renamed or re-typed without changing this list.
-const PINNED_FAMILIES: [(&str, &str); 54] = [
+const PINNED_FAMILIES: [(&str, &str); 51] = [
     ("gsi_queries_submitted_total", "counter"),
     ("gsi_queries_rejected_total", "counter"),
     ("gsi_queries_completed_total", "counter"),
@@ -276,8 +276,6 @@ const PINNED_FAMILIES: [(&str, &str); 54] = [
     ("gsi_plan_cache_hits_total", "counter"),
     ("gsi_plan_cache_misses_total", "counter"),
     ("gsi_plan_cache_evictions_total", "counter"),
-    ("gsi_query_replans_total", "counter"),
-    ("gsi_plan_feedback_hits_total", "counter"),
     ("gsi_updates_incremental_total", "counter"),
     ("gsi_updates_rebuilt_total", "counter"),
     ("gsi_stage_queue_us_total", "counter"),
@@ -302,7 +300,6 @@ const PINNED_FAMILIES: [(&str, &str); 54] = [
     ("gsi_plan_cache_size", "gauge"),
     ("gsi_plan_cache_hit_rate", "gauge"),
     ("gsi_mean_q_error", "gauge"),
-    ("gsi_mean_pre_replan_q_error", "gauge"),
     ("gsi_last_update_drift", "gauge"),
     ("gsi_flight_recorder_len", "gauge"),
     ("gsi_service_uptime_seconds", "gauge"),

@@ -39,14 +39,6 @@ struct CacheEntry {
     matches_ewma: f64,
     /// Number of runs folded into the estimates.
     runs: u64,
-    /// Best (lowest) measured mean q-error any run of this pattern has
-    /// reported — the cardinality-feedback record. Monotone
-    /// non-increasing across runs; `None` until a run reports one.
-    q_error: Option<f64>,
-    /// Whether cardinality feedback replaced the first-written order with
-    /// a measured-better one (an adaptive run's executed plan whose
-    /// q-error beat the recorded best).
-    refined: bool,
     /// LRU clock tick of the last touch.
     last_used: u64,
 }
@@ -60,13 +52,6 @@ pub struct PlanEstimates {
     pub n_matches: f64,
     /// Runs folded into the estimates.
     pub runs: u64,
-    /// Best measured mean q-error recorded for this pattern (monotone
-    /// non-increasing across runs); `None` until a run reported one.
-    pub q_error: Option<f64>,
-    /// Whether cardinality feedback replaced the first-written order with
-    /// a measured-better one. A hit on a refined entry executes the plan
-    /// an adaptive run *measured*, not the one static statistics chose.
-    pub refined: bool,
 }
 
 /// A plan-cache lookup that hit: the concrete plan plus the estimates.
@@ -152,8 +137,6 @@ impl PlanCache {
                     min_candidate: e.min_candidate_ewma,
                     n_matches: e.matches_ewma,
                     runs: e.runs,
-                    q_error: e.q_error,
-                    refined: e.refined,
                 },
             )
         });
@@ -183,18 +166,10 @@ impl PlanCache {
 
     /// Record the plan a run *executed* for `query`, folding the run's
     /// candidate/match sizes into the pattern's estimates. `planner` is the
-    /// provenance of the executed plan (reported back on later hits) and
-    /// `q_error` its measured mean q-error, when the run reported one.
+    /// provenance of the executed plan (reported back on later hits).
     ///
-    /// Plan retention is first-writer-wins **with cardinality feedback**:
-    /// an existing entry keeps its order unless the incoming run's
-    /// measured q-error strictly beats the best this pattern has recorded
-    /// *and* the executed order differs — then the entry adopts the
-    /// measured-better plan (typically an adaptive run's spliced order)
-    /// and is marked refined. The recorded q-error is the best seen, so it
-    /// is monotone non-increasing and repeated patterns converge to
-    /// measured-optimal orders instead of re-trusting stale statistics.
-    #[allow(clippy::too_many_arguments)] // one call site, plumbed by the scheduler
+    /// Plan retention is first-writer-wins: an existing entry keeps its
+    /// order and provenance whatever order a later run executed.
     pub fn record(
         &self,
         scope: u64,
@@ -203,10 +178,8 @@ impl PlanCache {
         plan: &JoinPlan,
         planner: PlannerKind,
         stats: &RunStats,
-        q_error: Option<f64>,
     ) {
         let key = (scope, canon.key);
-        let incoming_q = q_error.filter(|q| q.is_finite());
         let mut state = self.inner.lock();
         if let Some(e) = state.map.get_mut(&key) {
             const ALPHA: f64 = 0.3;
@@ -214,23 +187,6 @@ impl PlanCache {
                 (1.0 - ALPHA) * e.min_candidate_ewma + ALPHA * stats.min_candidate as f64;
             e.matches_ewma = (1.0 - ALPHA) * e.matches_ewma + ALPHA * stats.n_matches as f64;
             e.runs += 1;
-            let beats_best = match (incoming_q, e.q_error) {
-                (Some(new), Some(best)) => new < best,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if beats_best {
-                let incoming_plan = map_plan(plan, &canon.perm);
-                if incoming_plan.order != e.plan.order {
-                    e.plan = incoming_plan;
-                    e.planner = planner;
-                    e.refined = true;
-                }
-            }
-            e.q_error = match (e.q_error, incoming_q) {
-                (Some(best), Some(new)) => Some(best.min(new)),
-                (best, new) => best.or(new),
-            };
         } else {
             state.map.insert(
                 key,
@@ -241,8 +197,6 @@ impl PlanCache {
                     min_candidate_ewma: stats.min_candidate as f64,
                     matches_ewma: stats.n_matches as f64,
                     runs: 1,
-                    q_error: incoming_q,
-                    refined: false,
                     last_used: 0, // placeholder; promoted below
                 },
             );
@@ -267,12 +221,6 @@ impl PlanCache {
     /// under the new epoch — dropping them would re-plan every recurring
     /// pattern for nothing. Lookups still validate every mapped plan with
     /// `JoinPlan::covers`, so migration can never produce a wrong plan.
-    ///
-    /// The cardinality-feedback record (best measured q-error) does **not**
-    /// carry across: it measured estimate accuracy against the displaced
-    /// epoch's data, and a stale unbeatable best would block adaptive runs
-    /// from ever refining the entry under the new epoch. The first
-    /// post-migration run re-establishes it.
     pub fn rekey_scope(&self, from: u64, to: u64) -> usize {
         if from == to {
             return 0;
@@ -285,8 +233,7 @@ impl PlanCache {
             .copied()
             .collect();
         for key in &victims {
-            if let Some(mut entry) = state.map.remove(key) {
-                entry.q_error = None;
+            if let Some(entry) = state.map.remove(key) {
                 // Same tick, new key: LRU position carries over.
                 let new_key = (to, key.1);
                 state.order.insert(entry.last_used, new_key);
@@ -334,13 +281,10 @@ impl PlanCache {
         let mut state = self.inner.lock();
         let (mut kept, mut dropped) = (0usize, 0usize);
         for (key, survives) in verdicts {
-            if let Some(mut entry) = state.map.remove(&key) {
+            if let Some(entry) = state.map.remove(&key) {
                 let tick = entry.last_used;
                 state.order.remove(&tick);
                 if survives {
-                    // Like `rekey_scope`, the feedback record is epoch-local
-                    // and does not migrate with the plan.
-                    entry.q_error = None;
                     let new_key = (to, key.1);
                     state.order.insert(tick, new_key);
                     state.map.insert(new_key, entry);
@@ -482,7 +426,6 @@ mod tests {
             &plan_for(&q1),
             PlannerKind::Greedy,
             &stats(5, 2),
-            None,
         );
 
         let q2 = path([2, 0, 1]);
@@ -500,15 +443,7 @@ mod tests {
         let cache = PlanCache::new(8);
         let q = path([0, 1, 2]);
         let c = canonicalize(&q);
-        cache.record(
-            1,
-            &c,
-            &q,
-            &plan_for(&q),
-            PlannerKind::Greedy,
-            &stats(1, 1),
-            None,
-        );
+        cache.record(1, &c, &q, &plan_for(&q), PlannerKind::Greedy, &stats(1, 1));
         assert!(cache.lookup(2, &c, &q).is_none(), "other graph: miss");
         assert!(cache.lookup(1, &c, &q).is_some());
         cache.invalidate_scope(1);
@@ -521,8 +456,8 @@ mod tests {
         let q = path([0, 1, 2]);
         let c = canonicalize(&q);
         let p = plan_for(&q);
-        cache.record(0, &c, &q, &p, PlannerKind::CostBased, &stats(10, 0), None);
-        cache.record(0, &c, &q, &p, PlannerKind::CostBased, &stats(20, 0), None);
+        cache.record(0, &c, &q, &p, PlannerKind::CostBased, &stats(10, 0));
+        cache.record(0, &c, &q, &p, PlannerKind::CostBased, &stats(20, 0));
         let hit = cache.lookup(0, &c, &q).expect("hit");
         assert_eq!(hit.estimates.runs, 2);
         assert!((hit.estimates.min_candidate - 13.0).abs() < 1e-9); // 10*0.7 + 20*0.3
@@ -550,7 +485,6 @@ mod tests {
                 &plan_for_edge(q),
                 PlannerKind::Greedy,
                 &stats(1, 1),
-                None,
             );
         }
         assert_eq!(cache.len(), 2);
@@ -579,7 +513,6 @@ mod tests {
             &plan_for_edge(&qs[0]),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         cache.record(
             0,
@@ -588,7 +521,6 @@ mod tests {
             &plan_for_edge(&qs[1]),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         // Touch entry 0: it becomes most-recently-used, so inserting a
         // third entry must evict entry 1, not entry 0.
@@ -600,7 +532,6 @@ mod tests {
             &plan_for_edge(&qs[2]),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(0, &cs[0], &qs[0]).is_some(), "promoted: kept");
@@ -619,7 +550,6 @@ mod tests {
             &plan_for(&q0),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         cache.record(
             2,
@@ -628,7 +558,6 @@ mod tests {
             &plan_for(&q0),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         cache.invalidate_scope(1);
         assert_eq!(cache.len(), 1);
@@ -651,7 +580,6 @@ mod tests {
             &plan_for_edge(&qs[0]),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         cache.record(
             3,
@@ -660,7 +588,6 @@ mod tests {
             &plan_for_edge(&qs[1]),
             PlannerKind::Greedy,
             &stats(1, 1),
-            None,
         );
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(2, &c0, &q0).is_none(), "oldest evicted");
@@ -680,7 +607,6 @@ mod tests {
             &plan_for(&q),
             PlannerKind::CostBased,
             &stats(5, 2),
-            None,
         );
         assert_eq!(cache.rekey_scope(1, 9), 1);
         assert!(cache.lookup(1, &c, &q).is_none(), "old scope emptied");
@@ -698,7 +624,7 @@ mod tests {
         let q = path([0, 1, 2]);
         let c = canonicalize(&q);
         let p = plan_for(&q);
-        cache.record(1, &c, &q, &p, PlannerKind::CostBased, &stats(1, 1), None);
+        cache.record(1, &c, &q, &p, PlannerKind::CostBased, &stats(1, 1));
 
         // The callback sees the canonical-space pattern and plan.
         let (kept, dropped) = cache.recost_scope(1, 2, |pattern, plan| {
@@ -717,7 +643,7 @@ mod tests {
 
     /// The opposite covering order for `path([0, 1, 2])`: seed at the
     /// label-2 end and walk back. A legal alternative to `plan_for`'s
-    /// output, so tests can exercise feedback-driven plan replacement.
+    /// output, so tests can check a later order never replaces the first.
     fn reverse_plan() -> JoinPlan {
         JoinPlan {
             order: vec![2, 1, 0],
@@ -735,156 +661,32 @@ mod tests {
     }
 
     #[test]
-    fn feedback_replaces_the_plan_only_on_better_measured_q_error() {
+    fn first_writer_keeps_its_order() {
         let cache = PlanCache::new(8);
         let q = path([0, 1, 2]);
         let c = canonicalize(&q);
         let forward = plan_for(&q);
         assert_ne!(forward.order, reverse_plan().order, "real alternatives");
 
-        // First writer, measured q-error 8.0.
-        cache.record(
-            0,
-            &c,
-            &q,
-            &forward,
-            PlannerKind::Greedy,
-            &stats(1, 1),
-            Some(8.0),
-        );
+        cache.record(0, &c, &q, &forward, PlannerKind::Greedy, &stats(1, 1));
+        let first_order = cache.lookup(0, &c, &q).expect("hit").plan.order;
+
+        // A later run that executed a different order folds its sizes in,
+        // but never replaces the entry's order or provenance.
+        for _ in 0..3 {
+            cache.record(
+                0,
+                &c,
+                &q,
+                &reverse_plan(),
+                PlannerKind::CostBased,
+                &stats(1, 1),
+            );
+        }
         let hit = cache.lookup(0, &c, &q).expect("hit");
-        assert_eq!(hit.estimates.q_error, Some(8.0));
-        assert!(!hit.estimates.refined);
-        let first_order = hit.plan.order.clone();
-
-        // A measured-worse run must not displace the plan, and the
-        // recorded best stays put.
-        cache.record(
-            0,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(9.5),
-        );
-        let hit = cache.lookup(0, &c, &q).expect("hit");
-        assert_eq!(hit.plan.order, first_order, "worse run: plan kept");
-        assert!(!hit.estimates.refined);
-        assert_eq!(hit.estimates.q_error, Some(8.0));
-
-        // Non-finite measurements are dropped entirely.
-        cache.record(
-            0,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(f64::NAN),
-        );
-        let hit = cache.lookup(0, &c, &q).expect("hit");
-        assert_eq!(hit.estimates.q_error, Some(8.0));
-        assert_eq!(hit.plan.order, first_order);
-
-        // A measured-better different order refines the entry: plan,
-        // provenance, and feedback record all move.
-        cache.record(
-            0,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(2.0),
-        );
-        let hit = cache.lookup(0, &c, &q).expect("hit");
-        assert_ne!(hit.plan.order, first_order, "feedback replaced the plan");
-        assert!(hit.plan.covers(&q));
-        assert!(hit.estimates.refined);
-        assert_eq!(hit.estimates.q_error, Some(2.0));
-        assert_eq!(hit.planner, PlannerKind::CostBased);
-
-        // The record is monotone non-increasing thereafter, and the
-        // refinement mark is sticky.
-        cache.record(
-            0,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(3.0),
-        );
-        let hit = cache.lookup(0, &c, &q).expect("hit");
-        assert_eq!(hit.estimates.q_error, Some(2.0));
-        assert!(hit.estimates.refined);
-        assert_eq!(hit.estimates.runs, 5, "every run folded its sizes");
-    }
-
-    #[test]
-    fn feedback_record_is_epoch_local_across_rekey_and_recost() {
-        let cache = PlanCache::new(8);
-        let q = path([0, 1, 2]);
-        let c = canonicalize(&q);
-        cache.record(
-            1,
-            &c,
-            &q,
-            &plan_for(&q),
-            PlannerKind::Greedy,
-            &stats(1, 1),
-            Some(6.0),
-        );
-        cache.record(
-            1,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(1.5),
-        );
-        let refined_order = cache.lookup(1, &c, &q).expect("hit").plan.order.clone();
-
-        // Low-drift migration carries the refined plan but resets the
-        // measured best: it described the displaced epoch's data, and an
-        // unbeatable stale record would block refinement under the new one.
-        assert_eq!(cache.rekey_scope(1, 2), 1);
-        let hit = cache.lookup(2, &c, &q).expect("migrated");
-        assert_eq!(hit.plan.order, refined_order, "refined plan rides along");
-        assert!(hit.estimates.refined, "provenance survives");
-        assert_eq!(hit.estimates.q_error, None, "measurement does not");
-
-        // A fresh measurement under the new epoch re-establishes the
-        // record — whatever it is beats `None`.
-        cache.record(
-            2,
-            &c,
-            &q,
-            &reverse_plan(),
-            PlannerKind::CostBased,
-            &stats(1, 1),
-            Some(4.0),
-        );
-        assert_eq!(
-            cache.lookup(2, &c, &q).expect("hit").estimates.q_error,
-            Some(4.0)
-        );
-
-        // Past-threshold re-costing judges the refined canonical plan like
-        // any other entry; a kept entry's record resets, a rejected one is
-        // dropped so feedback never outlives the data that justified it.
-        let (kept, _) = cache.recost_scope(2, 3, |pattern, plan| {
-            assert!(plan.covers(pattern));
-            true
-        });
-        assert_eq!(kept, 1);
-        let hit = cache.lookup(3, &c, &q).expect("kept");
-        assert_eq!(hit.estimates.q_error, None, "record reset on recost");
-        let (kept, dropped) = cache.recost_scope(3, 4, |_, _| false);
-        assert_eq!((kept, dropped), (0, 1));
-        assert!(cache.lookup(4, &c, &q).is_none());
+        assert_eq!(hit.plan.order, first_order, "first writer wins");
+        assert_eq!(hit.planner, PlannerKind::Greedy);
+        assert_eq!(hit.estimates.runs, 4, "every run folded its sizes");
     }
 
     fn plan_for_edge(q: &Graph) -> JoinPlan {

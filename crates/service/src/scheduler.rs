@@ -182,15 +182,8 @@ pub struct QueryOutcome {
     pub planner_kind: PlannerKind,
     /// Mean q-error of the executed plan's cardinality estimates
     /// (estimated vs. actual intermediate rows per join position; 1.0 =
-    /// perfect). `None` when the run executed no join position. For a run
-    /// that re-planned mid-query this measures the *final* spliced plan;
-    /// the abandoned static plan's q-error is
-    /// `output.pre_replan_q_error`.
+    /// perfect). `None` when the run executed no join position.
     pub estimation_error: Option<f64>,
-    /// Whether the executed join order came from a plan-cache entry that
-    /// cardinality feedback had refined — i.e. an earlier adaptive run's
-    /// measured-better order, not the first-written static plan.
-    pub plan_feedback: bool,
     /// Cross-run size estimates for the pattern, when cached.
     pub estimates: Option<PlanEstimates>,
     /// How many queries were drained into the pickup this query executed
@@ -615,9 +608,8 @@ fn run_job(
     };
 
     // Record the executed plan and fold this run's sizes into the
-    // pattern's estimates (the first writer keeps the order until an
-    // adaptive run's measured q-error beats the recorded best — then the
-    // entry adopts the measured plan; see `PlanCache::record`). Skipped
+    // pattern's estimates (the first writer keeps the order; see
+    // `PlanCache::record`). Skipped
     // for aborted runs — a timed-out run's zero match count would poison
     // the estimates — and for scopes no longer current in the catalog, so
     // a concurrent unregister/re-register doesn't resurrect dead entries.
@@ -634,7 +626,6 @@ fn run_job(
             &output.plan,
             output.planner,
             &output.stats,
-            estimation_error,
         );
     }
 
@@ -645,7 +636,6 @@ fn run_job(
         Some(c) if plan_cache_hit => c.planner,
         _ => output.planner,
     };
-    let plan_feedback = plan_cache_hit && cached.as_ref().is_some_and(|c| c.estimates.refined);
     let latency = job.submitted.elapsed();
 
     // Stage accounting for every served query. The engine's `join_time`
@@ -669,8 +659,6 @@ fn run_job(
     core.stats.record_stage_breakdown(&breakdown);
     core.stats.record_completed(scope, latency, &output.stats);
     core.stats.record_planned(planner_kind, estimation_error);
-    core.stats
-        .record_adaptive(plan_feedback, output.pre_replan_q_error);
 
     // Offer the trace to the flight recorder (a relaxed load for the fast
     // majority). Span trees exist only under TraceConfig::On; the coarse
@@ -714,7 +702,6 @@ fn run_job(
         plan_cache_hit,
         planner_kind,
         estimation_error,
-        plan_feedback,
         estimates: cached.map(|c| c.estimates),
         batch_size,
         queue_wait: waited,

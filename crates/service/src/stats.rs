@@ -68,8 +68,6 @@ pub struct ServiceStats {
     plan_cache_hits: Counter,
     plan_cache_misses: Counter,
     plan_cache_evictions: Counter,
-    replans: Counter,
-    plan_feedback_hits: Counter,
     updates_incremental: Counter,
     updates_rebuilt: Counter,
     /// Summed per-stage wall time of served queries, microseconds, in
@@ -87,7 +85,6 @@ pub struct ServiceStats {
     plan_cache_size: Gauge,
     plan_cache_hit_rate: Gauge,
     mean_q_error: Gauge,
-    mean_pre_replan_q_error: Gauge,
     last_update_drift: Gauge,
     flight_recorder_len: Gauge,
     uptime: Gauge,
@@ -99,11 +96,9 @@ pub struct ServiceStats {
     /// Compatible queries drained per worker pickup, singletons included,
     /// so the distribution shows how often batching found company.
     pub(crate) batch_fill: Histogram,
-    /// Inputs of the mean-q-error gauges (not exported themselves).
+    /// Inputs of the mean-q-error gauge (not exported themselves).
     estimation_error_sum: Gauge,
     estimation_samples: Counter,
-    pre_replan_error_sum: Gauge,
-    pre_replan_samples: Counter,
     /// Served-query counters keyed by the catalog epoch each query pinned —
     /// the observable record that epoch-versioned serving attributed every
     /// query to the graph state it actually ran against. Entries for live
@@ -209,14 +204,6 @@ impl ServiceStats {
                 "gsi_plan_cache_evictions_total",
                 "Plans evicted by the cache's LRU capacity bound.",
             ),
-            replans: r.counter(
-                "gsi_query_replans_total",
-                "Mid-query re-plans performed by adaptive execution.",
-            ),
-            plan_feedback_hits: r.counter(
-                "gsi_plan_feedback_hits_total",
-                "Served queries that executed a feedback-refined cached plan.",
-            ),
             updates_incremental: r.counter(
                 "gsi_updates_incremental_total",
                 "Graph updates applied by incremental PCSR splice.",
@@ -267,10 +254,6 @@ impl ServiceStats {
                 "gsi_mean_q_error",
                 "Mean q-error of served queries' cardinality estimates (NaN before any).",
             ),
-            mean_pre_replan_q_error: r.gauge(
-                "gsi_mean_pre_replan_q_error",
-                "Mean q-error of the static plans adaptive runs abandoned (NaN before any).",
-            ),
             last_update_drift: {
                 let drift = r.gauge(
                     "gsi_last_update_drift",
@@ -297,8 +280,6 @@ impl ServiceStats {
             ),
             estimation_error_sum: Gauge::default(),
             estimation_samples: Counter::default(),
-            pre_replan_error_sum: Gauge::default(),
-            pre_replan_samples: Counter::default(),
             per_epoch: Mutex::new(BTreeMap::new()),
             retired_epochs: Mutex::new(VecDeque::new()),
             registry: r,
@@ -324,23 +305,6 @@ impl ServiceStats {
         if let Some(err) = estimation_error.filter(|e| e.is_finite()) {
             self.estimation_error_sum.add(err);
             self.estimation_samples.inc();
-        }
-    }
-
-    /// A served query's adaptive-execution record: `feedback_hit` is
-    /// whether its executed order came from a feedback-refined cache
-    /// entry, `pre_replan_q_error` the static plan's measured q-error at
-    /// the run's first mid-query re-plan (`None` when it never re-planned;
-    /// non-finite samples are dropped, like `record_planned`'s). The
-    /// re-plan *count* comes from `RunStats::replans` via
-    /// [`ServiceStats::record_completed`].
-    pub fn record_adaptive(&self, feedback_hit: bool, pre_replan_q_error: Option<f64>) {
-        if feedback_hit {
-            self.plan_feedback_hits.inc();
-        }
-        if let Some(q) = pre_replan_q_error.filter(|q| q.is_finite()) {
-            self.pre_replan_error_sum.add(q);
-            self.pre_replan_samples.inc();
         }
     }
 
@@ -378,7 +342,6 @@ impl ServiceStats {
         }
         self.latency_us.observe(latency.as_micros() as u64);
         self.matches.add(stats.n_matches as u64);
-        self.replans.add(stats.replans as u64);
         let mut per_epoch = self.per_epoch.lock();
         let e = per_epoch.entry(epoch).or_default();
         e.completed += 1;
@@ -437,12 +400,6 @@ impl ServiceStats {
             self.estimation_samples.get(),
         );
         self.mean_q_error.set(mean_q.unwrap_or(f64::NAN));
-        let pre_replan = mean(
-            self.pre_replan_error_sum.get(),
-            self.pre_replan_samples.get(),
-        );
-        self.mean_pre_replan_q_error
-            .set(pre_replan.unwrap_or(f64::NAN));
         self.flight_recorder_len.set(flight.len() as f64);
         self.uptime.set(self.started.elapsed().as_secs_f64());
     }
@@ -471,10 +428,6 @@ impl ServiceStats {
             plans_recost_dropped: self.plans_recost_dropped.get(),
             estimation_error_sum: self.estimation_error_sum.get(),
             estimation_samples: self.estimation_samples.get(),
-            plan_feedback_hits: self.plan_feedback_hits.get(),
-            replans: self.replans.get(),
-            pre_replan_error_sum: self.pre_replan_error_sum.get(),
-            pre_replan_samples: self.pre_replan_samples.get(),
             updates_incremental: self.updates_incremental.get(),
             updates_rebuilt: self.updates_rebuilt.get(),
             last_update_drift: (!drift.is_nan()).then_some(drift),
@@ -559,18 +512,6 @@ pub struct ServiceStatsSnapshot {
     pub estimation_error_sum: f64,
     /// Queries contributing to `estimation_error_sum`.
     pub estimation_samples: u64,
-    /// Served queries whose executed join order came from a plan-cache
-    /// entry that cardinality feedback had refined (see
-    /// `PlanCache::record`).
-    pub plan_feedback_hits: u64,
-    /// Mid-query re-plans performed by adaptive execution.
-    pub replans: u64,
-    /// Summed q-errors of the static plans adaptive runs abandoned at
-    /// their first mid-query re-plan (see
-    /// [`ServiceStatsSnapshot::mean_pre_replan_error`]).
-    pub pre_replan_error_sum: f64,
-    /// Queries contributing to `pre_replan_error_sum`.
-    pub pre_replan_samples: u64,
     /// Graph updates whose storage took the incremental PCSR splice path.
     pub updates_incremental: u64,
     /// Graph updates that rebuilt storage wholesale.
@@ -647,15 +588,6 @@ impl ServiceStatsSnapshot {
         mean(self.estimation_error_sum, self.estimation_samples)
     }
 
-    /// Mean q-error of the static plans that adaptive runs abandoned at
-    /// their first mid-query re-plan (`None` before any run re-planned).
-    /// Compare against [`ServiceStatsSnapshot::mean_estimation_error`],
-    /// which measures the plans actually *executed*: the gap is what
-    /// cardinality feedback bought.
-    pub fn mean_pre_replan_error(&self) -> Option<f64> {
-        mean(self.pre_replan_error_sum, self.pre_replan_samples)
-    }
-
     /// Fraction of multi-query-batch filter-demand lookups served from
     /// the shared cache instead of a fresh filter pass, in `[0, 1]`; 0
     /// when no multi-query batch ran.
@@ -714,17 +646,6 @@ impl std::fmt::Display for ServiceStatsSnapshot {
         match self.mean_estimation_error() {
             Some(err) => writeln!(f, "; mean q-error {err:.2}")?,
             None => writeln!(f)?,
-        }
-        if self.replans > 0 || self.plan_feedback_hits > 0 {
-            write!(
-                f,
-                "adaptive: {} mid-query re-plans, {} feedback hits",
-                self.replans, self.plan_feedback_hits
-            )?;
-            match self.mean_pre_replan_error() {
-                Some(q) => writeln!(f, "; pre-replan q-error {q:.2}")?,
-                None => writeln!(f)?,
-            }
         }
         if self.plans_migrated + self.plans_recost_kept + self.plans_recost_dropped > 0 {
             writeln!(

@@ -200,7 +200,6 @@ fn exported_metric_names_follow_the_grammar() {
     // The corrected names, exactly as exported now.
     for fixed in [
         "gsi_query_matches_total",
-        "gsi_query_replans_total",
         "gsi_scheduler_workers",
         "gsi_service_uptime_seconds",
     ] {

@@ -2,8 +2,7 @@
 //! fuzzed query, the optimized plan's match table must be **bit-identical**
 //! (in canonical, query-vertex-indexed form — the join orders differ by
 //! design) to the greedy plan's, across **one- and three-thread join pools
-//! and all three join schemes** (plus a mixed cell where the cost model
-//! promotes high-multiplicity steps to radix-hash), with exactly
+//! and all three join schemes**, with exactly
 //! reproducible device counters per `(planner, join-pool width, scheme)`
 //! cell. A cheaper plan that changed even one row would be a correctness
 //! bug, not an optimization.
@@ -75,22 +74,15 @@ fn costed_plans_match_greedy_plans_across_backends_and_schemes() {
             .into_iter()
             .flat_map(|(bname, join_threads)| {
                 [
-                    ("prealloc", JoinScheme::PreallocCombine, None),
-                    ("two-step", JoinScheme::TwoStep, None),
-                    ("radix-hash", JoinScheme::RadixHash, None),
-                    // Prealloc base scheme with cost-model promotion: any step
-                    // whose estimated fan-out crosses 1.0 runs radix-hash, so
-                    // fuzzed queries exercise mixed-strategy plans too.
-                    ("prealloc+radix", JoinScheme::PreallocCombine, Some(1.0)),
+                    ("prealloc", JoinScheme::PreallocCombine),
+                    ("two-step", JoinScheme::TwoStep),
+                    ("radix-hash", JoinScheme::RadixHash),
                 ]
                 .into_iter()
-                .map(move |(sname, scheme, radix_at)| {
-                    let cfg = GsiConfig {
-                        join_scheme: scheme,
-                        radix_join_threshold: radix_at,
-                        ..GsiConfig::gsi_opt()
-                    }
-                    .with_join_threads(join_threads);
+                .map(move |(sname, scheme)| {
+                    let cfg = GsiConfig::gsi_opt()
+                        .with_join_scheme(scheme)
+                        .with_join_threads(join_threads);
                     (format!("{bname}/{sname}"), cfg)
                 })
             })

@@ -1650,7 +1650,8 @@ pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
                     SetOpStrategy::GpuFriendly => pg,
                     SetOpStrategy::Naive => pn,
                 };
-                let fe = exec.first_edge(
+                let (mut fe, mut ix) = (Vec::new(), Vec::new());
+                exec.first_edge(
                     &gpu,
                     &nbrs,
                     &op.row,
@@ -1659,8 +1660,18 @@ pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
                     Some(64),
                     true,
                     None,
+                    &mut fe,
                 );
-                let ix = exec.intersect(&gpu, &op.buf, Some(32), &nbrs, Some(64), true, None);
+                exec.intersect(
+                    &gpu,
+                    &op.buf,
+                    Some(32),
+                    &nbrs,
+                    Some(64),
+                    true,
+                    None,
+                    &mut ix,
+                );
                 if collect {
                     outs.push(fe);
                     outs.push(ix);

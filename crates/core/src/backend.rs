@@ -1,85 +1,123 @@
-//! The join pool: the host threads that play the device's SMs for the
-//! join phase's planned kernels.
-//!
-//! The layer stack of the engine is
+//! The join pool: the host threads that compute the join phase's passes.
 //!
 //! ```text
 //!   JoinStrategy (prealloc / two-step / radix — Algorithms 3-4, what to compute)
-//!     └── JoinPool (this module — how many host threads drain each launch)
+//!     └── JoinPool (this module — which host thread computes which rows)
 //!           └── gsi_gpu_sim device (transaction/work accounting, §II-B)
 //! ```
 //!
-//! A [`JoinStrategy`](crate::strategy::JoinStrategy) decides *what* each
-//! iteration computes; the [`JoinPool`] runs the resulting [`KernelPlan`]s
-//! the way a GPU runs a launch (§II-B): its workers pull blocks from a
-//! shared counter, as SMs drain a launch's block queue. The pool has one
-//! execution model and one knob, its width
+//! Every pass is planned as kernel launches ([`KernelPlan`], §VI-A's load
+//! balance), and the plan stays the record of what the device does:
+//! [`RowTasks::charge`] charges each planned launch and regroups its warp
+//! tasks by row, each task's duplicate-removal ownership decided within its
+//! planned block. The host then computes every row **whole, in row
+//! order**: a row's planned chunks run in range order on one worker, each
+//! still charged from its own range and output count.
+//!
+//! The pool's one knob is its width
 //! ([`GsiConfig::join_threads`](crate::GsiConfig::join_threads)). One
-//! thread (the default) runs every block in grid order on the calling
-//! thread — the deterministic reference of the paper's cost analysis (§V,
-//! §VI-A), where only the *accounted* device parallelism matters. More
-//! threads turn the launch's blocks into real host concurrency.
+//! thread (the default) computes every row on the calling thread — the
+//! deterministic reference of the paper's cost analysis (§V, §VI-A). More
+//! threads split a pass's rows into contiguous groups balanced by load;
+//! each worker writes only its own part of the output and charges a ledger
+//! of its own, folded into the query's when the pass returns
+//! (`gsi_gpu_sim::kernel::run_workers`). Device counters are therefore
+//! **exactly** equal at every width and the tables **bit-identical** (see
+//! `tests/backend_equivalence.rs` and `tests/device_ledger_pinned.rs`).
 //!
-//! The width never changes what is computed or charged: a host worker
-//! charges a ledger of its own, folded into the query's when the launch
-//! returns, so device counters are **exactly** equal at every width; workers
-//! write keyed output segments into private [`TableShard`]s, so the merged
-//! tables are **bit-identical** (see `tests/backend_equivalence.rs`).
-//!
-//! The pool also accounts a work/span pair per query — total streamed
-//! elements vs. the critical path of the schedule (the busiest worker's
-//! share, summed over launches). `work / span` is the parallel speedup the
-//! schedule admits independent of host core count, the quantity §VI-A's
-//! load balancing maximizes. When the device models memory latency
+//! The pool also accounts a work/span pair per query: total streamed
+//! elements vs. the busiest group's, summed over passes — the host's row
+//! split, not the modeled SMs'. When the device models memory latency
 //! ([`gsi_gpu_sim::DeviceConfig::stream_latency_ns`]), each worker sleeps
-//! its share of the latency — concurrent workers overlap those sleeps the
-//! way real SMs hide memory latency, so the speedup is also visible in
-//! wall-clock time.
+//! its group's share of it, and concurrent workers overlap those sleeps
+//! the way real SMs hide memory latency.
 
 use crate::load_balance::{ChunkTask, KernelPlan};
-use crate::table::{TableShard, TableShards};
-use gsi_gpu_sim::kernel::{launch_blocks_stateful, BlockCtx};
+use gsi_gpu_sim::kernel::{charge_launch, run_workers};
 use gsi_gpu_sim::Gpu;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The kernel body a strategy hands to the pool: called once per block
-/// with the block's warp tasks and the executing worker's private shard.
-pub type BlockBody<'a> = dyn Fn(&mut BlockCtx, &[ChunkTask], &mut TableShard) + Sync + 'a;
-
-/// Per-worker execution context for one launch.
-struct WorkerCtx {
-    shard: TableShard,
-    /// Streamed elements this worker executed in this launch.
-    units: u64,
-    /// Unslept simulated-latency debt, in nanoseconds.
-    debt_ns: u64,
+/// One planned warp task as the host runs it: a chunk of its row's stream
+/// and whether its warp owns its input buffer (duplicate removal,
+/// Algorithm 5).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowTask {
+    /// Element range of the row's stream side the task covers.
+    pub range: Range<usize>,
+    /// `false` when the warp reuses an input list another warp of its
+    /// planned block staged in shared memory.
+    pub owns_input: bool,
 }
 
-/// Sleep granularity for the latency model: debts below this accumulate
-/// (OS sleeps under ~100 µs are dominated by timer slack).
-const LATENCY_FLUSH_NS: u64 = 200_000;
+/// A pass's planned warp tasks regrouped by row: row `r`'s chunks, in
+/// range order, are `tasks[starts[r]..starts[r + 1]]`.
+#[derive(Debug)]
+pub struct RowTasks {
+    starts: Vec<usize>,
+    tasks: Vec<RowTask>,
+}
 
-fn throttle(ctx: &mut WorkerCtx, block_units: u64, latency_ns: u64) {
-    if latency_ns == 0 {
-        return;
+impl RowTasks {
+    /// Charge every planned launch — one launch, its overhead and its warp
+    /// tasks, exactly as the device would run it — and regroup the launches'
+    /// tasks by row. `owners(block)` decides, per planned block, which of
+    /// the block's warps own their input.
+    pub fn charge(
+        gpu: &Gpu,
+        plans: &[KernelPlan],
+        n_rows: usize,
+        owners: impl Fn(&[ChunkTask]) -> Vec<bool>,
+    ) -> Self {
+        let mut starts = vec![0usize; n_rows + 1];
+        for t in plans.iter().flat_map(|p| &p.tasks) {
+            starts[t.row + 1] += 1;
+        }
+        for r in 0..n_rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut tasks = vec![RowTask::default(); starts[n_rows]];
+        let wpb_max = gpu.config().warps_per_block();
+        for plan in plans {
+            charge_launch(gpu, plan.tasks.len());
+            for block in plan.tasks.chunks(plan.warps_per_block.clamp(1, wpb_max)) {
+                for (t, owns_input) in block.iter().zip(owners(block)) {
+                    tasks[next[t.row]] = RowTask {
+                        range: t.range.clone(),
+                        owns_input,
+                    };
+                    next[t.row] += 1;
+                }
+            }
+        }
+        // Balanced launches deal a row's chunks out of order.
+        for r in 0..n_rows {
+            let row = &mut tasks[starts[r]..starts[r + 1]];
+            if row.len() > 1 {
+                row.sort_unstable_by_key(|t| t.range.start);
+            }
+        }
+        Self { starts, tasks }
     }
-    ctx.debt_ns += block_units * latency_ns;
-    if ctx.debt_ns >= LATENCY_FLUSH_NS {
-        std::thread::sleep(Duration::from_nanos(ctx.debt_ns));
-        ctx.debt_ns = 0;
+
+    /// Row `row`'s planned tasks, in range order.
+    #[inline]
+    pub fn of(&self, row: usize) -> &[RowTask] {
+        &self.tasks[self.starts[row]..self.starts[row + 1]]
     }
 }
 
-/// Launches streaming fewer elements than this run inline: spawning a
+/// Passes streaming fewer elements than this run inline: spawning a
 /// scoped host thread costs ~50 µs, far more than the simulated work of a
-/// small kernel (the same cliff `kernel::launch_blocks` guards). Counters
+/// small pass (the same cliff `kernel::launch_blocks` guards). Counters
 /// are unaffected — execution is identical on any worker count — and span
-/// honestly equals work for launches too small to share.
+/// honestly equals work for passes too small to share.
 const MIN_PARALLEL_UNITS: u64 = 4096;
 
-/// One query's join pool: `threads` host workers draining each launch's
-/// blocks, plus the query's work/span ledger. See the module docs.
+/// One query's join pool: `threads` host workers computing each pass's
+/// rows, plus the query's work/span ledger. See the module docs.
 #[derive(Debug)]
 pub struct JoinPool {
     threads: usize,
@@ -88,7 +126,7 @@ pub struct JoinPool {
 }
 
 impl JoinPool {
-    /// A pool of `threads` workers; `0` or `1` runs every launch inline.
+    /// A pool of `threads` workers; `0` or `1` computes every pass inline.
     /// "`0` = all cores" is the configuration's spelling, which
     /// [`crate::GsiEngine::with_gpu`] resolves once, before any pool is
     /// built.
@@ -100,55 +138,70 @@ impl JoinPool {
         }
     }
 
-    /// Execute one planned kernel launch, returning the per-worker output
-    /// shards. Device charges (one launch, `tasks.len()` warp tasks, plus
-    /// whatever `body` charges) are identical at every width.
-    pub fn run_kernel(&self, gpu: &Gpu, plan: &KernelPlan, body: &BlockBody<'_>) -> TableShards {
-        let workers = if self.threads > 1
-            && plan.tasks.iter().map(|t| t.range.len() as u64).sum::<u64>() >= MIN_PARALLEL_UNITS
-        {
-            self.threads
-        } else {
-            1
-        };
-        let latency_ns = gpu.config().stream_latency_ns;
-        let states: Vec<WorkerCtx> = (0..workers)
-            .map(|_| WorkerCtx {
-                shard: TableShard::default(),
-                units: 0,
-                debt_ns: 0,
-            })
-            .collect();
-        let states = launch_blocks_stateful(
-            gpu,
-            &plan.tasks,
-            plan.warps_per_block,
-            states,
-            |bctx, block, ctx: &mut WorkerCtx| {
-                let block_units: u64 = block.iter().map(|t| t.range.len() as u64).sum();
-                body(bctx, block, &mut ctx.shard);
-                ctx.units += block_units;
-                throttle(ctx, block_units, latency_ns);
-            },
-        );
-        // Leftover latency debt: each worker owes < LATENCY_FLUSH_NS;
-        // concurrent workers would overlap, so one sleep of the maximum is
-        // the faithful residual.
-        if let Some(max_debt) = states.iter().map(|s| s.debt_ns).max() {
-            if max_debt > 0 {
-                std::thread::sleep(Duration::from_nanos(max_debt));
+    /// Contiguous row groups of `0..units.len()`, one per worker, closed
+    /// as each reaches its share of the pass's streamed elements. One group
+    /// on a one-thread pool or for a pass too small to share.
+    fn groups(&self, units: &[usize]) -> Vec<Range<usize>> {
+        let total: u64 = units.iter().map(|&u| u as u64).sum();
+        let mut groups = Vec::with_capacity(self.threads);
+        if self.threads <= 1 || total < MIN_PARALLEL_UNITS {
+            groups.push(0..units.len());
+            return groups;
+        }
+        let k = self.threads as u64;
+        let (mut start, mut acc) = (0, 0u64);
+        for (r, &u) in units.iter().enumerate() {
+            acc += u as u64;
+            if groups.len() + 1 < self.threads && acc * k >= total * (groups.len() as u64 + 1) {
+                groups.push(start..r + 1);
+                start = r + 1;
             }
         }
-        let work: u64 = states.iter().map(|s| s.units).sum();
-        let span: u64 = states.iter().map(|s| s.units).max().unwrap_or(0);
-        self.work.fetch_add(work, Ordering::Relaxed);
-        self.span.fetch_add(span, Ordering::Relaxed);
-        TableShards::from_shards(states.into_iter().map(|s| s.shard).collect())
+        groups.push(start..units.len());
+        groups.retain(|g| !g.is_empty());
+        groups
     }
 
-    /// `(work, span)` accumulated over every launch so far: total streamed
-    /// elements, and the critical path of the executed schedule (busiest
-    /// worker per launch, summed). `work == span` on one thread.
+    /// Compute one pass: split its rows into groups balanced by `units`
+    /// (each row's streamed elements), build each group's output part with
+    /// `parts`, and run `row(gpu, r, part)` for every row of a group, in
+    /// row order, on that group's worker, charging `gpu`. Returns the parts
+    /// in row order. Device charges are identical at every width.
+    pub fn run_rows<P, R>(
+        &self,
+        gpu: &Gpu,
+        units: &[usize],
+        parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
+        row: R,
+    ) -> Vec<P>
+    where
+        P: Send,
+        R: Fn(&Gpu, usize, &mut P) + Sync,
+    {
+        let groups = self.groups(units);
+        let group_units = |g: &Range<usize>| units[g.clone()].iter().map(|&u| u as u64).sum();
+        let spans: Vec<u64> = groups.iter().map(group_units).collect();
+        let parts = parts(&groups);
+        let mut workers: Vec<_> = groups.into_iter().zip(parts).collect();
+        let latency_ns = gpu.config().stream_latency_ns;
+        run_workers(gpu, &mut workers, |gpu, (rows, part)| {
+            for r in rows.clone() {
+                row(gpu, r, part);
+            }
+            if latency_ns > 0 {
+                let units: u64 = group_units(rows);
+                std::thread::sleep(Duration::from_nanos(units * latency_ns));
+            }
+        });
+        self.work.fetch_add(spans.iter().sum(), Ordering::Relaxed);
+        self.span
+            .fetch_add(spans.iter().copied().max().unwrap_or(0), Ordering::Relaxed);
+        workers.into_iter().map(|(_, part)| part).collect()
+    }
+
+    /// `(work, span)` accumulated over every pass so far: total streamed
+    /// elements, and the critical path of the host schedule (busiest group
+    /// per pass, summed). `work == span` on one thread.
     pub fn work_span(&self) -> (u64, u64) {
         (
             self.work.load(Ordering::Relaxed),
@@ -160,73 +213,134 @@ impl JoinPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LbParams;
+    use crate::dedup::block_input_owners;
+    use crate::load_balance::plan_kernels;
+    use crate::table::RowBuffers;
     use crate::{GsiConfig, GsiEngine};
-    use gsi_gpu_sim::DeviceConfig;
+    use gsi_gpu_sim::{DeviceConfig, StatsSnapshot};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceConfig::test_device())
     }
 
-    fn plan(loads: &[usize], wpb: usize) -> KernelPlan {
-        KernelPlan {
-            tasks: loads
-                .iter()
-                .enumerate()
-                .map(|(row, &l)| ChunkTask { row, range: 0..l })
-                .collect(),
-            warps_per_block: wpb,
-        }
-    }
-
-    /// Body: each task emits its row id and load as a segment.
-    fn emit_body(bctx: &mut BlockCtx, block: &[ChunkTask], shard: &mut TableShard) {
-        let _ = bctx;
-        for t in block {
-            shard.push(t.row, t.range.start, vec![t.range.len() as u32]);
-        }
+    /// A row pass with a synthetic body: every planned task streams its
+    /// range (one GLD per element when it owns its input, none when a
+    /// block-mate staged it) and appends `row * 10_000 + i` for each `i` of
+    /// its range. Returns the pass's buffer and the tasks it ran.
+    fn row_pass(
+        pool: &JoinPool,
+        gpu: &Gpu,
+        loads: &[usize],
+        link: &[u32],
+    ) -> (RowBuffers, RowTasks) {
+        let lb = LbParams::default();
+        let plans = plan_kernels(loads, Some(&lb), gpu.config().warps_per_block());
+        let tasks = RowTasks::charge(gpu, &plans, loads.len(), |block| {
+            let vs: Vec<u32> = block.iter().map(|t| link[t.row]).collect();
+            block_input_owners(true, block, loads, &vs)
+        });
+        let parts = pool.run_rows(
+            gpu,
+            loads,
+            |groups| {
+                groups
+                    .iter()
+                    .map(|g| RowBuffers::with_rows(g.len()))
+                    .collect()
+            },
+            |gpu, row, out| {
+                for t in tasks.of(row) {
+                    if t.owns_input {
+                        gpu.stats().add_gld(t.range.len() as u64);
+                    }
+                    gpu.stats().add_work(t.range.len() as u64);
+                    out.tail()
+                        .extend(t.range.clone().map(|i| (row * 10_000 + i) as u32));
+                }
+                out.end_row();
+            },
+        );
+        (RowBuffers::concat(parts), tasks)
     }
 
     #[test]
-    fn serial_and_parallel_emit_identical_segment_sets() {
-        // Loads sum well past MIN_PARALLEL_UNITS so the pool really spawns.
-        let loads: Vec<usize> = (0..200).map(|i| (i * 7) % 101).collect();
+    fn row_passes_at_widths_1_and_3_build_identical_buffers_and_charges() {
+        // Row 0 streams 1,000 elements: above W3 (256), so the plan splits
+        // it into four chunks dealt across blocks. Rows 1.. are whole tasks
+        // whose link vertices repeat, so blocks share input lists.
+        let mut loads = vec![1_000usize];
+        loads.extend((1..400).map(|r| 5 + r % 23));
+        let link: Vec<u32> = (0..loads.len() as u32).map(|r| r % 7).collect();
         assert!(loads.iter().sum::<usize>() as u64 >= MIN_PARALLEL_UNITS);
-        let p = plan(&loads, 4);
 
-        let serial = JoinPool::new(1);
-        let mut a = serial.run_kernel(&gpu(), &p, &emit_body).into_segments();
-        let par = JoinPool::new(3);
-        let mut b = par.run_kernel(&gpu(), &p, &emit_body).into_segments();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(serial.work_span().0, par.work_span().0);
+        let run = |threads: usize| {
+            let g = gpu();
+            let pool = JoinPool::new(threads);
+            let (bufs, tasks) = row_pass(&pool, &g, &loads, &link);
+            (bufs, tasks, g.stats().snapshot(), pool.work_span())
+        };
+        let (serial, tasks, serial_ledger, (serial_work, _)) = run(1);
+        let (parallel, _, parallel_ledger, (parallel_work, span)) = run(3);
+
+        assert!(tasks.of(0).len() >= 3, "row 0 is split into chunks");
+        let all: Vec<&RowTask> = (0..loads.len()).flat_map(|r| tasks.of(r)).collect();
+        assert!(
+            all.iter().any(|t| !t.owns_input),
+            "a whole task shares its input"
+        );
+        assert_eq!(serial, parallel, "identical buffers");
+        for (r, &load) in loads.iter().enumerate() {
+            let want: Vec<u32> = (0..load).map(|i| (r * 10_000 + i) as u32).collect();
+            assert_eq!(
+                serial.row(r),
+                want.as_slice(),
+                "row {r} whole, in range order"
+            );
+        }
+        let plans = plan_kernels(&loads, Some(&LbParams::default()), 32);
+        let owned: u64 = all
+            .iter()
+            .filter(|t| t.owns_input)
+            .map(|t| t.range.len() as u64)
+            .sum();
+        let expect = StatsSnapshot {
+            gld_transactions: owned,
+            kernel_launches: plans.len() as u64,
+            warp_tasks: all.len() as u64,
+            work_units: loads.iter().sum::<usize>() as u64,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(serial_ledger, expect, "exact charges at width 1");
+        assert_eq!(parallel_ledger, expect, "exact charges at width 3");
+        assert_eq!(serial_work, parallel_work);
+        assert!(span < parallel_work, "three groups share the pass");
+    }
+
+    fn units_pass(pool: &JoinPool, gpu: &Gpu, loads: &[usize]) {
+        pool.run_rows(gpu, loads, |groups| vec![(); groups.len()], |_, _, _| {});
     }
 
     #[test]
     fn work_span_accounting() {
-        let loads = vec![2_000usize; 8]; // 8 tasks, wpb 2 → 4 blocks of 4000
-        let p = plan(&loads, 2);
+        let loads = vec![2_000usize; 8];
 
         let serial = JoinPool::new(1);
-        serial.run_kernel(&gpu(), &p, &emit_body);
+        units_pass(&serial, &gpu(), &loads);
         assert_eq!(serial.work_span(), (16_000, 16_000));
 
         let par = JoinPool::new(4);
-        par.run_kernel(&gpu(), &p, &emit_body);
-        let (work, span) = par.work_span();
-        assert_eq!(work, 16_000);
-        // The critical path is at least one block and at most everything.
-        assert!((4_000..=16_000).contains(&span), "span={span}");
+        units_pass(&par, &gpu(), &loads);
+        // Four balanced groups of two rows each.
+        assert_eq!(par.work_span(), (16_000, 4_000));
     }
 
     #[test]
     fn small_launches_run_inline_without_splitting_span() {
-        // Below MIN_PARALLEL_UNITS the pool is bypassed: one shard, span
+        // Below MIN_PARALLEL_UNITS the pass runs as one group: span
         // honestly equals work.
-        let p = plan(&[10usize; 8], 2);
         let par = JoinPool::new(4);
-        par.run_kernel(&gpu(), &p, &emit_body);
+        units_pass(&par, &gpu(), &[10usize; 8]);
         assert_eq!(par.work_span(), (80, 80));
     }
 
@@ -242,10 +356,9 @@ mod tests {
         let mut cfg = DeviceConfig::test_device();
         cfg.stream_latency_ns = 1_000; // 1 µs per element
         let g = Gpu::new(cfg);
-        let p = plan(&[500usize; 8], 8); // 4000 elements → 4 ms
         let serial = JoinPool::new(1);
         let t = std::time::Instant::now();
-        serial.run_kernel(&g, &p, &emit_body);
+        units_pass(&serial, &g, &[500usize; 8]); // 4000 elements → 4 ms
         assert!(t.elapsed() >= Duration::from_millis(3));
     }
 }

@@ -52,15 +52,6 @@ pub fn block_input_owners(
         .collect()
 }
 
-/// How many duplicate extractions a block avoids (diagnostics).
-pub fn duplicates_saved(vs: &[VertexId]) -> usize {
-    first_occurrences(vs)
-        .iter()
-        .enumerate()
-        .filter(|&(i, &j)| j != i)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +59,11 @@ mod tests {
     #[test]
     fn all_distinct() {
         assert_eq!(first_occurrences(&[1, 2, 3]), vec![0, 1, 2]);
-        assert_eq!(duplicates_saved(&[1, 2, 3]), 0);
     }
 
     #[test]
     fn all_same() {
         assert_eq!(first_occurrences(&[7, 7, 7, 7]), vec![0, 0, 0, 0]);
-        assert_eq!(duplicates_saved(&[7, 7, 7, 7]), 3);
     }
 
     #[test]
@@ -83,13 +72,11 @@ mod tests {
         let vs = vec![0u32; 32];
         let addr = first_occurrences(&vs);
         assert!(addr.iter().all(|&a| a == 0));
-        assert_eq!(duplicates_saved(&vs), 31);
     }
 
     #[test]
     fn mixed() {
         assert_eq!(first_occurrences(&[5, 3, 5, 3, 9]), vec![0, 1, 0, 1, 4]);
-        assert_eq!(duplicates_saved(&[5, 3, 5, 3, 9]), 2);
     }
 
     #[test]

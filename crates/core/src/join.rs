@@ -1,15 +1,23 @@
 //! Shared kernel machinery of the joining phase: the per-edge pass executor
 //! and the link (output) pass — the bodies of Algorithm 3's kernels.
 //!
-//! Both output schemes (Prealloc-Combine and two-step) drive these passes;
+//! Both output schemes (Prealloc-Combine and two-step) drive these passes,
+//! and the radix strategy computes its rows through [`compute_rows`] too;
 //! they differ only in where buffers live and how often passes run.
+//!
+//! Every pass has one host shape. Its kernels are planned
+//! ([`plan_kernels`]) and charged per planned task ([`RowTasks`]); the host
+//! computes each row whole, in row order, appending an edge pass's rows to
+//! one compact [`RowBuffers`] and writing the link pass's rows straight
+//! into `M'`'s columns, pre-sized from the prefix sum of the final buffer
+//! lengths.
 
-use crate::backend::JoinPool;
+use crate::backend::{JoinPool, RowTasks};
 use crate::config::{GsiConfig, SetOpStrategy};
 use crate::dedup::block_input_owners;
-use crate::load_balance::{plan_kernels, ChunkTask};
+use crate::load_balance::plan_kernels;
 use crate::set_ops::{CandidateProbe, SetOpExec};
-use crate::table::{segments_into_row_buffers, stitch_columns, MatchTable, Segment, TableShard};
+use crate::table::{MatchTable, RowBuffers};
 use gsi_gpu_sim::scan::{exclusive_prefix_sum, scan_total};
 use gsi_gpu_sim::{kernel, Gpu};
 use gsi_graph::storage::Neighbors;
@@ -48,7 +56,8 @@ impl JoinCtx<'_> {
         }
     }
 
-    fn exec(&self) -> SetOpExec {
+    /// The set-op parameters this query's configuration selects.
+    pub(crate) fn exec(&self) -> SetOpExec {
         SetOpExec {
             strategy: self.cfg.set_ops,
             write_cache: self.cfg.write_cache,
@@ -71,11 +80,34 @@ pub enum PassKind<'a> {
     /// `buf_i = buf_i ∩ N(v'_i, l)` — Algorithm 3 line 13.
     Intersect {
         /// Current per-row buffers.
-        bufs: &'a [Vec<VertexId>],
+        bufs: &'a RowBuffers,
         /// `Some(offsets)` when the buffers live in global memory (GBA or a
         /// two-step edge buffer): streaming them charges loads.
         buf_bases: Option<&'a [usize]>,
     },
+}
+
+/// Compute one pass's rows through the join pool: each row whole, in row
+/// order, appended by `row(ctx, r, out, scratch)` to its group's compact
+/// buffer (`scratch` is a per-worker buffer the body may reuse). `units`
+/// are the rows' streamed elements, which balance the groups.
+pub fn compute_rows<R>(ctx: &JoinCtx<'_>, units: &[usize], row: R) -> RowBuffers
+where
+    R: Fn(&JoinCtx<'_>, usize, &mut Vec<VertexId>, &mut Vec<VertexId>) + Sync,
+{
+    let parts = ctx.backend.run_rows(
+        ctx.gpu,
+        units,
+        |groups| {
+            let part = |g: &std::ops::Range<usize>| (RowBuffers::with_rows(g.len()), Vec::new());
+            groups.iter().map(part).collect()
+        },
+        |gpu, r, (out, scratch)| {
+            row(&ctx.on(gpu), r, out.tail(), scratch);
+            out.end_row();
+        },
+    );
+    RowBuffers::concat(parts.into_iter().map(|(out, _)| out).collect())
 }
 
 /// Run one linking-edge pass over all rows of `m`.
@@ -94,120 +126,77 @@ pub fn run_edge_pass(
     kind: &PassKind<'_>,
     out_bases: Option<&[usize]>,
     loads: &[usize],
-) -> Vec<Vec<VertexId>> {
+) -> RowBuffers {
     debug_assert_eq!(loads.len(), m.n_rows());
     let exec = ctx.exec();
     let plans = plan_kernels(loads, ctx.cfg.load_balance.as_ref(), ctx.warps_per_block());
-
-    // (row, chunk-start) keyed segments collected from every launch; each
-    // pool worker appends to its private shard — no slot mutexes.
-    let mut segments: Vec<Segment> = Vec::new();
-    for plan in &plans {
-        let shards = ctx
-            .backend
-            .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
-                let ctx = &ctx.on(bctx.gpu);
-                run_block(
-                    ctx, &exec, m, col, label, kind, out_bases, loads, block, shard,
-                );
-            });
-        // The loud-failure guarantee the old per-chunk slots' `expect` gave:
-        // a body that skips a task cannot silently drop its chunk.
-        assert_eq!(
-            shards.n_segments(),
-            plan.tasks.len(),
-            "every warp task must produce exactly one output segment"
-        );
-        segments.extend(shards.into_segments());
-    }
-
-    // Merge chunks back into per-row buffers, in stream order.
-    segments_into_row_buffers(segments, m.n_rows())
-}
-
-/// Execute one block's tasks (one OS thread; warps sequential within).
-#[allow(clippy::too_many_arguments)]
-fn run_block(
-    ctx: &JoinCtx<'_>,
-    exec: &SetOpExec,
-    m: &MatchTable,
-    col: usize,
-    label: EdgeLabel,
-    kind: &PassKind<'_>,
-    out_bases: Option<&[usize]>,
-    loads: &[usize],
-    block: &[ChunkTask],
-    shard: &mut TableShard,
-) {
-    // Duplicate removal (Algorithm 5): whole-row tasks sharing the same
-    // joined vertex share one input-buffer read within the block. The link
+    // Duplicate removal (Algorithm 5): whole-row tasks of one planned block
+    // sharing the same joined vertex share one input-buffer read. The link
     // column is one contiguous columnar slice.
     let link_col = m.column(col);
-    let vs: Vec<VertexId> = block.iter().map(|t| link_col[t.row]).collect();
-    let owners = block_input_owners(ctx.cfg.duplicate_removal, block, loads, &vs);
+    let tasks = RowTasks::charge(ctx.gpu, &plans, m.n_rows(), |block| {
+        let vs: Vec<VertexId> = block.iter().map(|t| link_col[t.row]).collect();
+        block_input_owners(ctx.cfg.duplicate_removal, block, loads, &vs)
+    });
 
-    let mut row_scratch: Vec<VertexId> = Vec::with_capacity(m.n_cols());
-    for (i, task) in block.iter().enumerate() {
-        let v_prime = vs[i];
-        // A warp that shares another warp's input buffer neither re-locates
-        // nor re-streams the neighbor list (only whole tasks share).
-        let owner = owners[i];
-
-        // The naive baseline launches a dedicated kernel per set operation.
-        if ctx.cfg.set_ops == SetOpStrategy::Naive {
-            charge_naive_launch(ctx);
+    compute_rows(ctx, loads, |ctx, row, out, scratch| {
+        let v_prime = link_col[row];
+        let out_base = out_bases.map(|f| f[row]);
+        if let PassKind::FirstEdge { .. } = kind {
+            m.row_into(row, scratch);
         }
-
-        let out_base = out_bases.map(|f| f[task.row]);
-        let out = match kind {
-            PassKind::FirstEdge { cand } => {
-                // The warp reads its whole row into shared memory for the
-                // subtraction (Algorithm 3: "assume that v' matches u'").
-                m.charge_row_read(ctx.gpu, task.row);
-                m.row_into(task.row, &mut row_scratch);
-                let nbrs: Neighbors<'_> = if owner {
-                    ctx.store.neighbors_with_label(ctx.gpu, v_prime, label)
-                } else {
-                    // Shared input buffer: reuse contents without charges.
-                    ctx.store_free_neighbors(v_prime, label)
-                };
-                debug_assert_eq!(nbrs.len(), loads[task.row]);
-                let naive_reread = (exec.strategy == SetOpStrategy::Naive)
-                    .then_some((task.row * m.n_cols(), m.n_cols()));
-                exec.first_edge(
-                    ctx.gpu,
-                    &nbrs,
-                    &row_scratch,
-                    cand,
-                    naive_reread,
-                    out_base,
-                    owner,
-                    Some(task.range.clone()),
-                )
+        for task in tasks.of(row) {
+            let owner = task.owns_input;
+            // The naive baseline launches a dedicated kernel per set operation.
+            if ctx.cfg.set_ops == SetOpStrategy::Naive {
+                kernel::charge_launch(ctx.gpu, 0);
             }
-            PassKind::Intersect { bufs, buf_bases } => {
-                // Only the joined column is needed here.
-                m.charge_cell_read(ctx.gpu, task.row, col);
-                let nbrs: Neighbors<'_> = if owner {
-                    ctx.store.neighbors_with_label(ctx.gpu, v_prime, label)
-                } else {
-                    ctx.store_free_neighbors(v_prime, label)
-                };
-                let buf = &bufs[task.row];
-                exec.intersect(
-                    ctx.gpu,
-                    buf,
-                    buf_bases.map(|b| b[task.row]),
-                    &nbrs,
-                    out_base,
-                    owner,
-                    Some(task.range.clone()),
-                )
+            // A warp that shares another warp's input buffer neither
+            // re-locates nor re-streams the neighbor list.
+            let nbrs: Neighbors<'_> = if owner {
+                ctx.store.neighbors_with_label(ctx.gpu, v_prime, label)
+            } else {
+                ctx.store_free_neighbors(v_prime, label)
+            };
+            let chunk = Some(task.range.clone());
+            match kind {
+                PassKind::FirstEdge { cand } => {
+                    // The warp reads its whole row into shared memory for the
+                    // subtraction (Algorithm 3: "assume that v' matches u'").
+                    m.charge_row_read(ctx.gpu, row);
+                    debug_assert_eq!(nbrs.len(), loads[row]);
+                    let naive_reread = (exec.strategy == SetOpStrategy::Naive)
+                        .then_some((row * m.n_cols(), m.n_cols()));
+                    exec.first_edge(
+                        ctx.gpu,
+                        &nbrs,
+                        scratch,
+                        cand,
+                        naive_reread,
+                        out_base,
+                        owner,
+                        chunk,
+                        out,
+                    );
+                }
+                PassKind::Intersect { bufs, buf_bases } => {
+                    // Only the joined column is needed here.
+                    m.charge_cell_read(ctx.gpu, row, col);
+                    let buf_base = buf_bases.map(|b| b[row]);
+                    exec.intersect(
+                        ctx.gpu,
+                        bufs.row(row),
+                        buf_base,
+                        &nbrs,
+                        out_base,
+                        owner,
+                        chunk,
+                        out,
+                    );
+                }
             }
-        };
-
-        shard.push(task.row, task.range.start, out);
-    }
+        }
+    })
 }
 
 impl JoinCtx<'_> {
@@ -241,28 +230,35 @@ pub fn count_pass(ctx: &JoinCtx<'_>, m: &MatchTable, col: usize, label: EdgeLabe
     counts.into_iter().map(|c| c.into_inner()).collect()
 }
 
-/// Charge the naive baseline's dedicated per-set-operation kernel launch.
-fn charge_naive_launch(ctx: &JoinCtx<'_>) {
-    ctx.gpu.stats().record_kernel_launch();
-    ctx.gpu.charge_launch_overhead();
-}
-
-/// Charge streaming one link task's slice of its row buffer from global
-/// memory (GBA-resident buffers only).
-fn charge_link_buffer_read(ctx: &JoinCtx<'_>, base: usize, range: &std::ops::Range<usize>) {
-    ctx.gpu
-        .stats()
-        .gld_range(base + range.start, range.len(), 4);
-}
-
-/// Bulk-charge one link task's output writes: the device writes each
-/// extended row as its own row-major span (summed per row — identical to
-/// one `charge_write_at` + `add_work` per output row).
-fn charge_link_writes(ctx: &JoinCtx<'_>, n_cols: usize, out_start: usize, take: usize) {
-    let txns = MatchTable::row_write_transactions(ctx.gpu, n_cols, out_start, take);
-    let stats = ctx.gpu.stats();
-    stats.add_gst(txns);
+/// Charge one link task (Algorithm 3 lines 17-20): read `m_i` into shared
+/// memory, stream the task's `range` of a GBA-resident row buffer at
+/// `buf_base`, and write each extended row as its own row-major span from
+/// output row `out_start + range.start` (summed per row).
+fn charge_link_task(
+    ctx: &JoinCtx<'_>,
+    m: &MatchTable,
+    row: usize,
+    buf_base: Option<usize>,
+    out_start: usize,
+    range: &std::ops::Range<usize>,
+) {
+    m.charge_row_read(ctx.gpu, row);
+    let (stats, n_cols, take) = (ctx.gpu.stats(), m.n_cols() + 1, range.len());
+    if let Some(base) = buf_base {
+        stats.gld_range(base + range.start, take, 4);
+    }
+    let out_start = out_start + range.start;
+    stats.add_gst(MatchTable::row_write_transactions(
+        ctx.gpu, n_cols, out_start, take,
+    ));
     stats.add_work((take * n_cols) as u64);
+}
+
+/// One link-pass worker's part of `M'`: the disjoint row range of every
+/// output column its input rows extend into, and how far it has written.
+struct LinkPart<'c> {
+    cols: Vec<&'c mut [VertexId]>,
+    written: usize,
 }
 
 /// The link kernel (Algorithm 3 lines 15-21): extend every row `m_i` with
@@ -270,59 +266,73 @@ fn charge_link_writes(ctx: &JoinCtx<'_>, n_cols: usize, out_start: usize, take: 
 ///
 /// `buf_bases` — `Some` when buffers live in global memory (their streaming
 /// is charged); `out_offsets` is the exclusive prefix sum of buffer lengths.
+/// `M'`'s columns are allocated once at the prefix sum's total and every
+/// row is written straight into its place; each planned task is charged
+/// from its own range.
 pub fn link_pass(
     ctx: &JoinCtx<'_>,
     m: &MatchTable,
-    bufs: &[Vec<VertexId>],
+    bufs: &RowBuffers,
     buf_bases: Option<&[usize]>,
     out_offsets: &[u32],
 ) -> MatchTable {
-    let n_cols = m.n_cols() + 1;
     let total_rows = scan_total(out_offsets);
 
-    let loads: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
+    let loads = bufs.row_lens();
     let plans = plan_kernels(&loads, ctx.cfg.load_balance.as_ref(), ctx.warps_per_block());
+    let tasks = RowTasks::charge(ctx.gpu, &plans, m.n_rows(), |block| vec![true; block.len()]);
 
-    // Each task owns a disjoint row-range of M'; workers emit column-major
-    // mini-tables (`key_a` = first output row, `key_b` = row count) in their
-    // private shards, stitched straight into per-column buffers at the end.
-    let mut segments: Vec<Segment> = Vec::new();
-    for plan in &plans {
-        let shards = ctx
-            .backend
-            .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
-                let ctx = &ctx.on(bctx.gpu);
-                let mut row = Vec::with_capacity(m.n_cols());
-                for task in block {
-                    // Read m_i into shared memory (line 18).
-                    m.charge_row_read(ctx.gpu, task.row);
-                    m.row_into(task.row, &mut row);
-                    if let Some(bases) = buf_bases {
-                        charge_link_buffer_read(ctx, bases[task.row], &task.range);
-                    }
-                    let take = task.range.len();
-                    let out_start = out_offsets[task.row] as usize + task.range.start;
-                    charge_link_writes(ctx, n_cols, out_start, take);
-                    // Column-major emission: each inherited column is a
-                    // fixed-width splat, the new column a contiguous copy.
-                    let mut local = Vec::with_capacity(take * n_cols);
-                    for &rv in &row {
-                        local.extend(std::iter::repeat_n(rv, take));
-                    }
-                    local.extend_from_slice(&bufs[task.row][task.range.clone()]);
-                    shard.push(out_start, take, local);
+    let mut out = MatchTable::zeroed(m.n_cols() + 1, total_rows);
+    let parts = ctx.backend.run_rows(
+        ctx.gpu,
+        &loads,
+        |groups| {
+            // Each group owns the rows of M' its input rows extend into.
+            let mut rest = out.columns_mut();
+            groups
+                .iter()
+                .map(|g| {
+                    let len = (out_offsets[g.end] - out_offsets[g.start]) as usize;
+                    let cols = rest
+                        .iter_mut()
+                        .map(|col| {
+                            let (part, tail) = std::mem::take(col).split_at_mut(len);
+                            *col = tail;
+                            part
+                        })
+                        .collect();
+                    LinkPart { cols, written: 0 }
+                })
+                .collect()
+        },
+        |gpu, row, part: &mut LinkPart<'_>| {
+            let ctx = &ctx.on(gpu);
+            let (buf_base, out_start) = (buf_bases.map(|b| b[row]), out_offsets[row] as usize);
+            for task in tasks.of(row) {
+                charge_link_task(ctx, m, row, buf_base, out_start, &task.range);
+            }
+            // Each inherited column is a fixed-width splat, the new column a
+            // contiguous copy.
+            let buf = bufs.row(row);
+            let dst = part.written..part.written + buf.len();
+            if let Some((new_col, inherited)) = part.cols.split_last_mut() {
+                for (c, col) in inherited.iter_mut().enumerate() {
+                    col[dst.clone()].fill(m.cell(row, c));
                 }
-            });
-        assert_eq!(
-            shards.n_segments(),
-            plan.tasks.len(),
-            "every link task must produce exactly one output segment"
-        );
-        segments.extend(shards.into_segments());
-    }
-
-    // `stitch_columns` additionally asserts the segments tile M' exactly.
-    stitch_columns(segments, n_cols, total_rows)
+                new_col[dst.clone()].copy_from_slice(buf);
+            }
+            part.written = dst.end;
+        },
+    );
+    // The loud failure a dropped row must cause: pre-sized columns would
+    // otherwise hide it as rows of zeros.
+    let written: usize = parts.iter().map(|p| p.written).sum();
+    assert_eq!(
+        written, total_rows,
+        "the link pass must write exactly the prefix-sum total of rows"
+    );
+    drop(parts);
+    out
 }
 
 /// The shared tail of one join iteration, for both output schemes: prefix-sum
@@ -331,10 +341,10 @@ pub fn link_pass(
 pub fn finalize_iteration(
     ctx: &JoinCtx<'_>,
     m: &MatchTable,
-    bufs: &[Vec<VertexId>],
+    bufs: &RowBuffers,
     buf_bases: Option<&[usize]>,
 ) -> Result<MatchTable, JoinOverflow> {
-    let final_counts: Vec<u32> = bufs.iter().map(|b| b.len() as u32).collect();
+    let final_counts: Vec<u32> = bufs.row_lens().iter().map(|&l| l as u32).collect();
     let out_offsets = exclusive_prefix_sum(ctx.gpu, &final_counts);
     if scan_total(&out_offsets) > ctx.cfg.max_intermediate_rows {
         return Err(JoinOverflow);
@@ -361,4 +371,63 @@ pub fn order_linking_edges(
         }
     }
     edges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gsi_gpu_sim::DeviceConfig;
+    use gsi_graph::csr::Csr;
+    use gsi_graph::GraphBuilder;
+
+    fn with_ctx(f: impl FnOnce(&JoinCtx<'_>)) {
+        let mut b = GraphBuilder::new();
+        b.add_vertex(0);
+        let data = b.build();
+        let store = Csr::build(&data);
+        let gpu = Gpu::new(DeviceConfig::test_device());
+        let cfg = GsiConfig::gsi_opt();
+        let pool = JoinPool::new(1);
+        f(&JoinCtx {
+            gpu: &gpu,
+            cfg: &cfg,
+            store: &store,
+            data: &data,
+            backend: &pool,
+        });
+    }
+
+    /// Two input rows `[1, 2]` and `[3, 4]` whose buffers hold `7, 8` and
+    /// `9`.
+    fn two_rows() -> (MatchTable, RowBuffers) {
+        let mut bufs = RowBuffers::with_rows(2);
+        bufs.tail().extend([7, 8]);
+        bufs.end_row();
+        bufs.tail().push(9);
+        bufs.end_row();
+        (MatchTable::from_raw(2, vec![1, 2, 3, 4]), bufs)
+    }
+
+    #[test]
+    fn link_pass_writes_every_row_into_its_place() {
+        with_ctx(|ctx| {
+            let (m, bufs) = two_rows();
+            let out = link_pass(ctx, &m, &bufs, None, &[0, 2, 3]);
+            assert_eq!(
+                out,
+                MatchTable::from_raw(3, vec![1, 2, 7, 1, 2, 8, 3, 4, 9])
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the link pass must write exactly the prefix-sum total of rows")]
+    fn link_pass_refuses_offsets_its_rows_do_not_fill() {
+        // The prefix sum promises four output rows, the buffers hold three:
+        // pre-sized columns must not hide the missing row as zeros.
+        with_ctx(|ctx| {
+            let (m, bufs) = two_rows();
+            link_pass(ctx, &m, &bufs, None, &[0, 2, 4]);
+        });
+    }
 }

@@ -4,6 +4,8 @@
 //! bound every row's output by `|N(v'_i, l0)|`, prefix-sum those bounds into
 //! GBA offsets, allocate the **combined** buffer once, run each linking-edge
 //! kernel exactly once (results written straight into the GBA), then link.
+//! The device is charged for the `gba_len`-word GBA; the host keeps only
+//! each pass's actual outputs, in one compact buffer.
 
 use crate::config::JoinScheme;
 use crate::join::{count_pass, finalize_iteration, run_edge_pass, JoinCtx, JoinOverflow, PassKind};
@@ -11,6 +13,7 @@ use crate::plan::JoinStep;
 use crate::strategy::{IterationSetup, JoinStrategy};
 use crate::table::MatchTable;
 use gsi_gpu_sim::scan::{exclusive_prefix_sum, scan_total};
+use gsi_graph::EdgeLabel;
 use gsi_signature::CandidateSet;
 
 /// The Prealloc-Combine output scheme as a pluggable [`JoinStrategy`].
@@ -22,23 +25,35 @@ pub struct PreallocCombine;
 /// memory space (GBA)" — one `gba_len`-word request plus the offset array
 /// F. The ablation instead requests one buffer per row plus an 8-byte
 /// pointer array (§V's space argument).
-fn charge_buffer_alloc(
-    ctx: &JoinCtx<'_>,
-    combined: bool,
-    gba_len: usize,
-    counts: &[usize],
-    n_rows: usize,
-) {
+fn charge_buffer_alloc(ctx: &JoinCtx<'_>, combined: bool, gba_len: usize, counts: &[usize]) {
     let stats = ctx.gpu.stats();
     if combined {
         stats.record_alloc(4 * gba_len as u64);
-        stats.record_alloc(4 * n_rows as u64); // offset array F
+        stats.record_alloc(4 * counts.len() as u64); // offset array F
     } else {
         for &c in counts {
             stats.record_alloc(4 * c as u64);
         }
-        stats.record_alloc(8 * n_rows as u64);
+        stats.record_alloc(8 * counts.len() as u64);
     }
+}
+
+/// Algorithm 4's bound: count `|N(v'_i, l0)|` for every row, prefix-sum
+/// the counts into GBA offsets, and charge the output-buffer allocation
+/// (`combined` or one buffer per row). Returns the counts and every row's
+/// GBA base.
+pub(crate) fn allocate_gba(
+    ctx: &JoinCtx<'_>,
+    m: &MatchTable,
+    (col0, l0): (usize, EdgeLabel),
+    combined: bool,
+) -> (Vec<usize>, Vec<usize>) {
+    let counts = count_pass(ctx, m, col0, l0);
+    let counts_u32: Vec<u32> = counts.iter().map(|&c| c as u32).collect();
+    let offsets = exclusive_prefix_sum(ctx.gpu, &counts_u32);
+    charge_buffer_alloc(ctx, combined, scan_total(&offsets), &counts);
+    let out_bases = offsets[..m.n_rows()].iter().map(|&o| o as usize).collect();
+    (counts, out_bases)
 }
 
 impl JoinStrategy for PreallocCombine {
@@ -62,13 +77,7 @@ impl JoinStrategy for PreallocCombine {
         let (col0, l0) = edges[0];
 
         // Algorithm 4: per-row upper bounds and the GBA offsets.
-        let counts = count_pass(ctx, m, col0, l0);
-        let counts_u32: Vec<u32> = counts.iter().map(|&c| c as u32).collect();
-        let offsets = exclusive_prefix_sum(ctx.gpu, &counts_u32);
-        let gba_len = scan_total(&offsets);
-        charge_buffer_alloc(ctx, ctx.cfg.combined_alloc, gba_len, &counts, m.n_rows());
-
-        let out_bases: Vec<usize> = offsets[..m.n_rows()].iter().map(|&o| o as usize).collect();
+        let (counts, out_bases) = allocate_gba(ctx, m, (col0, l0), ctx.cfg.combined_alloc);
 
         // First edge: buf = (N(v', l0) \ m_i) ∩ C(u).
         let mut bufs = run_edge_pass(
@@ -83,7 +92,7 @@ impl JoinStrategy for PreallocCombine {
 
         // Remaining linking edges: in-place intersections against the GBA.
         for &(col, label) in &edges[1..] {
-            let loads: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
+            let loads = bufs.row_lens();
             bufs = run_edge_pass(
                 ctx,
                 m,

@@ -16,7 +16,9 @@
 //!    per distinct vertex, not per row).
 //! 3. **Column-at-a-time probe** — every row of the partition probes the
 //!    shared table against its running buffer; outputs stream through the
-//!    write cache into the same GBA layout Prealloc-Combine uses.
+//!    write cache into the same GBA layout Prealloc-Combine uses (charged),
+//!    and on the host into the same compact per-pass buffer
+//!    ([`RowBuffers`]) every join pass appends to.
 //!
 //! Results are **bit-identical** to Prealloc-Combine (the set algebra is
 //! unchanged: `(N ∩ C) \ m_i = (N \ m_i) ∩ C`, and the hash probe keeps the
@@ -30,14 +32,14 @@
 //! scheme is not applied inside this strategy.
 
 use crate::config::{JoinScheme, SetOpStrategy};
-use crate::join::{count_pass, finalize_iteration, JoinCtx, JoinOverflow};
-use crate::load_balance::plan_kernels;
+use crate::join::{compute_rows, finalize_iteration, JoinCtx, JoinOverflow};
 use crate::plan::JoinStep;
+use crate::prealloc::allocate_gba;
 use crate::set_ops::{CandidateProbe, SetOpExec};
 use crate::strategy::{IterationSetup, JoinStrategy};
-use crate::table::{segments_into_row_buffers, MatchTable, Segment};
+use crate::table::{MatchTable, RowBuffers};
 use crate::write_cache::WriteCache;
-use gsi_gpu_sim::scan::{exclusive_prefix_sum, scan_total};
+use gsi_gpu_sim::kernel::charge_launch;
 use gsi_graph::{EdgeLabel, VertexId};
 use gsi_signature::CandidateSet;
 use std::collections::HashMap;
@@ -96,15 +98,6 @@ fn charge_hash_build(ctx: &JoinCtx<'_>, len: usize) {
     stats.add_work(len as u64);
 }
 
-/// Charge allocating this iteration's global buffer area: the
-/// `gba_len`-word output buffer plus the per-row offset array F — the same
-/// accounting as Prealloc-Combine.
-fn charge_gba_alloc(ctx: &JoinCtx<'_>, gba_len: usize, n_rows: usize) {
-    let stats = ctx.gpu.stats();
-    stats.record_alloc(4 * gba_len as u64);
-    stats.record_alloc(4 * n_rows as u64);
-}
-
 /// Charge one row's probe pass over its partition's `s_len`-entry shared
 /// list. `naive_reread` carries the row's `(offset, len)` when the naive
 /// strategy re-reads the partial match once per 128-byte batch probed.
@@ -128,10 +121,10 @@ fn charge_buffer_probe(ctx: &JoinCtx<'_>, base: usize, len: usize) {
 }
 
 /// Min-multiplicity intersection of a **sorted** buffer with a multiset
-/// hash table: each run of equal values keeps `min(run, table[v])` copies.
-/// Identical output to the sorted-merge kernels.
-fn hash_probe_intersect(buf: &[VertexId], table: &HashMap<VertexId, u32>) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(buf.len());
+/// hash table, appended to `out`: each run of equal values keeps
+/// `min(run, table[v])` copies. Identical output to the sorted-merge
+/// kernels.
+fn hash_probe_intersect(buf: &[VertexId], table: &HashMap<VertexId, u32>, out: &mut Vec<VertexId>) {
     let mut i = 0;
     while i < buf.len() {
         let v = buf[i];
@@ -140,47 +133,24 @@ fn hash_probe_intersect(buf: &[VertexId], table: &HashMap<VertexId, u32>) -> Vec
             run += 1;
         }
         let keep = (*table.get(&v).unwrap_or(&0) as usize).min(run);
-        for _ in 0..keep {
-            out.push(v);
-        }
+        out.extend(std::iter::repeat_n(v, keep));
         i += run;
     }
-    out
 }
 
 /// The radix-partitioned hash join as a pluggable [`JoinStrategy`].
 #[derive(Debug, Default)]
 pub struct RadixHashJoin;
 
-impl RadixHashJoin {
-    /// Run the per-row tasks of one edge through the join pool as
-    /// flat one-warp-per-row kernels, collecting per-row buffers.
-    fn run_rows(
-        ctx: &JoinCtx<'_>,
-        n_rows: usize,
-        loads: &[usize],
-        body: &(dyn Fn(&JoinCtx<'_>, usize) -> Vec<VertexId> + Sync),
-    ) -> Vec<Vec<VertexId>> {
-        let plans = plan_kernels(loads, None, ctx.gpu.config().warps_per_block());
-        let mut segments: Vec<Segment> = Vec::new();
-        for plan in &plans {
-            let shards = ctx
-                .backend
-                .run_kernel(ctx.gpu, plan, &|bctx, block, shard| {
-                    let ctx = &ctx.on(bctx.gpu);
-                    for task in block {
-                        shard.push(task.row, task.range.start, body(ctx, task.row));
-                    }
-                });
-            assert_eq!(
-                shards.n_segments(),
-                plan.tasks.len(),
-                "every probe task must produce exactly one output segment"
-            );
-            segments.extend(shards.into_segments());
-        }
-        segments_into_row_buffers(segments, n_rows)
-    }
+/// Charge the flat one-warp-per-row probe launch — the single launch
+/// `plan_kernels(loads, None, _)` plans, since the radix partitioning is
+/// this strategy's load-balancing story — and compute its rows.
+fn probe_rows<R>(ctx: &JoinCtx<'_>, loads: &[usize], row: R) -> RowBuffers
+where
+    R: Fn(&JoinCtx<'_>, usize, &mut Vec<VertexId>, &mut Vec<VertexId>) + Sync,
+{
+    charge_launch(ctx.gpu, loads.len());
+    compute_rows(ctx, loads, row)
 }
 
 impl JoinStrategy for RadixHashJoin {
@@ -200,22 +170,11 @@ impl JoinStrategy for RadixHashJoin {
         cand: &CandidateSet,
     ) -> Result<MatchTable, JoinOverflow> {
         let IterationSetup { edges, probe } = IterationSetup::build(ctx, step, cand);
-        let (col0, l0) = edges[0];
-        let exec = SetOpExec {
-            strategy: ctx.cfg.set_ops,
-            write_cache: ctx.cfg.write_cache,
-            kernels: ctx.cfg.set_op_kernels,
-        };
+        let exec = ctx.exec();
+        // Same GBA bound as Prealloc-Combine, always one combined buffer.
+        let (_, out_bases) = allocate_gba(ctx, m, edges[0], true);
 
-        // Same GBA bound and allocation accounting as Prealloc-Combine.
-        let counts = count_pass(ctx, m, col0, l0);
-        let counts_u32: Vec<u32> = counts.iter().map(|&c| c as u32).collect();
-        let offsets = exclusive_prefix_sum(ctx.gpu, &counts_u32);
-        let gba_len = scan_total(&offsets);
-        charge_gba_alloc(ctx, gba_len, m.n_rows());
-        let out_bases: Vec<usize> = offsets[..m.n_rows()].iter().map(|&o| o as usize).collect();
-
-        let mut bufs: Vec<Vec<VertexId>> = Vec::new();
+        let mut bufs = RowBuffers::with_rows(0);
         for (ei, &(col, label)) in edges.iter().enumerate() {
             bufs = if ei == 0 {
                 self.first_edge(ctx, m, &exec, &probe, col, label, &out_bases)
@@ -242,7 +201,7 @@ impl RadixHashJoin {
         col: usize,
         label: EdgeLabel,
         out_bases: &[usize],
-    ) -> Vec<Vec<VertexId>> {
+    ) -> RowBuffers {
         let link_col = m.column(col);
         charge_partition_pass(ctx, m.n_rows());
         let parts = radix_partition(link_col);
@@ -252,16 +211,26 @@ impl RadixHashJoin {
         // candidate probe is charged once per distinct vertex here — the
         // saving over the per-row schemes.
         let mut row_shared: Vec<usize> = vec![0; m.n_rows()];
-        let mut shared: Vec<Vec<VertexId>> = Vec::with_capacity(parts.len());
+        let mut shared = RowBuffers::with_rows(parts.len());
         for (pi, part) in parts.iter().enumerate() {
             let nbrs = ctx.store.neighbors_with_label(ctx.gpu, part.v_prime, label);
             charge_hash_build(ctx, nbrs.len());
             // `(N ∩ C)`: stream + probe exactly once for the partition.
-            let s = exec.first_edge(ctx.gpu, &nbrs, &[], probe, None, None, true, None);
+            exec.first_edge(
+                ctx.gpu,
+                &nbrs,
+                &[],
+                probe,
+                None,
+                None,
+                true,
+                None,
+                shared.tail(),
+            );
+            shared.end_row();
             for &row in &part.rows {
                 row_shared[row] = pi;
             }
-            shared.push(s);
         }
 
         // Probe pass through the pool: each row filters the shared list
@@ -269,26 +238,21 @@ impl RadixHashJoin {
         let naive = exec.strategy == SetOpStrategy::Naive;
         let n_cols = m.n_cols();
         let loads: Vec<usize> = (0..m.n_rows())
-            .map(|r| shared[row_shared[r]].len())
+            .map(|r| shared.row(row_shared[r]).len())
             .collect();
-        Self::run_rows(ctx, m.n_rows(), &loads, &|ctx, row| {
-            let s = &shared[row_shared[row]];
+        probe_rows(ctx, &loads, |ctx, row, out, srow| {
+            let s = shared.row(row_shared[row]);
             m.charge_row_read(ctx.gpu, row);
             // Naive set-ops re-read the row once per 128B batch probed.
             let reread = naive.then_some((row * n_cols, n_cols));
             charge_probe_pass(ctx, s.len(), reread);
-            let mut srow: Vec<VertexId> = Vec::with_capacity(n_cols);
-            m.row_into(row, &mut srow);
+            m.row_into(row, srow);
             srow.sort_unstable();
-            let out: Vec<VertexId> = s
-                .iter()
-                .copied()
-                .filter(|v| srow.binary_search(v).is_err())
-                .collect();
+            let before = out.len();
+            out.extend(s.iter().copied().filter(|v| srow.binary_search(v).is_err()));
             let mut cache = WriteCache::new(ctx.gpu, exec.write_cache, Some(out_bases[row]));
-            cache.push_many(out.len());
+            cache.push_many(out.len() - before);
             cache.finish();
-            out
         })
     }
 
@@ -301,11 +265,11 @@ impl RadixHashJoin {
         ctx: &JoinCtx<'_>,
         m: &MatchTable,
         exec: &SetOpExec,
-        bufs: &[Vec<VertexId>],
+        bufs: &RowBuffers,
         col: usize,
         label: EdgeLabel,
         out_bases: &[usize],
-    ) -> Vec<Vec<VertexId>> {
+    ) -> RowBuffers {
         let link_col = m.column(col);
         charge_partition_pass(ctx, m.n_rows());
         let parts = radix_partition(link_col);
@@ -325,17 +289,16 @@ impl RadixHashJoin {
             tables.push(table);
         }
 
-        let loads: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
-        Self::run_rows(ctx, m.n_rows(), &loads, &|ctx, row| {
-            let buf = &bufs[row];
+        probe_rows(ctx, &bufs.row_lens(), |ctx, row, out, _| {
+            let buf = bufs.row(row);
             // Stream the row's buffer from the GBA and probe the shared
             // hash table: one transaction per element probed.
             charge_buffer_probe(ctx, out_bases[row], buf.len());
-            let out = hash_probe_intersect(buf, &tables[row_part[row]]);
+            let before = out.len();
+            hash_probe_intersect(buf, &tables[row_part[row]], out);
             let mut cache = WriteCache::new(ctx.gpu, exec.write_cache, Some(out_bases[row]));
-            cache.push_many(out.len());
+            cache.push_many(out.len() - before);
             cache.finish();
-            out
         })
     }
 }
@@ -368,11 +331,12 @@ mod tests {
         let mut t = HashMap::new();
         t.insert(3u32, 2);
         t.insert(9, 1);
-        assert_eq!(
-            hash_probe_intersect(&[1, 3, 3, 3, 9, 9, 12], &t),
-            vec![3, 3, 9]
-        );
-        assert!(hash_probe_intersect(&[], &t).is_empty());
-        assert!(hash_probe_intersect(&[4, 8], &t).is_empty());
+        let mut out = vec![7];
+        hash_probe_intersect(&[1, 3, 3, 3, 9, 9, 12], &t, &mut out);
+        assert_eq!(out, vec![7, 3, 3, 9], "appends after what the buffer held");
+        out.clear();
+        hash_probe_intersect(&[], &t, &mut out);
+        hash_probe_intersect(&[4, 8], &t, &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -196,7 +196,9 @@ impl SetOpExec {
         gpu.stats().add_work(len as u64);
     }
 
-    /// The fused first-edge operation: `(nbrs[chunk] \ row) ∩ cand`.
+    /// The fused first-edge operation: `(nbrs[chunk] \ row) ∩ cand`,
+    /// appended to `out` (the pass's compact buffer; the write cache
+    /// charges only what this call appends).
     ///
     /// * `row` — the partial match `m_i` (subtraction enforces injectivity).
     /// * `naive_row_reread` — when the strategy is naive, `Some((offset,
@@ -219,7 +221,8 @@ impl SetOpExec {
         out_base: Option<usize>,
         charge_n: bool,
         chunk: Option<Range<usize>>,
-    ) -> Vec<VertexId> {
+        out: &mut Vec<VertexId>,
+    ) {
         match self.kernels {
             SetOpKernels::Scalar => self.first_edge_scalar(
                 gpu,
@@ -230,6 +233,7 @@ impl SetOpExec {
                 out_base,
                 charge_n,
                 chunk,
+                out,
             ),
             SetOpKernels::Vectorized => self.first_edge_vectorized(
                 gpu,
@@ -240,6 +244,7 @@ impl SetOpExec {
                 out_base,
                 charge_n,
                 chunk,
+                out,
             ),
         }
     }
@@ -257,9 +262,9 @@ impl SetOpExec {
         out_base: Option<usize>,
         charge_n: bool,
         chunk: Option<Range<usize>>,
-    ) -> Vec<VertexId> {
+        out: &mut Vec<VertexId>,
+    ) {
         let range = chunk.unwrap_or(0..nbrs.len());
-        let mut out = Vec::new();
         let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
         Self::stream(gpu, nbrs, range, charge_n, |batch| {
             if self.strategy == SetOpStrategy::Naive {
@@ -278,7 +283,6 @@ impl SetOpExec {
             }
         });
         cache.finish();
-        out
     }
 
     /// Vectorized kernel: sorted-probe row filter, block-wise candidate
@@ -295,11 +299,12 @@ impl SetOpExec {
         out_base: Option<usize>,
         charge_n: bool,
         chunk: Option<Range<usize>>,
-    ) -> Vec<VertexId> {
+        out: &mut Vec<VertexId>,
+    ) {
         let range = chunk.unwrap_or(0..nbrs.len());
         let list: &[VertexId] = &nbrs.list[range.clone()];
         if list.is_empty() {
-            return Vec::new();
+            return;
         }
         let n_batches = Self::charge_stream(gpu, nbrs, range, charge_n);
         if self.strategy == SetOpStrategy::Naive {
@@ -311,7 +316,7 @@ impl SetOpExec {
         let mut srow: Vec<VertexId> = row.to_vec();
         srow.sort_unstable();
 
-        let mut out = Vec::with_capacity(list.len().min(MERGE_BLOCK * 4));
+        let before = out.len();
         match cand {
             CandidateProbe::Bitset(bs) => {
                 // Branch-light block filter over the host bitset image; the
@@ -343,12 +348,12 @@ impl SetOpExec {
         }
 
         let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
-        cache.push_many(out.len());
+        cache.push_many(out.len() - before);
         cache.finish();
-        out
     }
 
-    /// The intersect operation: `buf[chunk] ∩ nbrs`, both sides sorted.
+    /// The intersect operation: `buf[chunk] ∩ nbrs`, both sides sorted,
+    /// appended to `out`.
     ///
     /// * `buf_base` — `Some(offset)` when the running buffer lives in global
     ///   memory (GBA / a two-step edge buffer): streaming it charges loads.
@@ -364,12 +369,13 @@ impl SetOpExec {
         out_base: Option<usize>,
         charge_n: bool,
         chunk: Option<Range<usize>>,
-    ) -> Vec<VertexId> {
+        out: &mut Vec<VertexId>,
+    ) {
         let brange = chunk.unwrap_or(0..buf.len());
         let bslice = &buf[brange.clone()];
         if bslice.is_empty() || nbrs.is_empty() {
             // Still a (cheap) kernel-side no-op; charge nothing extra.
-            return Vec::new();
+            return;
         }
 
         // Locate the neighbor sub-range overlapping this chunk's values.
@@ -402,7 +408,6 @@ impl SetOpExec {
             SetOpKernels::Scalar => {
                 // Scalar reference: stream the neighbor side and two-pointer
                 // merge element-at-a-time.
-                let mut out = Vec::new();
                 let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
                 let mut bi = 0usize;
                 Self::stream(gpu, nbrs, n_lo..n_hi, charge_n, |batch| {
@@ -418,16 +423,15 @@ impl SetOpExec {
                     }
                 });
                 cache.finish();
-                out
             }
             SetOpKernels::Vectorized => {
                 Self::charge_stream(gpu, nbrs, n_lo..n_hi, charge_n);
                 let nslice: &[VertexId] = &nbrs.list[n_lo..n_hi];
-                let out = intersect_kernel(bslice, nslice);
+                let before = out.len();
+                intersect_kernel(bslice, nslice, out);
                 let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
-                cache.push_many(out.len());
+                cache.push_many(out.len() - before);
                 cache.finish();
-                out
             }
         }
     }
@@ -435,21 +439,20 @@ impl SetOpExec {
 
 /// Vectorized sorted-intersection: galloping when the cardinalities are
 /// skewed by ≥ [`GALLOP_RATIO`], block-wise two-pointer merge otherwise.
-/// Produces the min-multiplicity multiset intersection in sorted order —
-/// exactly the scalar merge's output.
-fn intersect_kernel(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+/// Appends the min-multiplicity multiset intersection in sorted order to
+/// `out` — exactly the scalar merge's output.
+fn intersect_kernel(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if large.len() / small.len().max(1) >= GALLOP_RATIO {
-        gallop_intersect(small, large)
+        gallop_intersect(small, large, out)
     } else {
-        block_merge_intersect(a, b)
+        block_merge_intersect(a, b, out)
     }
 }
 
 /// Two-pointer merge in fixed [`MERGE_BLOCK`]-wide inner blocks with
 /// arithmetic (branch-light) pointer advancement.
-fn block_merge_intersect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
+fn block_merge_intersect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let (mut ai, mut bi) = (0usize, 0usize);
     while ai < a.len() && bi < b.len() {
         let a_end = (ai + MERGE_BLOCK).min(a.len());
@@ -464,13 +467,11 @@ fn block_merge_intersect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
             bi += (bv <= av) as usize;
         }
     }
-    out
 }
 
 /// Gallop the pointer into `large` for each element of `small`: exponential
 /// probe then a bracketed binary search — `O(|small| · log(gap))`.
-fn gallop_intersect(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(small.len());
+fn gallop_intersect(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
     let mut p = 0usize;
     for &sv in small {
         p = gallop_lower_bound(large, p, sv);
@@ -479,7 +480,6 @@ fn gallop_intersect(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
             p += 1;
         }
     }
-    out
 }
 
 /// First index `>= from` at which `xs[i] >= target` (like
@@ -548,8 +548,9 @@ mod tests {
         for kernels in [SetOpKernels::Scalar, SetOpKernels::Vectorized] {
             let e = exec_k(SetOpStrategy::GpuFriendly, true, kernels);
             // row = [3, 7]: 3 removed by subtraction; survivors ∩ C = {2, 5}.
-            let out = e.first_edge(&g, &n, &[3, 7], &cand, None, Some(0), true, None);
-            assert_eq!(out, vec![2, 5]);
+            let mut out = vec![42];
+            e.first_edge(&g, &n, &[3, 7], &cand, None, Some(0), true, None, &mut out);
+            assert_eq!(out, vec![42, 2, 5], "appends after what the buffer held");
         }
     }
 
@@ -565,11 +566,13 @@ mod tests {
             &cand_set((0..500).step_by(3).collect()),
         );
         let e = exec(SetOpStrategy::GpuFriendly, true);
-        let whole = e.first_edge(&g, &n, &[1], &cand, None, None, true, None);
+        let mut whole = Vec::new();
+        e.first_edge(&g, &n, &[1], &cand, None, None, true, None, &mut whole);
         let mut parts = Vec::new();
         for lo in (0..200).step_by(64) {
             let hi = (lo + 64).min(200);
-            parts.extend(e.first_edge(&g, &n, &[1], &cand, None, None, true, Some(lo..hi)));
+            let chunk = Some(lo..hi);
+            e.first_edge(&g, &n, &[1], &cand, None, None, true, chunk, &mut parts);
         }
         assert_eq!(whole, parts);
     }
@@ -580,14 +583,15 @@ mod tests {
         let n = nbrs_global((0..100).filter(|x| x % 2 == 0).collect(), 0);
         let buf: Vec<u32> = (0..100).filter(|x| x % 3 == 0).collect();
         let e = exec(SetOpStrategy::GpuFriendly, true);
-        let whole = e.intersect(&g, &buf, None, &n, None, true, None);
+        let mut whole = Vec::new();
+        e.intersect(&g, &buf, None, &n, None, true, None, &mut whole);
         let expect: Vec<u32> = (0..100).filter(|x| x % 6 == 0).collect();
         assert_eq!(whole, expect);
 
         let mut parts = Vec::new();
         for lo in (0..buf.len()).step_by(10) {
             let hi = (lo + 10).min(buf.len());
-            parts.extend(e.intersect(&g, &buf, None, &n, None, true, Some(lo..hi)));
+            e.intersect(&g, &buf, None, &n, None, true, Some(lo..hi), &mut parts);
         }
         assert_eq!(parts, expect);
     }
@@ -601,10 +605,15 @@ mod tests {
         let n = nbrs_global(nbr_list.clone(), 0);
         let g = gpu();
         let e = exec(SetOpStrategy::GpuFriendly, true);
-        let out = e.intersect(&g, &buf, None, &n, None, true, None);
+        let mut out = Vec::new();
+        e.intersect(&g, &buf, None, &n, None, true, None, &mut out);
         assert_eq!(out, vec![10, 500, 1998]);
-        assert_eq!(intersect_kernel(&buf, &nbr_list), vec![10, 500, 1998]);
-        assert_eq!(block_merge_intersect(&buf, &nbr_list), vec![10, 500, 1998]);
+        out.clear();
+        intersect_kernel(&buf, &nbr_list, &mut out);
+        assert_eq!(out, vec![10, 500, 1998]);
+        out.clear();
+        block_merge_intersect(&buf, &nbr_list, &mut out);
+        assert_eq!(out, vec![10, 500, 1998]);
     }
 
     #[test]
@@ -625,9 +634,14 @@ mod tests {
         // kernels must match on both the merge and gallop paths.
         let a = vec![5u32, 5, 7, 7, 7, 9];
         let b = vec![5u32, 5, 5, 7, 9, 9];
-        assert_eq!(block_merge_intersect(&a, &b), vec![5, 5, 7, 9]);
-        assert_eq!(gallop_intersect(&a, &b), vec![5, 5, 7, 9]);
-        assert_eq!(gallop_intersect(&b, &a), vec![5, 5, 7, 9]);
+        let run = |f: fn(&[u32], &[u32], &mut Vec<u32>), x: &[u32], y: &[u32]| {
+            let mut out = Vec::new();
+            f(x, y, &mut out);
+            out
+        };
+        assert_eq!(run(block_merge_intersect, &a, &b), vec![5, 5, 7, 9]);
+        assert_eq!(run(gallop_intersect, &a, &b), vec![5, 5, 7, 9]);
+        assert_eq!(run(gallop_intersect, &b, &a), vec![5, 5, 7, 9]);
     }
 
     #[test]
@@ -659,7 +673,8 @@ mod tests {
                             g.reset_stats();
                             let e = exec_k(strategy, cache, kernels);
                             let n = nbrs_global(nbr_list.clone(), 32);
-                            let fe = e.first_edge(
+                            let (mut fe, mut ix) = (Vec::new(), Vec::new());
+                            e.first_edge(
                                 &g,
                                 &n,
                                 &[1, 9],
@@ -668,8 +683,9 @@ mod tests {
                                 Some(16),
                                 true,
                                 fe_chunk.clone(),
+                                &mut fe,
                             );
-                            let ix = e.intersect(
+                            e.intersect(
                                 &g,
                                 &other,
                                 Some(8),
@@ -677,6 +693,7 @@ mod tests {
                                 Some(0),
                                 true,
                                 ix_chunk.clone(),
+                                &mut ix,
                             );
                             (fe, ix, g.stats().snapshot())
                         };
@@ -745,7 +762,17 @@ mod tests {
         for kernels in [SetOpKernels::Scalar, SetOpKernels::Vectorized] {
             let e = exec_k(SetOpStrategy::Naive, false, kernels);
             g.reset_stats();
-            e.first_edge(&g, &n, &[5], &cand, Some((0, 4)), None, true, None);
+            e.first_edge(
+                &g,
+                &n,
+                &[5],
+                &cand,
+                Some((0, 4)),
+                None,
+                true,
+                None,
+                &mut Vec::new(),
+            );
             // 3 stream batches + 3 row re-reads at minimum.
             assert!(g.stats().snapshot().gld_transactions >= 6);
         }
@@ -758,7 +785,7 @@ mod tests {
         let cand = CandidateProbe::build(&g, SetOpStrategy::GpuFriendly, 100, &cand_set(vec![]));
         let e = exec(SetOpStrategy::GpuFriendly, true);
         g.reset_stats();
-        e.first_edge(&g, &n, &[], &cand, None, None, false, None);
+        e.first_edge(&g, &n, &[], &cand, None, None, false, None, &mut Vec::new());
         // charge_n = false: no stream loads; all transactions must come
         // from candidate probes (64), none from the stream (2 batches
         // suppressed).
@@ -773,10 +800,10 @@ mod tests {
         let cand = CandidateProbe::build(&g, SetOpStrategy::GpuFriendly, 10, &cand_set(vec![1]));
         for kernels in [SetOpKernels::Scalar, SetOpKernels::Vectorized] {
             let e = exec_k(SetOpStrategy::GpuFriendly, true, kernels);
-            assert!(e
-                .first_edge(&g, &n, &[], &cand, None, None, true, None)
-                .is_empty());
-            assert!(e.intersect(&g, &[], None, &n, None, true, None).is_empty());
+            let mut out = Vec::new();
+            e.first_edge(&g, &n, &[], &cand, None, None, true, None, &mut out);
+            e.intersect(&g, &[], None, &n, None, true, None, &mut out);
+            assert!(out.is_empty());
         }
     }
 
@@ -791,14 +818,24 @@ mod tests {
         for kernels in [SetOpKernels::Scalar, SetOpKernels::Vectorized] {
             let e = exec_k(SetOpStrategy::GpuFriendly, true, kernels);
             g.reset_stats();
-            e.intersect(&g, &buf, None, &n, None, true, None);
+            e.intersect(&g, &buf, None, &n, None, true, None, &mut Vec::new());
             let unchunked = g.stats().snapshot().gld_transactions;
             g.reset_stats();
-            e.intersect(&g, &buf, None, &n, None, true, Some(0..buf.len()));
+            e.intersect(
+                &g,
+                &buf,
+                None,
+                &n,
+                None,
+                true,
+                Some(0..buf.len()),
+                &mut Vec::new(),
+            );
             let whole_chunk = g.stats().snapshot().gld_transactions;
             assert_eq!(unchunked, whole_chunk);
             g.reset_stats();
-            e.intersect(&g, &buf, None, &n, None, true, Some(0..buf.len() / 2));
+            let half = Some(0..buf.len() / 2);
+            e.intersect(&g, &buf, None, &n, None, true, half, &mut Vec::new());
             let proper_chunk = g.stats().snapshot().gld_transactions;
             assert!(
                 proper_chunk > 0,
@@ -814,10 +851,10 @@ mod tests {
         let buf: Vec<u32> = (0..32).collect();
         let e = exec(SetOpStrategy::GpuFriendly, true);
         g.reset_stats();
-        e.intersect(&g, &buf, Some(0), &n, None, true, None);
+        e.intersect(&g, &buf, Some(0), &n, None, true, None, &mut Vec::new());
         let with_base = g.stats().snapshot().gld_transactions;
         g.reset_stats();
-        e.intersect(&g, &buf, None, &n, None, true, None);
+        e.intersect(&g, &buf, None, &n, None, true, None, &mut Vec::new());
         let without = g.stats().snapshot().gld_transactions;
         assert_eq!(with_base, without + 1, "buffer stream adds one segment");
     }

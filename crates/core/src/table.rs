@@ -7,6 +7,9 @@
 //! output columns with fixed-width splat/copy loops instead of interleaving
 //! one row at a time.
 //!
+//! One join pass's per-row buffers live in a [`RowBuffers`]: every row's
+//! output back to back in row order in one compact array, with CSR offsets.
+//!
 //! **Device accounting stays row-major.** The simulated table the ledger
 //! charges for is the paper's: a warp reading row `i` touches
 //! `⌈cols·4 / 128⌉` segments at word offset `i·cols`, and the link kernel
@@ -59,8 +62,8 @@ impl MatchTable {
         Self { n_rows, cols }
     }
 
-    /// Build directly from per-column buffers (the columnar stitcher's
-    /// output). All columns must have equal length.
+    /// Build directly from per-column buffers. All columns must have equal
+    /// length.
     pub fn from_columns(cols: Vec<Vec<VertexId>>) -> Self {
         assert!(!cols.is_empty(), "a match table needs at least one column");
         let n_rows = cols[0].len();
@@ -68,6 +71,20 @@ impl MatchTable {
         let table = Self { n_rows, cols };
         table.assert_rectangular("from_columns");
         table
+    }
+
+    /// `n_rows` rows of zeros in `n_cols` columns, allocated once: the link
+    /// kernel's pre-sized output, filled in place through
+    /// [`MatchTable::columns_mut`].
+    pub fn zeroed(n_cols: usize, n_rows: usize) -> Self {
+        assert!(n_cols > 0, "a match table needs at least one column");
+        let cols = (0..n_cols).map(|_| vec![0; n_rows]).collect();
+        Self { n_rows, cols }
+    }
+
+    /// Every column as one mutable slice of `n_rows` cells.
+    pub fn columns_mut(&mut self) -> Vec<&mut [VertexId]> {
+        self.cols.iter_mut().map(Vec::as_mut_slice).collect()
     }
 
     /// Number of columns (matched query vertices).
@@ -113,7 +130,7 @@ impl MatchTable {
     }
 
     /// Append a row (host-side construction; device writes are charged by
-    /// the link kernel through [`MatchTable::charge_row_write`]).
+    /// the link kernel through [`MatchTable::row_write_transactions`]).
     pub fn push_row(&mut self, row: &[VertexId]) {
         debug_assert_eq!(row.len(), self.n_cols());
         for (col, &v) in self.cols.iter_mut().zip(row) {
@@ -161,23 +178,10 @@ impl MatchTable {
         gpu.stats().gld_gather([i * self.n_cols() + c], 4);
     }
 
-    /// Charge the store of one output row of `n_cols` words at row `i` of a
-    /// table with this shape.
-    pub fn charge_row_write(&self, gpu: &Gpu, i: usize) {
-        gpu.stats().gst_range(i * self.n_cols(), self.n_cols(), 4);
-    }
-
-    /// Charge the store of one row of `n_cols` words at row `i` of a table of
-    /// that width, without materializing the table (the link kernel charges
-    /// its output's shape before the output exists).
-    pub fn charge_write_at(gpu: &Gpu, n_cols: usize, i: usize) {
-        gpu.stats().gst_range(i * n_cols, n_cols, 4);
-    }
-
     /// Store transactions for `rows` consecutive output rows of `n_cols`
-    /// words starting at row `start` — the bulk equivalent of calling
-    /// [`MatchTable::charge_write_at`] once per row (each row's span is
-    /// summed separately, exactly as the per-row kernel would charge).
+    /// words starting at row `start` (each row's span is summed separately,
+    /// exactly as a per-row kernel would charge; the link kernel charges its
+    /// output's shape before the output exists).
     pub fn row_write_transactions(gpu: &Gpu, n_cols: usize, start: usize, rows: usize) -> u64 {
         let stats = gpu.stats();
         (start..start + rows)
@@ -186,177 +190,105 @@ impl MatchTable {
     }
 }
 
-/// One keyed output segment produced by a single warp task.
+/// One join pass's output: every row's buffer, back to back in row order,
+/// in one compact array with `n_rows + 1` offsets (CSR) — row `r` is
+/// `data[offsets[r]..offsets[r + 1]]`.
 ///
-/// The key is pass-specific: an edge pass uses `(row, offset-within-row)`,
-/// the link pass `(output row start, rows-in-segment)`. Keys order segments
-/// totally, so merging is independent of which worker produced which
-/// segment — the property that makes a many-thread join pool
-/// bit-identical to the serial simulation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Segment {
-    /// Primary sort key (edge pass: row index; link pass: first output row).
-    pub key_a: usize,
-    /// Secondary key (edge pass: chunk start; link pass: rows in segment).
-    pub key_b: usize,
-    /// The task's output words (edge pass: the buffer chunk; link pass: a
-    /// column-major `rows × n_cols` mini-table).
-    pub data: Vec<VertexId>,
+/// A pass computes each row whole, in row order, and appends it; the host
+/// holds the rows' actual outputs only, never the device's upper-bound GBA
+/// (which the ledger is still charged for). A pool of several workers
+/// builds one part per contiguous row group and [`RowBuffers::concat`]s
+/// the parts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBuffers {
+    data: Vec<VertexId>,
+    offsets: Vec<usize>,
 }
 
-/// One worker's private, lock-free output buffer for a kernel launch.
-///
-/// Each join-pool worker owns exactly one shard and appends the
-/// segments of the warp tasks it executed — no mutex, no per-chunk slot.
-#[derive(Debug, Default)]
-pub struct TableShard {
-    segments: Vec<Segment>,
-}
-
-impl TableShard {
-    /// Append one warp task's output.
-    pub fn push(&mut self, key_a: usize, key_b: usize, data: Vec<VertexId>) {
-        self.segments.push(Segment { key_a, key_b, data });
-    }
-
-    /// Number of segments held.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether the shard holds no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-}
-
-/// The sharded output of one kernel launch: one [`TableShard`] per worker.
-///
-/// This replaces the old per-chunk `Mutex<Option<…>>` slots — workers write
-/// shard-locally during the launch, and the shards are stitched once at
-/// iteration end.
-#[derive(Debug, Default)]
-pub struct TableShards {
-    shards: Vec<TableShard>,
-}
-
-impl TableShards {
-    /// Wrap the per-worker shards returned by a launch.
-    pub fn from_shards(shards: Vec<TableShard>) -> Self {
-        Self { shards }
-    }
-
-    /// Total segments across all shards.
-    pub fn n_segments(&self) -> usize {
-        self.shards.iter().map(|s| s.segments.len()).sum()
-    }
-
-    /// Drain every shard into one flat segment list (unordered).
-    pub fn into_segments(self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.n_segments());
-        for shard in self.shards {
-            out.extend(shard.segments);
+impl RowBuffers {
+    /// No rows yet, with room for `n_rows` row ends.
+    pub fn with_rows(n_rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n_rows + 1);
+        offsets.push(0);
+        Self {
+            data: Vec::new(),
+            offsets,
         }
+    }
+
+    /// The buffer the open row appends to; [`RowBuffers::end_row`] closes it.
+    pub fn tail(&mut self) -> &mut Vec<VertexId> {
+        &mut self.data
+    }
+
+    /// Close the open row: everything appended since the last row end is
+    /// its buffer.
+    pub fn end_row(&mut self) {
+        self.offsets.push(self.data.len());
+    }
+
+    /// Number of closed rows.
+    pub fn n_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `r`'s buffer.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[VertexId] {
+        &self.data[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// Every row's buffer length, in row order.
+    pub fn row_lens(&self) -> Vec<usize> {
+        self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// The parts' rows, in part order, as one buffer. The first part's
+    /// array is reused; the others are appended once.
+    pub fn concat(parts: Vec<RowBuffers>) -> Self {
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_else(|| Self::with_rows(0));
+        for part in parts {
+            let base = out.data.len();
+            out.data.extend_from_slice(&part.data);
+            out.offsets
+                .extend(part.offsets[1..].iter().map(|&o| o + base));
+        }
+        out.assert_csr("concat");
         out
     }
-}
 
-/// Merge edge-pass segments (keyed `(row, chunk start)`) into per-row
-/// buffers, in stream order. Deterministic regardless of the worker
-/// interleaving that produced the segments. Multi-chunk rows reserve their
-/// exact total length before the pieces are copied in.
-pub fn segments_into_row_buffers(mut segments: Vec<Segment>, n_rows: usize) -> Vec<Vec<VertexId>> {
-    segments.sort_unstable_by_key(|s| (s.key_a, s.key_b));
-    let mut totals: Vec<usize> = vec![0; n_rows];
-    for s in &segments {
-        totals[s.key_a] += s.data.len();
-    }
-    let mut bufs: Vec<Vec<VertexId>> = vec![Vec::new(); n_rows];
-    for seg in segments {
-        let row = seg.key_a;
-        if bufs[row].is_empty() && bufs[row].capacity() == 0 && seg.data.len() == totals[row] {
-            // Single-chunk rows (the common case) move, not copy.
-            bufs[row] = seg.data;
-        } else {
-            if bufs[row].capacity() == 0 {
-                bufs[row].reserve_exact(totals[row]);
-            }
-            bufs[row].extend_from_slice(&seg.data);
-        }
-    }
-    bufs
-}
-
-/// Stitch row-major link segments (keyed by flat word offset) into the
-/// backing store of a new row-major buffer of `total_words` words.
-///
-/// Zero-copy when a single segment covers the whole output (a launch that
-/// ran as one block); otherwise one ordered placement pass into an
-/// exact-capacity buffer (no zero-fill). Segments must tile
-/// `[0, total_words)` exactly — a kernel body that dropped or double-wrote
-/// a region is a loud panic here, never a silently zero-filled match table.
-pub fn stitch_segments(mut segments: Vec<Segment>, total_words: usize) -> Vec<VertexId> {
-    let written: usize = segments.iter().map(|s| s.data.len()).sum();
-    assert_eq!(
-        written, total_words,
-        "output segments must tile the table exactly"
-    );
-    if segments.len() == 1 && segments[0].key_a == 0 {
-        return std::mem::take(&mut segments[0].data);
-    }
-    // Empty segments sort before a non-empty one at the same offset.
-    segments.sort_unstable_by_key(|s| (s.key_a, s.data.len()));
-    let mut data = Vec::with_capacity(total_words);
-    for seg in segments {
+    /// debug-invariants: the offsets start at 0, never decrease, and end at
+    /// the array's length. A pass that dropped or double-closed a row would
+    /// shift every later row onto its neighbour's elements.
+    #[cfg(feature = "debug-invariants")]
+    fn assert_csr(&self, op: &str) {
         assert_eq!(
-            seg.key_a,
-            data.len(),
-            "segment gap/overlap at word {}",
-            data.len()
+            self.offsets.first(),
+            Some(&0),
+            "debug-invariants: RowBuffers::{op} offsets must start at 0"
         );
-        data.extend_from_slice(&seg.data);
+        assert!(
+            self.offsets.windows(2).all(|w| w[0] <= w[1]),
+            "debug-invariants: RowBuffers::{op} left decreasing offsets"
+        );
+        assert_eq!(
+            self.offsets.last(),
+            Some(&self.data.len()),
+            "debug-invariants: RowBuffers::{op} offsets must end at the buffer length"
+        );
     }
-    data
-}
 
-/// Stitch the link pass's **columnar** segments into a new table.
-///
-/// Each segment is one task's `rows × n_cols` column-major mini-table
-/// (`key_a` = first output row, `key_b` = row count, `data` = column 0's
-/// `rows` words, then column 1's, …). Columns are pre-sized to
-/// `total_rows` and filled by contiguous copies — the ordered placement
-/// pass never touches a word twice. Segments must tile `[0, total_rows)`
-/// exactly (same loud-failure guarantee as [`stitch_segments`]).
-pub fn stitch_columns(mut segments: Vec<Segment>, n_cols: usize, total_rows: usize) -> MatchTable {
-    let written: usize = segments.iter().map(|s| s.key_b).sum();
-    assert_eq!(
-        written, total_rows,
-        "output segments must tile the table exactly"
-    );
-    // Empty segments sort before a non-empty one at the same row.
-    segments.sort_unstable_by_key(|s| (s.key_a, s.key_b));
-    let mut cols: Vec<Vec<VertexId>> = vec![Vec::with_capacity(total_rows); n_cols];
-    let mut at = 0usize;
-    for seg in segments {
-        assert_eq!(seg.key_a, at, "segment gap/overlap at row {at}");
-        let rows = seg.key_b;
-        debug_assert_eq!(seg.data.len(), rows * n_cols, "ragged link segment");
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.extend_from_slice(&seg.data[c * rows..(c + 1) * rows]);
-        }
-        at += rows;
-    }
-    MatchTable::from_columns(cols)
+    /// debug-invariants off: no check.
+    #[cfg(not(feature = "debug-invariants"))]
+    #[inline(always)]
+    fn assert_csr(&self, _op: &str) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsi_gpu_sim::DeviceConfig;
-
-    fn seg(key_a: usize, key_b: usize, data: Vec<VertexId>) -> Segment {
-        Segment { key_a, key_b, data }
-    }
 
     #[test]
     fn seed_from_candidates() {
@@ -409,86 +341,22 @@ mod tests {
     }
 
     #[test]
-    fn segments_merge_into_row_buffers_in_stream_order() {
-        // Chunks arrive out of order (as from racing workers).
-        let segs: Vec<Segment> = vec![
-            seg(1, 2, vec![30, 40]),
-            seg(0, 0, vec![1, 2]),
-            seg(1, 0, vec![10, 20]),
-            seg(2, 0, vec![]),
-        ];
-        let bufs = segments_into_row_buffers(segs, 4);
-        assert_eq!(bufs[0], vec![1, 2]);
-        assert_eq!(bufs[1], vec![10, 20, 30, 40]);
-        assert!(bufs[2].is_empty());
-        assert!(bufs[3].is_empty());
-    }
-
-    #[test]
-    fn multi_chunk_rows_reserve_exact_capacity() {
-        let segs: Vec<Segment> = vec![seg(0, 3, vec![7, 8]), seg(0, 0, vec![5, 6])];
-        let bufs = segments_into_row_buffers(segs, 1);
-        assert_eq!(bufs[0], vec![5, 6, 7, 8]);
-        assert_eq!(bufs[0].capacity(), 4, "exact reservation, no regrowth");
-    }
-
-    #[test]
-    fn stitch_single_covering_segment_is_moved() {
-        let data: Vec<u32> = (0..12).collect();
-        let ptr = data.as_ptr();
-        let out = stitch_segments(vec![seg(0, 0, data)], 12);
-        assert_eq!(out, (0..12).collect::<Vec<u32>>());
-        assert_eq!(out.as_ptr(), ptr, "covering segment must not be copied");
-    }
-
-    #[test]
-    fn stitch_places_scattered_segments() {
-        let segs: Vec<Segment> = vec![seg(4, 0, vec![40, 50]), seg(0, 0, vec![0, 10, 20, 30])];
-        assert_eq!(stitch_segments(segs, 6), vec![0, 10, 20, 30, 40, 50]);
-        assert!(stitch_segments(Vec::new(), 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "tile the table exactly")]
-    fn stitch_rejects_dropped_segments() {
-        stitch_segments(vec![seg(0, 0, vec![1, 2])], 4);
-    }
-
-    #[test]
-    fn stitch_columns_reassembles_the_link_output() {
-        // Two tasks of a 3-column link pass: rows 0-1 and row 2, each a
-        // column-major mini-table.
-        let segs = vec![
-            seg(2, 1, vec![13, 23, 33]),
-            seg(0, 2, vec![11, 12, 21, 22, 31, 32]),
-        ];
-        let m = stitch_columns(segs, 3, 3);
-        assert_eq!(m.row(0), vec![11, 21, 31]);
-        assert_eq!(m.row(1), vec![12, 22, 32]);
-        assert_eq!(m.row(2), vec![13, 23, 33]);
-        assert_eq!(m.column(0), &[11, 12, 13]);
-        assert_eq!(m.column(0).len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "gap/overlap")]
-    fn stitch_columns_rejects_gaps() {
-        let segs = vec![seg(0, 1, vec![1, 2]), seg(2, 1, vec![3, 4])];
-        stitch_columns(segs, 2, 2);
-    }
-
-    #[test]
-    fn shards_flatten_to_segments() {
-        let mut a = TableShard::default();
-        a.push(0, 0, vec![1]);
-        let mut b = TableShard::default();
-        b.push(1, 0, vec![2]);
-        b.push(2, 0, vec![3]);
-        assert_eq!(a.len(), 1);
-        assert!(!b.is_empty());
-        let shards = TableShards::from_shards(vec![a, b]);
-        assert_eq!(shards.n_segments(), 3);
-        assert_eq!(shards.into_segments().len(), 3);
+    fn row_buffers_are_compact_and_concat_in_part_order() {
+        let mut a = RowBuffers::with_rows(2);
+        a.tail().extend([1, 2]);
+        a.end_row();
+        a.end_row(); // an empty row
+        let mut b = RowBuffers::with_rows(1);
+        b.tail().extend([7, 8, 9]);
+        b.end_row();
+        let all = RowBuffers::concat(vec![a, b]);
+        assert_eq!(all.n_rows(), 3);
+        assert_eq!(all.row(0), &[1, 2]);
+        assert!(all.row(1).is_empty());
+        assert_eq!(all.row(2), &[7, 8, 9]);
+        assert_eq!(all.row_lens(), vec![2, 0, 3]);
+        assert_eq!(all.data.len(), 5, "actual outputs only");
+        assert_eq!(RowBuffers::concat(Vec::new()).n_rows(), 0);
     }
 
     #[test]
@@ -501,7 +369,7 @@ mod tests {
         assert_eq!(gpu.stats().snapshot().gld_transactions, 2);
         m.charge_cell_read(&gpu, 3, 5);
         assert_eq!(gpu.stats().snapshot().gld_transactions, 3);
-        m.charge_row_write(&gpu, 1);
+        gpu.stats().gst_range(m.n_cols(), m.n_cols(), 4);
         assert!(gpu.stats().snapshot().gst_transactions >= 2);
     }
 
@@ -509,7 +377,7 @@ mod tests {
     fn bulk_row_write_charge_equals_per_row_charges() {
         let g1 = Gpu::new(DeviceConfig::test_device());
         for i in 3..9 {
-            MatchTable::charge_write_at(&g1, 5, i);
+            g1.stats().gst_range(i * 5, 5, 4);
         }
         let g2 = Gpu::new(DeviceConfig::test_device());
         let n = MatchTable::row_write_transactions(&g2, 5, 3, 6);
@@ -526,5 +394,22 @@ mod tests {
         // sanitizer can see this.
         m.cols[1].pop();
         m.push_row(&[3, 4]);
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    #[should_panic(
+        expected = "debug-invariants: RowBuffers::concat offsets must end at the buffer length"
+    )]
+    fn sanitizer_catches_a_row_buffer_that_lost_its_end() {
+        let mut a = RowBuffers::with_rows(1);
+        a.tail().extend([1, 2, 3]);
+        a.end_row();
+        let mut b = RowBuffers::with_rows(2);
+        b.tail().extend([4, 5]);
+        b.end_row();
+        // A row appended but never closed: its elements belong to no row.
+        b.tail().push(6);
+        RowBuffers::concat(vec![a, b]);
     }
 }

@@ -12,9 +12,8 @@ use crate::config::JoinScheme;
 use crate::join::{finalize_iteration, run_edge_pass, JoinCtx, JoinOverflow, PassKind};
 use crate::plan::JoinStep;
 use crate::strategy::{IterationSetup, JoinStrategy};
-use crate::table::MatchTable;
+use crate::table::{MatchTable, RowBuffers};
 use gsi_gpu_sim::scan::{exclusive_prefix_sum, scan_total};
-use gsi_graph::VertexId;
 use gsi_signature::CandidateSet;
 
 /// Charge allocating one edge's freshly assigned output buffer (two-step
@@ -46,7 +45,7 @@ impl JoinStrategy for TwoStep {
     ) -> Result<MatchTable, JoinOverflow> {
         let IterationSetup { edges, probe } = IterationSetup::build(ctx, step, cand);
 
-        let mut bufs: Vec<Vec<VertexId>> = Vec::new();
+        let mut bufs = RowBuffers::with_rows(0);
         let mut buf_bases: Option<Vec<usize>> = None;
 
         for (ei, &(col, label)) in edges.iter().enumerate() {
@@ -58,37 +57,22 @@ impl JoinStrategy for TwoStep {
                     .map(|r| ctx.data.degree_with_label(m.cell(r, col), label))
                     .collect()
             } else {
-                bufs.iter().map(|b| b.len()).collect()
+                bufs.row_lens()
             };
 
-            // Step 1: the full join, counting only (Fig. 3(a)).
-            let counted = if ei == 0 {
-                run_edge_pass(
-                    ctx,
-                    m,
-                    col,
-                    label,
-                    &PassKind::FirstEdge { cand: &probe },
-                    None,
-                    &loads,
-                )
+            let kind = if ei == 0 {
+                PassKind::FirstEdge { cand: &probe }
             } else {
-                run_edge_pass(
-                    ctx,
-                    m,
-                    col,
-                    label,
-                    &PassKind::Intersect {
-                        bufs: &bufs,
-                        buf_bases: buf_bases.as_deref(),
-                    },
-                    None,
-                    &loads,
-                )
+                PassKind::Intersect {
+                    bufs: &bufs,
+                    buf_bases: buf_bases.as_deref(),
+                }
             };
+            // Step 1: the full join, counting only (Fig. 3(a)).
+            let counted = run_edge_pass(ctx, m, col, label, &kind, None, &loads);
 
             // Prefix-sum the counts and allocate this edge's output buffer.
-            let counts: Vec<u32> = counted.iter().map(|b| b.len() as u32).collect();
+            let counts: Vec<u32> = counted.row_lens().iter().map(|&l| l as u32).collect();
             let offsets = exclusive_prefix_sum(ctx.gpu, &counts);
             let edge_buf_len = scan_total(&offsets);
             if edge_buf_len > 4 * ctx.cfg.max_intermediate_rows {
@@ -98,30 +82,7 @@ impl JoinStrategy for TwoStep {
             let out_bases: Vec<usize> = offsets[..m.n_rows()].iter().map(|&o| o as usize).collect();
 
             // Step 2: the same join again, now writing (Fig. 3(b)).
-            bufs = if ei == 0 {
-                run_edge_pass(
-                    ctx,
-                    m,
-                    col,
-                    label,
-                    &PassKind::FirstEdge { cand: &probe },
-                    Some(&out_bases),
-                    &loads,
-                )
-            } else {
-                run_edge_pass(
-                    ctx,
-                    m,
-                    col,
-                    label,
-                    &PassKind::Intersect {
-                        bufs: &bufs,
-                        buf_bases: buf_bases.as_deref(),
-                    },
-                    Some(&out_bases),
-                    &loads,
-                )
-            };
+            bufs = run_edge_pass(ctx, m, col, label, &kind, Some(&out_bases), &loads);
             buf_bases = Some(out_bases);
         }
 

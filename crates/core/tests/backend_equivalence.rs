@@ -1,8 +1,8 @@
 //! Property test: a join pool of several threads is indistinguishable from
 //! the faithful one-thread simulation — bit-identical match tables (and
 //! canonical row sets), identical match counts, and *exact* device counters
-//! — on random data graphs and random connected queries, across both join
-//! schemes and both load-balance settings.
+//! — on random data graphs and random connected queries, across all three
+//! join schemes and both load-balance settings.
 
 use gsi_core::{GsiConfig, GsiEngine, JoinScheme};
 use gsi_gpu_sim::{DeviceConfig, Gpu};
@@ -25,7 +25,11 @@ proptest! {
         n in 30usize..140,
         edge_mult in 2usize..5,
         q_size in 2usize..6,
-        scheme in prop_oneof![Just(JoinScheme::PreallocCombine), Just(JoinScheme::TwoStep)],
+        scheme in prop_oneof![
+            Just(JoinScheme::PreallocCombine),
+            Just(JoinScheme::TwoStep),
+            Just(JoinScheme::RadixHash),
+        ],
         load_balance in any::<bool>(),
         threads in 2usize..6,
     ) {
@@ -54,7 +58,7 @@ proptest! {
         let b = parallel.query(&data, &prepared, &query).expect("plans");
 
         // Identical match counts; bit-identical tables even *before* the
-        // canonical row sort (deterministic stitch order), and after it.
+        // canonical row sort, and after it.
         prop_assert_eq!(a.matches.len(), b.matches.len());
         prop_assert_eq!(&a.matches.table, &b.matches.table);
         prop_assert_eq!(a.matches.canonical(), b.matches.canonical());

@@ -52,7 +52,8 @@ proptest! {
         });
         let exec = SetOpExec { strategy, write_cache: cache, kernels };
         let n = nbrs(n_list.clone(), in_global, offset);
-        let got = exec.first_edge(&g, &n, &row, &probe, None, Some(offset), true, None);
+        let mut got = Vec::new();
+        exec.first_edge(&g, &n, &row, &probe, None, Some(offset), true, None, &mut got);
         let expect: Vec<u32> = n_list
             .iter()
             .copied()
@@ -73,7 +74,8 @@ proptest! {
         let b = sorted_unique(b);
         let exec = SetOpExec { strategy: SetOpStrategy::GpuFriendly, write_cache: true, kernels };
         let n = nbrs(b.clone(), in_global, 0);
-        let got = exec.intersect(&g, &a, None, &n, None, true, None);
+        let mut got = Vec::new();
+        exec.intersect(&g, &a, None, &n, None, true, None, &mut got);
         let bs: BTreeSet<u32> = b.into_iter().collect();
         let expect: Vec<u32> = a.iter().copied().filter(|v| bs.contains(v)).collect();
         prop_assert_eq!(got, expect);
@@ -97,12 +99,13 @@ proptest! {
             kernels: SetOpKernels::Vectorized,
         };
         let n = nbrs(n_list.clone(), true, 5);
-        let whole = exec.first_edge(&g, &n, &[3, 9], &probe, None, None, true, None);
+        let mut whole = Vec::new();
+        exec.first_edge(&g, &n, &[3, 9], &probe, None, None, true, None, &mut whole);
         let mut pieces = Vec::new();
         let mut lo = 0;
         while lo < n_list.len() {
             let hi = (lo + chunk).min(n_list.len());
-            pieces.extend(exec.first_edge(&g, &n, &[3, 9], &probe, None, None, true, Some(lo..hi)));
+            exec.first_edge(&g, &n, &[3, 9], &probe, None, None, true, Some(lo..hi), &mut pieces);
             lo = hi;
         }
         prop_assert_eq!(whole, pieces);
@@ -150,7 +153,7 @@ proptest! {
         };
         g.reset_stats();
         let n = nbrs(n_list, false, 0);
-        exec.first_edge(&g, &n, &[], &probe, None, None, true, None);
+        exec.first_edge(&g, &n, &[], &probe, None, None, true, None, &mut Vec::new());
         prop_assert_eq!(g.stats().snapshot().gst_transactions, 0);
     }
 }

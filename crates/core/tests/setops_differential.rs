@@ -160,7 +160,8 @@ fn run_arm(
         ci_offset: 7,
     };
     let fe_chunk = chunked.then(|| 0..nbr_list.len().min(13));
-    let fe = e.first_edge(
+    let (mut fe, mut ix) = (Vec::new(), Vec::new());
+    e.first_edge(
         &g,
         &nbrs,
         row,
@@ -169,9 +170,10 @@ fn run_arm(
         Some(16),
         true,
         fe_chunk,
+        &mut fe,
     );
     let ix_chunk = chunked.then(|| 0..buf.len().min(13));
-    let ix = e.intersect(&g, buf, Some(8), &nbrs, Some(32), true, ix_chunk);
+    e.intersect(&g, buf, Some(8), &nbrs, Some(32), true, ix_chunk, &mut ix);
     (fe, ix, g.stats().snapshot())
 }
 

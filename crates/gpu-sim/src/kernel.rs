@@ -48,67 +48,31 @@ const INLINE_TASKS: usize = 4096;
 /// each element as one warp's assignment, and charge `ctx.gpu`. Records one
 /// kernel launch, charges the configured launch overhead, and counts
 /// `tasks.len()` warp tasks. Launches of 4,096 tasks or more are
-/// drained by the device's `worker_threads`, the way SMs drain a launch.
+/// drained by the device's `worker_threads`, the way SMs drain a launch:
+/// each worker pulls blocks from a shared counter.
 pub fn launch_blocks<T, F>(gpu: &Gpu, tasks: &[T], warps_per_block: usize, f: F)
 where
     T: Sync,
     F: Fn(&mut BlockCtx<'_>, &[T]) + Sync,
 {
-    let workers = if tasks.len() < INLINE_TASKS {
-        1
-    } else {
-        gpu.config().worker_threads
-    };
-    launch_blocks_stateful(
-        gpu,
-        tasks,
-        warps_per_block,
-        vec![(); workers],
-        |ctx, block, ()| f(ctx, block),
-    );
-}
-
-/// Launch a kernel over an *explicit* worker pool with per-worker state.
-///
-/// This is the primitive [`launch_blocks`] and the engine's join pool build
-/// on: the caller decides how many host workers play SM (`states.len()`),
-/// and each worker carries a private mutable state `S` (e.g. a shard of the
-/// output table) that `f` can write without synchronization, next to the
-/// private ledger in its [`BlockCtx`]. Blocks
-/// are pulled dynamically from a shared counter, so per-worker block sets
-/// depend on timing — callers needing determinism must make `f`'s effects
-/// order-independent (ledger sums and keyed output segments both are).
-///
-/// Records one kernel launch, charges the configured launch overhead, counts
-/// `tasks.len()` warp tasks, and returns the worker states. With a single
-/// state (or a single block) the launch runs inline on the calling thread —
-/// the faithful sequential simulation.
-pub fn launch_blocks_stateful<T, S, F>(
-    gpu: &Gpu,
-    tasks: &[T],
-    warps_per_block: usize,
-    mut states: Vec<S>,
-    f: F,
-) -> Vec<S>
-where
-    T: Sync,
-    S: Send,
-    F: Fn(&mut BlockCtx<'_>, &[T], &mut S) + Sync,
-{
-    assert!(!states.is_empty(), "at least one worker state required");
-    let stats = gpu.stats();
-    stats.record_kernel_launch();
-    gpu.charge_launch_overhead();
-    stats.add_warp_tasks(tasks.len() as u64);
+    charge_launch(gpu, tasks.len());
     if tasks.is_empty() {
-        return states;
+        return;
     }
-
     let wpb = warps_per_block.clamp(1, gpu.config().warps_per_block());
     let num_blocks = tasks.len().div_ceil(wpb);
     let shared_cap = gpu.config().shared_mem_per_block;
-
-    let run_block = |block_id: usize, gpu: &Gpu, state: &mut S| {
+    let workers = if tasks.len() < INLINE_TASKS {
+        1
+    } else {
+        gpu.config().worker_threads.min(num_blocks)
+    };
+    let next = AtomicUsize::new(0);
+    run_workers(gpu, &mut vec![(); workers], |gpu, ()| loop {
+        let block_id = next.fetch_add(1, Ordering::Relaxed);
+        if block_id >= num_blocks {
+            break;
+        }
         let first = block_id * wpb;
         let end = (first + wpb).min(tasks.len());
         let mut ctx = BlockCtx {
@@ -117,38 +81,50 @@ where
             shared: SharedMem::new(shared_cap),
             gpu,
         };
-        f(&mut ctx, &tasks[first..end], state);
-    };
+        f(&mut ctx, &tasks[first..end]);
+    });
+}
 
-    if states.len() == 1 || num_blocks == 1 {
-        let state = &mut states[0];
-        for b in 0..num_blocks {
-            run_block(b, gpu, state);
-        }
-        return states;
+/// Charge one kernel launch of `n_tasks` warp tasks: the launch count, the
+/// configured launch overhead and the warp-task count. [`launch_blocks`]
+/// charges this itself; a caller that executes a planned launch's tasks in
+/// another order (the engine's join pool runs them row by row) charges it
+/// once per planned launch.
+pub fn charge_launch(gpu: &Gpu, n_tasks: usize) {
+    let stats = gpu.stats();
+    stats.record_kernel_launch();
+    gpu.charge_launch_overhead();
+    stats.add_warp_tasks(n_tasks as u64);
+}
+
+/// Run `f` once per worker state, on as many host workers as there are
+/// states, and fold what they charged into `gpu`'s ledger.
+///
+/// One state runs inline on the calling thread and charges `gpu` itself —
+/// the faithful sequential simulation. With more, each worker gets a scoped
+/// thread and a fresh ledger of its own ([`Gpu::scoped`]); every ledger is
+/// folded into `gpu`'s once, after all workers have finished, so no two
+/// threads ever charge one ledger side by side. This is the one spawn/fold
+/// path of the simulator: [`launch_blocks`] and the join pool both use it.
+pub fn run_workers<S, F>(gpu: &Gpu, states: &mut [S], f: F)
+where
+    S: Send,
+    F: Fn(&Gpu, &mut S) + Sync,
+{
+    if let [state] = states {
+        f(gpu, state);
+        return;
     }
-
-    // More states than blocks: the excess workers never start. Each worker
-    // charges a fresh ledger of its own; every ledger is folded into
-    // `gpu`'s once, after all workers have finished. std's scope reports
-    // child panics with its own opaque message; they are re-raised here in
-    // the simulator's "worker panicked" framing.
-    let n_workers = states.len().min(num_blocks);
-    let next = AtomicUsize::new(0);
+    // std's scope reports child panics with its own opaque message; they
+    // are re-raised here in the simulator's "worker panicked" framing.
     let ledgers: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = states[..n_workers]
+        let handles: Vec<_> = states
             .iter_mut()
             .map(|state| {
-                let (next, run_block) = (&next, &run_block);
+                let f = &f;
                 s.spawn(move || {
                     let local = gpu.scoped();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= num_blocks {
-                            break;
-                        }
-                        run_block(b, &local, state);
-                    }
+                    f(&local, state);
                     local.stats().snapshot()
                 })
             })
@@ -161,7 +137,6 @@ where
             Err(_) => panic!("simulated kernel worker panicked"),
         }
     }
-    states
 }
 
 /// Launch a kernel with one warp per task, using full blocks. `f` receives
@@ -316,56 +291,37 @@ mod tests {
     }
 
     #[test]
-    fn stateful_launch_covers_all_tasks_and_returns_states() {
+    fn run_workers_hands_each_state_to_one_worker() {
         for workers in [1, 3, 8] {
             let g = gpu(1);
             let n = 500;
-            let tasks: Vec<usize> = (0..n).collect();
-            let states: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            let states = launch_blocks_stateful(
-                &g,
-                &tasks,
-                8,
-                states,
-                |_ctx, block, seen: &mut Vec<usize>| {
-                    seen.extend(block.iter().copied());
-                },
-            );
-            assert_eq!(states.len(), workers);
-            let mut all: Vec<usize> = states.into_iter().flatten().collect();
-            all.sort_unstable();
-            assert_eq!(all, tasks, "workers={workers}");
+            let mut states: Vec<(std::ops::Range<usize>, Vec<usize>)> = (0..workers)
+                .map(|w| (w * n / workers..(w + 1) * n / workers, Vec::new()))
+                .collect();
+            run_workers(&g, &mut states, |_, (range, seen)| {
+                seen.extend(range.clone());
+            });
+            let all: Vec<usize> = states.into_iter().flat_map(|(_, seen)| seen).collect();
+            assert_eq!(all, (0..n).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 
     #[test]
-    fn stateful_launch_records_stats_once() {
+    fn charge_launch_records_one_launch_and_its_tasks() {
         let g = gpu(1);
-        let tasks = vec![(); 65];
-        launch_blocks_stateful(&g, &tasks, 32, vec![(), ()], |_, _, _| {});
+        charge_launch(&g, 65);
+        run_workers(&g, &mut [(), ()], |_, _| {});
         let snap = g.stats().snapshot();
         assert_eq!(snap.kernel_launches, 1);
         assert_eq!(snap.warp_tasks, 65);
     }
 
     #[test]
-    fn stateful_launch_empty_tasks() {
-        let g = gpu(1);
-        let tasks: Vec<u32> = vec![];
-        let states = launch_blocks_stateful(&g, &tasks, 32, vec![0u32; 4], |_, _, _| {
-            panic!("no block should run");
-        });
-        assert_eq!(states, vec![0; 4]);
-        assert_eq!(g.stats().snapshot().kernel_launches, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "worker panicked")]
-    fn stateful_launch_propagates_worker_panics() {
+    fn run_workers_propagates_worker_panics() {
         let g = gpu(1);
-        let tasks: Vec<usize> = (0..200).collect();
-        launch_blocks_stateful(&g, &tasks, 8, vec![(), (), ()], |_ctx, block, _| {
-            assert!(block.iter().all(|&t| t < 199), "injected fault");
+        run_workers(&g, &mut [0, 1, 2], |_, &mut w| {
+            assert!(w < 2, "injected fault");
         });
     }
 
@@ -387,11 +343,9 @@ mod tests {
             assert_eq!(snap.kernel_launches, 1);
             assert_eq!(device.stats().snapshot(), Default::default());
             let query = gpu(1);
-            let states = launch_blocks_stateful(&query, &tasks, 8, vec![0u64; workers], {
-                |ctx: &mut BlockCtx<'_>, block: &[usize], seen: &mut u64| {
-                    ctx.gpu.stats().add_work(block.len() as u64);
-                    *seen += block.len() as u64;
-                }
+            let mut states = vec![n as u64 / workers as u64; workers];
+            run_workers(&query, &mut states, |gpu, units| {
+                gpu.stats().add_work(*units)
             });
             assert_eq!(states.iter().sum::<u64>(), n as u64);
             assert_eq!(query.stats().snapshot().work_units, n as u64);

@@ -29,8 +29,8 @@
 //! elements vs. the busiest group's, summed over passes — the host's row
 //! split, not the modeled SMs'. When the device models memory latency
 //! ([`gsi_gpu_sim::DeviceConfig::stream_latency_ns`]), each worker sleeps
-//! its group's share of it, and concurrent workers overlap those sleeps
-//! the way real SMs hide memory latency.
+//! its rows' share of it as it goes, and concurrent workers overlap those
+//! sleeps with each other's work the way real SMs hide memory latency.
 
 use crate::load_balance::{ChunkTask, KernelPlan};
 use gsi_gpu_sim::kernel::{charge_launch, run_workers};
@@ -109,6 +109,12 @@ impl RowTasks {
     }
 }
 
+/// Sleep granularity for the latency model: a worker's debt accumulates
+/// row by row and is slept off in pieces of at least this much, so its
+/// sleeps interleave with other workers' computation (OS sleeps under
+/// ~100 µs are dominated by timer slack).
+const LATENCY_FLUSH_NS: u64 = 200_000;
+
 /// Passes streaming fewer elements than this run inline: spawning a
 /// scoped host thread costs ~50 µs, far more than the simulated work of a
 /// small pass (the same cliff `kernel::launch_blocks` guards). Counters
@@ -185,12 +191,17 @@ impl JoinPool {
         let mut workers: Vec<_> = groups.into_iter().zip(parts).collect();
         let latency_ns = gpu.config().stream_latency_ns;
         run_workers(gpu, &mut workers, |gpu, (rows, part)| {
+            let mut debt_ns = 0;
             for r in rows.clone() {
                 row(gpu, r, part);
+                debt_ns += units[r] as u64 * latency_ns;
+                if debt_ns >= LATENCY_FLUSH_NS {
+                    std::thread::sleep(Duration::from_nanos(debt_ns));
+                    debt_ns = 0;
+                }
             }
-            if latency_ns > 0 {
-                let units: u64 = group_units(rows);
-                std::thread::sleep(Duration::from_nanos(units * latency_ns));
+            if debt_ns > 0 {
+                std::thread::sleep(Duration::from_nanos(debt_ns));
             }
         });
         self.work.fetch_add(spans.iter().sum(), Ordering::Relaxed);

@@ -223,133 +223,84 @@ impl SetOpExec {
         chunk: Option<Range<usize>>,
         out: &mut Vec<VertexId>,
     ) {
+        let range = chunk.unwrap_or(0..nbrs.len());
         match self.kernels {
-            SetOpKernels::Scalar => self.first_edge_scalar(
-                gpu,
-                nbrs,
-                row,
-                cand,
-                naive_row_reread,
-                out_base,
-                charge_n,
-                chunk,
-                out,
-            ),
-            SetOpKernels::Vectorized => self.first_edge_vectorized(
-                gpu,
-                nbrs,
-                row,
-                cand,
-                naive_row_reread,
-                out_base,
-                charge_n,
-                chunk,
-                out,
-            ),
-        }
-    }
-
-    /// Scalar reference kernel: element-at-a-time, charges issued in stream
-    /// order. Kept verbatim as the differential-testing oracle.
-    #[allow(clippy::too_many_arguments)]
-    fn first_edge_scalar(
-        &self,
-        gpu: &Gpu,
-        nbrs: &Neighbors<'_>,
-        row: &[VertexId],
-        cand: &CandidateProbe,
-        naive_row_reread: Option<(usize, usize)>,
-        out_base: Option<usize>,
-        charge_n: bool,
-        chunk: Option<Range<usize>>,
-        out: &mut Vec<VertexId>,
-    ) {
-        let range = chunk.unwrap_or(0..nbrs.len());
-        let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
-        Self::stream(gpu, nbrs, range, charge_n, |batch| {
-            if self.strategy == SetOpStrategy::Naive {
-                // Naive: the partial match is not cached in shared
-                // memory; re-read it for this batch.
-                Self::charge_row_reread(gpu, naive_row_reread, 1);
-            }
-            for &v in batch {
-                if row.contains(&v) {
-                    continue;
-                }
-                if cand.probe(gpu, v) {
-                    out.push(v);
-                    cache.push();
-                }
-            }
-        });
-        cache.finish();
-    }
-
-    /// Vectorized kernel: sorted-probe row filter, block-wise candidate
-    /// filter, bulk ledger charges. Bit-identical to the scalar reference
-    /// in both outputs and counters.
-    #[allow(clippy::too_many_arguments)]
-    fn first_edge_vectorized(
-        &self,
-        gpu: &Gpu,
-        nbrs: &Neighbors<'_>,
-        row: &[VertexId],
-        cand: &CandidateProbe,
-        naive_row_reread: Option<(usize, usize)>,
-        out_base: Option<usize>,
-        charge_n: bool,
-        chunk: Option<Range<usize>>,
-        out: &mut Vec<VertexId>,
-    ) {
-        let range = chunk.unwrap_or(0..nbrs.len());
-        let list: &[VertexId] = &nbrs.list[range.clone()];
-        if list.is_empty() {
-            return;
-        }
-        let n_batches = Self::charge_stream(gpu, nbrs, range, charge_n);
-        if self.strategy == SetOpStrategy::Naive {
-            Self::charge_row_reread(gpu, naive_row_reread, n_batches);
-        }
-
-        // Sorted-probe row filter: sort the (tiny) partial match once per
-        // task, then binary-probe instead of linear-scanning per element.
-        let mut srow: Vec<VertexId> = row.to_vec();
-        srow.sort_unstable();
-
-        let before = out.len();
-        match cand {
-            CandidateProbe::Bitset(bs) => {
-                // Branch-light block filter over the host bitset image; the
-                // scalar kernel's probes cost exactly one transaction per
-                // surviving-subtraction element, charged here in one bulk add.
-                let mut probes = 0u64;
-                for block in list.chunks(MERGE_BLOCK) {
-                    for &v in block {
-                        if srow.binary_search(&v).is_ok() {
+            SetOpKernels::Scalar => {
+                // Scalar reference: element-at-a-time, charges issued in stream
+                // order. Kept verbatim as the differential-testing oracle.
+                let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
+                Self::stream(gpu, nbrs, range, charge_n, |batch| {
+                    if self.strategy == SetOpStrategy::Naive {
+                        // Naive: the partial match is not cached in shared
+                        // memory; re-read it for this batch.
+                        Self::charge_row_reread(gpu, naive_row_reread, 1);
+                    }
+                    for &v in batch {
+                        if row.contains(&v) {
                             continue;
                         }
-                        probes += 1;
-                        if bs.contains_host(v) {
+                        if cand.probe(gpu, v) {
                             out.push(v);
+                            cache.push();
+                        }
+                    }
+                });
+                cache.finish();
+            }
+            SetOpKernels::Vectorized => {
+                // Vectorized: sorted-probe row filter, block-wise candidate
+                // filter, bulk ledger charges. Bit-identical to the scalar
+                // reference in both outputs and counters.
+                let list: &[VertexId] = &nbrs.list[range.clone()];
+                if list.is_empty() {
+                    return;
+                }
+                let n_batches = Self::charge_stream(gpu, nbrs, range, charge_n);
+                if self.strategy == SetOpStrategy::Naive {
+                    Self::charge_row_reread(gpu, naive_row_reread, n_batches);
+                }
+
+                // Sorted-probe row filter: sort the (tiny) partial match once per
+                // task, then binary-probe instead of linear-scanning per element.
+                let mut srow: Vec<VertexId> = row.to_vec();
+                srow.sort_unstable();
+
+                let before = out.len();
+                match cand {
+                    CandidateProbe::Bitset(bs) => {
+                        // Branch-light block filter over the host bitset image; the
+                        // scalar kernel's probes cost exactly one transaction per
+                        // surviving-subtraction element, charged here in one bulk add.
+                        let mut probes = 0u64;
+                        for block in list.chunks(MERGE_BLOCK) {
+                            for &v in block {
+                                if srow.binary_search(&v).is_ok() {
+                                    continue;
+                                }
+                                probes += 1;
+                                if bs.contains_host(v) {
+                                    out.push(v);
+                                }
+                            }
+                        }
+                        Self::charge_probe_loads(gpu, probes);
+                    }
+                    CandidateProbe::Sorted(_) => {
+                        // Sorted-list probes are data-dependent binary searches;
+                        // issue them per element exactly as the scalar kernel does.
+                        for &v in list {
+                            if srow.binary_search(&v).is_err() && cand.probe(gpu, v) {
+                                out.push(v);
+                            }
                         }
                     }
                 }
-                Self::charge_probe_loads(gpu, probes);
-            }
-            CandidateProbe::Sorted(_) => {
-                // Sorted-list probes are data-dependent binary searches;
-                // issue them per element exactly as the scalar kernel does.
-                for &v in list {
-                    if srow.binary_search(&v).is_err() && cand.probe(gpu, v) {
-                        out.push(v);
-                    }
-                }
+
+                let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
+                cache.push_many(out.len() - before);
+                cache.finish();
             }
         }
-
-        let mut cache = WriteCache::new(gpu, self.write_cache, out_base);
-        cache.push_many(out.len() - before);
-        cache.finish();
     }
 
     /// The intersect operation: `buf[chunk] ∩ nbrs`, both sides sorted,

@@ -190,6 +190,7 @@ impl JoinPool {
         let group_units = |g: &Range<usize>| units[g.clone()].iter().map(|&u| u as u64).sum();
         let spans: Vec<u64> = groups.iter().map(group_units).collect();
         let parts = parts(&groups);
+        assert_eq!(parts.len(), groups.len(), "one output part per row group");
         let mut workers: Vec<_> = groups.into_iter().zip(parts).collect();
         let latency_ns = gpu.config().stream_latency_ns;
         run_workers(gpu, &mut workers, |gpu, (rows, part)| {

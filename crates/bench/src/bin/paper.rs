@@ -18,7 +18,7 @@
 //!   optimize       cost-based vs greedy vs best-of-40 random join orders
 //!                  (BENCH_PR5.json)
 //!   observe        tracing Off vs On, exporters, recorder (BENCH_PR6.json)
-//!   setops         scalar vs vectorized kernels, radix joins (BENCH_PR7.json)
+//!   setops         scalar vs vectorized kernels, join schemes (BENCH_PR7.json)
 //!
 //! options:
 //!   --scale <f64>      multiplier on the default dataset scales (default 1.0)

@@ -1,7 +1,7 @@
 //! The join pool: the host threads that compute the join phase's passes.
 //!
 //! ```text
-//!   JoinStrategy (prealloc / two-step / radix — Algorithms 3-4, what to compute)
+//!   join iteration (prealloc / two-step — Algorithms 3-4, what to compute)
 //!     └── JoinPool (this module — which host thread computes which rows)
 //!           └── gsi_gpu_sim device (transaction/work accounting, §II-B)
 //! ```

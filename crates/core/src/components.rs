@@ -44,8 +44,11 @@ pub fn split_components(query: &Graph) -> Vec<QueryComponent> {
         }
     }
 
+    // `local[v]` = v's id inside its own component.
     let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); n_comps];
+    let mut local: Vec<VertexId> = vec![0; n];
     for (v, &c) in comp.iter().enumerate() {
+        local[v] = members[c].len() as VertexId;
         members[c].push(v as VertexId);
     }
 
@@ -53,18 +56,13 @@ pub fn split_components(query: &Graph) -> Vec<QueryComponent> {
         .into_iter()
         .map(|original| {
             let mut b = GraphBuilder::with_capacity(original.len(), original.len());
-            let local_of = |v: VertexId| {
-                original
-                    .binary_search(&v)
-                    .expect("member of this component") as VertexId
-            };
             for &v in &original {
                 b.add_vertex(query.vlabel(v));
             }
             for &v in &original {
                 for &(w, l) in query.neighbors(v) {
                     if v < w {
-                        b.add_edge(local_of(v), local_of(w), l);
+                        b.add_edge(local[v as usize], local[w as usize], l);
                     }
                 }
             }

@@ -1,5 +1,6 @@
 //! Engine configuration: every technique of the paper is a switch here, so
-//! the ablation tables (VI, VII, VIII) are config sweeps.
+//! the ablation tables (VI, VII, VIII) are config sweeps. The join schemes
+//! are exactly the two output schemes §V compares.
 
 use crate::cost::PlannerKind;
 use gsi_graph::StorageKind;
@@ -15,11 +16,6 @@ pub enum JoinScheme {
     /// GpSM/GunrockSM's two-step output scheme: run the join to count, do a
     /// prefix sum, then run the *same join again* to write — doubling work.
     TwoStep,
-    /// Radix-partitioned hash join for high-multiplicity steps: partition the
-    /// intermediate table's link column by radix, fetch each distinct link
-    /// vertex's neighbor list once per partition, and probe column-at-a-time.
-    /// Shares the prealloc output scheme's allocation accounting.
-    RadixHash,
 }
 
 /// Which implementation of the set-operation primitives runs on the host.
@@ -326,23 +322,19 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_radix_knobs_default_conservatively() {
+    fn kernel_knobs_default_conservatively() {
         // Vectorized kernels are the default everywhere (charges are
-        // identical by contract); the radix-hash scheme is opt-in.
+        // identical by contract).
         for cfg in [
             GsiConfig::gsi_base(),
             GsiConfig::gsi(),
             GsiConfig::gsi_opt(),
         ] {
             assert_eq!(cfg.set_op_kernels, SetOpKernels::Vectorized);
-            assert_ne!(cfg.join_scheme, JoinScheme::RadixHash);
         }
         let scalar = GsiConfig::gsi_opt().with_set_op_kernels(SetOpKernels::Scalar);
         assert_eq!(scalar.set_op_kernels, SetOpKernels::Scalar);
         assert!(scalar.duplicate_removal, "other knobs untouched");
-        let radix = GsiConfig::gsi_opt().with_join_scheme(JoinScheme::RadixHash);
-        assert_eq!(radix.join_scheme, JoinScheme::RadixHash);
-        radix.validate();
     }
 
     #[test]

@@ -174,9 +174,6 @@ impl<'a> CostModel<'a> {
                 JoinScheme::PreallocCombine => 1.0,
                 // The two-step scheme runs every join twice (count, write).
                 JoinScheme::TwoStep => 2.0,
-                // Radix-hash joins each edge once, like Prealloc-Combine;
-                // the partition/build passes are linear and amortized.
-                JoinScheme::RadixHash => 1.0,
             },
             set_ops: cfg.set_ops,
         }

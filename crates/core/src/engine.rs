@@ -1,14 +1,14 @@
 //! The end-to-end GSI engine: prepare (offline) + query (online).
 
 use crate::backend::JoinPool;
-use crate::config::{FilterStrategy, GsiConfig};
+use crate::config::{FilterStrategy, GsiConfig, JoinScheme};
 use crate::cost::{estimate_for_plan, plan_join_costed, ExplainPlan, PlannerKind};
 use crate::join::JoinCtx;
 use crate::matches::Matches;
 use crate::plan::{plan_join, JoinPlan, PlanError};
 use crate::stats::RunStats;
-use crate::strategy::strategy_for;
 use crate::table::MatchTable;
+use crate::{prealloc, two_step};
 use gsi_gpu_sim::device::resolve_threads;
 use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::basic::BasicStore;
@@ -533,10 +533,8 @@ impl GsiEngine {
         let planner = explain.planner;
         let mut matches = Matches::empty(plan.order.clone());
 
-        // Strategy (what each iteration computes) is resolved per run and
-        // the join pool (which runs its planned kernels) is per-query
-        // state, carrying the run's work/span ledger.
-        let strategy = strategy_for(self.cfg.join_scheme);
+        // The join pool (which runs each iteration's planned kernels) is
+        // per-query state, carrying the run's work/span ledger.
         let pool = JoinPool::new(self.cfg.join_threads);
 
         if min_candidate > 0 {
@@ -569,7 +567,11 @@ impl GsiEngine {
                 // Per-step wall clocks only under tracing — this pair of
                 // reads per join position is exactly what Off elides.
                 let t_step = opts.trace.is_on().then(Instant::now);
-                match strategy.join_iteration(&ctx, &m, step, cand) {
+                let next = match self.cfg.join_scheme {
+                    JoinScheme::PreallocCombine => prealloc::join_iteration(&ctx, &m, step, cand),
+                    JoinScheme::TwoStep => two_step::join_iteration(&ctx, &m, step, cand),
+                };
+                match next {
                     Ok(next) => m = next,
                     Err(_) => {
                         stats.timed_out = true;

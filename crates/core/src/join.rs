@@ -1,8 +1,7 @@
 //! Shared kernel machinery of the joining phase: the per-edge pass executor
 //! and the link (output) pass — the bodies of Algorithm 3's kernels.
 //!
-//! Both output schemes (Prealloc-Combine and two-step) drive these passes,
-//! and the radix strategy computes its rows through [`compute_rows`] too;
+//! Both output schemes (Prealloc-Combine and two-step) drive these passes;
 //! they differ only in where buffers live and how often passes run.
 //!
 //! Every pass has one host shape. Its kernels are planned
@@ -27,10 +26,10 @@ use gsi_graph::{EdgeLabel, Graph, LabeledStore, VertexId};
 /// intermediate-row bound; the engine reports this as a timeout, exactly
 /// like the paper's 100 s threshold kills runaway queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinOverflow;
+pub(crate) struct JoinOverflow;
 
 /// Shared context for one query's join phase.
-pub struct JoinCtx<'a> {
+pub(crate) struct JoinCtx<'a> {
     /// Device handle.
     pub gpu: &'a Gpu,
     /// Engine configuration.
@@ -46,7 +45,7 @@ pub struct JoinCtx<'a> {
 impl JoinCtx<'_> {
     /// This context charging `gpu` instead — how a kernel body charges the
     /// ledger of the worker executing its block.
-    pub fn on<'b>(&'b self, gpu: &'b Gpu) -> JoinCtx<'b> {
+    pub(crate) fn on<'b>(&'b self, gpu: &'b Gpu) -> JoinCtx<'b> {
         JoinCtx {
             gpu,
             cfg: self.cfg,
@@ -57,7 +56,7 @@ impl JoinCtx<'_> {
     }
 
     /// The set-op parameters this query's configuration selects.
-    pub(crate) fn exec(&self) -> SetOpExec {
+    fn exec(&self) -> SetOpExec {
         SetOpExec {
             strategy: self.cfg.set_ops,
             write_cache: self.cfg.write_cache,
@@ -71,7 +70,7 @@ impl JoinCtx<'_> {
 }
 
 /// What one edge pass computes.
-pub enum PassKind<'a> {
+pub(crate) enum PassKind<'a> {
     /// `buf_i = (N(v'_i, l) \ m_i) ∩ C(u)` — Algorithm 3 lines 9-11.
     FirstEdge {
         /// The candidate probe structure for `C(u)`.
@@ -87,11 +86,11 @@ pub enum PassKind<'a> {
     },
 }
 
-/// Compute one pass's rows through the join pool: each row whole, in row
-/// order, appended by `row(ctx, r, out, scratch)` to its group's compact
-/// buffer (`scratch` is a per-worker buffer the body may reuse). `units`
-/// are the rows' streamed elements, which balance the groups.
-pub fn compute_rows<R>(ctx: &JoinCtx<'_>, units: &[usize], row: R) -> RowBuffers
+/// Compute an edge pass's rows through the join pool: each row whole, in
+/// row order, appended by `row(ctx, r, out, scratch)` to its group's
+/// compact buffer (`scratch` is a per-worker buffer the body may reuse).
+/// `units` are the rows' streamed elements, which balance the groups.
+fn compute_rows<R>(ctx: &JoinCtx<'_>, units: &[usize], row: R) -> RowBuffers
 where
     R: Fn(&JoinCtx<'_>, usize, &mut Vec<VertexId>, &mut Vec<VertexId>) + Sync,
 {
@@ -118,7 +117,7 @@ where
 /// * `loads` — per-row workload estimates driving load balancing.
 ///
 /// Returns the new per-row buffers.
-pub fn run_edge_pass(
+pub(crate) fn run_edge_pass(
     ctx: &JoinCtx<'_>,
     m: &MatchTable,
     col: usize,
@@ -217,7 +216,12 @@ impl JoinCtx<'_> {
 /// Count `|N(v'_i, l0)|` for every row — the pre-allocation bound of
 /// Algorithm 4 (line 5's scan input). Charges one cell read plus the store's
 /// locate cost per row.
-pub fn count_pass(ctx: &JoinCtx<'_>, m: &MatchTable, col: usize, label: EdgeLabel) -> Vec<usize> {
+pub(crate) fn count_pass(
+    ctx: &JoinCtx<'_>,
+    m: &MatchTable,
+    col: usize,
+    label: EdgeLabel,
+) -> Vec<usize> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let counts: Vec<AtomicUsize> = (0..m.n_rows()).map(|_| AtomicUsize::new(0)).collect();
     let rows: Vec<usize> = (0..m.n_rows()).collect();
@@ -269,7 +273,7 @@ struct LinkPart<'c> {
 /// `M'`'s columns are allocated once at the prefix sum's total and every
 /// row is written straight into its place; each planned task is charged
 /// from its own range.
-pub fn link_pass(
+pub(crate) fn link_pass(
     ctx: &JoinCtx<'_>,
     m: &MatchTable,
     bufs: &RowBuffers,
@@ -338,7 +342,7 @@ pub fn link_pass(
 /// The shared tail of one join iteration, for both output schemes: prefix-sum
 /// the final buffer lengths into `M'` row offsets, refuse to materialize a
 /// table beyond the configured row guard, and run the link kernel.
-pub fn finalize_iteration(
+pub(crate) fn finalize_iteration(
     ctx: &JoinCtx<'_>,
     m: &MatchTable,
     bufs: &RowBuffers,
@@ -354,7 +358,7 @@ pub fn finalize_iteration(
 
 /// Order the linking edges of a step: Algorithm 4 line 1 picks the edge
 /// whose label has minimum frequency in `G` as the first edge `e0`.
-pub fn order_linking_edges(
+pub(crate) fn order_linking_edges(
     ctx: &JoinCtx<'_>,
     linking: &[(usize, EdgeLabel)],
 ) -> Vec<(usize, EdgeLabel)> {

@@ -27,12 +27,13 @@
 //!   ([`load_balance`]) and block-level duplicate removal ([`dedup`],
 //!   Algorithm 5).
 //!
-//! The joining phase is a layered pipeline: a [`strategy::JoinStrategy`]
+//! The joining phase is a layered pipeline: the configured [`JoinScheme`]
 //! (Prealloc-Combine or two-step) decides *what* each iteration computes,
 //! the [`backend::JoinPool`] runs its planned kernels on `join_threads`
 //! host threads (one by default — the faithful serial order), and the
 //! simulated device underneath keeps the transaction ledger — one per
-//! query and per launch worker, so it is exact under concurrency. See the [`backend`] module docs for the stack.
+//! query and per launch worker, so it is exact under concurrency. See the
+//! [`backend`] module docs for the stack.
 //!
 //! Entry point: [`engine::GsiEngine`].
 //!
@@ -78,10 +79,8 @@ pub mod load_balance;
 pub mod matches;
 pub mod plan;
 pub mod prealloc;
-pub mod radix;
 pub mod set_ops;
 pub mod stats;
-pub mod strategy;
 pub mod table;
 pub mod two_step;
 pub mod write_cache;
@@ -102,4 +101,3 @@ pub use gsi_signature::{FilterCache, FilterDemand};
 pub use matches::Matches;
 pub use plan::{JoinPlan, JoinStep, PlanError};
 pub use stats::RunStats;
-pub use strategy::JoinStrategy;

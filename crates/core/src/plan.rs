@@ -98,6 +98,8 @@ pub fn plan_join(
         .collect();
 
     let mut in_plan = vec![false; nq];
+    // `col_of[u]` = u's column in `order`, set as u is appended.
+    let mut col_of = vec![0usize; nq];
     let mut order: Vec<VertexId> = Vec::with_capacity(nq);
     let mut steps: Vec<JoinStep> = Vec::with_capacity(nq.saturating_sub(1));
 
@@ -128,17 +130,14 @@ pub fn plan_join(
             let mut linking: Vec<(usize, EdgeLabel)> = Vec::new();
             for &(n, l) in query.neighbors(u) {
                 if in_plan[n as usize] {
-                    let col = order
-                        .iter()
-                        .position(|&o| o == n)
-                        .expect("endpoint already ordered");
-                    linking.push((col, l));
+                    linking.push((col_of[n as usize], l));
                 }
             }
             debug_assert!(!linking.is_empty());
             steps.push(JoinStep { vertex: u, linking });
         }
         in_plan[pick] = true;
+        col_of[pick] = order.len();
         order.push(u);
 
         // Lines 12-13: refresh neighbor scores by edge-label frequency.

@@ -94,14 +94,9 @@ const SERVING_CRATES: [&str; 7] = [
     "crates/obs/src",
 ];
 
-/// Files holding the device-ledger strategy kernels (charge discipline).
-const CHARGE_FILES: [&str; 5] = [
-    "set_ops.rs",
-    "radix.rs",
-    "join.rs",
-    "prealloc.rs",
-    "two_step.rs",
-];
+/// Files under `crates/core/src` holding the join-phase kernels that charge
+/// the device ledger (charge discipline).
+const CHARGE_FILES: [&str; 4] = ["set_ops.rs", "join.rs", "prealloc.rs", "two_step.rs"];
 
 /// Functions that may touch the device ledger without a `charge_` name:
 /// the streaming/probing primitives whose whole body *is* the charge model.
@@ -174,7 +169,7 @@ fn panic_freedom(src: &SourceFile, rep: &mut FileReport) {
 // ---------------------------------------------------------------------------
 
 /// Tokens that mutate the device ledger: the `GpuStats` accessor and the
-/// `DeviceVec` warp-stream methods. Inside a strategy file these may only
+/// `DeviceVec` warp-stream methods. Inside a charge file these may only
 /// appear in functions named `charge_*` (or the allowlisted streaming
 /// primitives), so every kernel arm routes its charges through one named,
 /// reviewable helper — the property the counter-equivalence fuzz gates
@@ -221,7 +216,7 @@ fn charge_discipline(src: &SourceFile, rep: &mut FileReport) {
 }
 
 /// Tracks the innermost enclosing `fn` by brace depth. Token-level: good
-/// enough for the strategy files' flat `fn`/closure structure (closures
+/// enough for the charge files' flat `fn`/closure structure (closures
 /// belong to their enclosing named fn, which is exactly the attribution
 /// the charge rule wants).
 #[derive(Default)]
@@ -545,4 +540,23 @@ fn occurrences(hay: &str, needle: &str) -> Vec<usize> {
         from += p + needle.len();
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CHARGE_FILES;
+    use std::path::Path;
+
+    /// A renamed or deleted kernel file must fail here, not silently drop
+    /// out of the charge-discipline check.
+    #[test]
+    fn every_charge_file_exists_in_gsi_core() {
+        let core_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+        for file in CHARGE_FILES {
+            assert!(
+                core_src.join(file).is_file(),
+                "charge-discipline file `{file}` is not in crates/core/src"
+            );
+        }
+    }
 }

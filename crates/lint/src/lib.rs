@@ -6,7 +6,7 @@
 //!
 //! 1. **panic-freedom** — panic-capable calls in serving-path crates are
 //!    ratcheted against [`lint-baseline.toml`](baseline::Baseline).
-//! 2. **charge-discipline** — device-ledger mutation in the join-strategy
+//! 2. **charge-discipline** — device-ledger mutation in the join-phase
 //!    kernels only inside named `charge_*` helpers.
 //! 3. **trace-gating** — no ungated `Instant::now` in core hot paths.
 //! 4. **metric-grammar** — metric names validated at lint time, not at

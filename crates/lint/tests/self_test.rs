@@ -122,8 +122,13 @@ fn charge_all(gpu: &Gpu, rows: &[u32]) {
     });
 }
 ";
-    let rep = report_for("crates/core/src/radix.rs", src);
+    let rep = report_for("crates/core/src/prealloc.rs", src);
     assert!(rep.errors.is_empty(), "closure body belongs to charge_all");
+    // The check does apply to this path: the same closure in a
+    // non-charge fn is flagged.
+    let renamed = src.replace("charge_all", "sum_all");
+    let rep = report_for("crates/core/src/prealloc.rs", &renamed);
+    assert_eq!(rep.errors.len(), 1, "closure body belongs to sum_all");
 }
 
 #[test]

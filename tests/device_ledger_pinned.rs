@@ -4,9 +4,9 @@
 //! with each other (join width 1 against N, scalar against vectorized
 //! kernels). This one compares the current code with fixed numbers: for
 //! each cell of the configuration lattice — every `config_matrix` cell, plus
-//! each join scheme (radix-hash included) under load balance on/off ×
-//! duplicate removal on/off with thresholds low enough to split rows into
-//! chunks — the join phase's full [`StatsSnapshot`], the join pool's work
+//! both join schemes under load balance on/off × duplicate removal on/off
+//! with thresholds low enough to split rows into chunks — the join phase's
+//! full [`StatsSnapshot`], the join pool's work
 //! units and the match count must equal the values below, at join widths 1
 //! and 3. A host refactor of the join passes may change how rows are
 //! computed; it may not move a single counter.
@@ -153,11 +153,7 @@ fn cells() -> Vec<Cell> {
         };
         out.push(cell(format!("w1={w1} w3={w3}"), cfg, matrix_workload, 6));
     }
-    for join_scheme in [
-        JoinScheme::PreallocCombine,
-        JoinScheme::TwoStep,
-        JoinScheme::RadixHash,
-    ] {
+    for join_scheme in [JoinScheme::PreallocCombine, JoinScheme::TwoStep] {
         for set_ops in [SetOpStrategy::Naive, SetOpStrategy::GpuFriendly] {
             for lb in [false, true] {
                 for dedup in [false, true] {
@@ -290,12 +286,4 @@ const PINNED: &[Observed] = &[
     ([528250, 174490, 19, 24211, 1204149, 6, 637852, 11557], 673464, 151598), // hub join=TwoStep setops=GpuFriendly lb=false dedup=true
     ([602061, 177375, 19, 34843, 1584149, 6, 637852, 11557], 673464, 151598), // hub join=TwoStep setops=GpuFriendly lb=true dedup=false
     ([602009, 177375, 19, 34843, 1583829, 6, 637852, 11557], 673464, 151598), // hub join=TwoStep setops=GpuFriendly lb=true dedup=true
-    ([110518, 175491, 19, 24211, 986502, 693, 1142528, 11557], 325990, 151598), // hub join=RadixHash setops=Naive lb=false dedup=false
-    ([110518, 175491, 19, 24211, 986502, 693, 1142528, 11557], 325990, 151598), // hub join=RadixHash setops=Naive lb=false dedup=true
-    ([112921, 175491, 19, 25377, 986502, 693, 1142528, 11557], 325990, 151598), // hub join=RadixHash setops=Naive lb=true dedup=false
-    ([112921, 175491, 19, 25377, 986502, 693, 1142528, 11557], 325990, 151598), // hub join=RadixHash setops=Naive lb=true dedup=true
-    ([63035, 175514, 19, 24211, 987164, 693, 1140036, 11557], 325990, 151598), // hub join=RadixHash setops=GpuFriendly lb=false dedup=false
-    ([63035, 175514, 19, 24211, 987164, 693, 1140036, 11557], 325990, 151598), // hub join=RadixHash setops=GpuFriendly lb=false dedup=true
-    ([65438, 175514, 19, 25377, 987164, 693, 1140036, 11557], 325990, 151598), // hub join=RadixHash setops=GpuFriendly lb=true dedup=false
-    ([65438, 175514, 19, 25377, 987164, 693, 1140036, 11557], 325990, 151598), // hub join=RadixHash setops=GpuFriendly lb=true dedup=true
 ];

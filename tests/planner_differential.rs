@@ -2,10 +2,9 @@
 //! fuzzed query, the optimized plan's match table must be **bit-identical**
 //! (in canonical, query-vertex-indexed form — the join orders differ by
 //! design) to the greedy plan's, across **one- and three-thread join pools
-//! and all three join schemes**, with exactly
-//! reproducible device counters per `(planner, join-pool width, scheme)`
-//! cell. A cheaper plan that changed even one row would be a correctness
-//! bug, not an optimization.
+//! and both join schemes**, with exactly reproducible device counters per
+//! `(planner, join-pool width, scheme)` cell. A cheaper plan that changed
+//! even one row would be a correctness bug, not an optimization.
 //!
 //! `PLANNER_FUZZ_CASES` scales the number of fuzzed queries (default 24;
 //! CI raises it).
@@ -76,7 +75,6 @@ fn costed_plans_match_greedy_plans_across_backends_and_schemes() {
                 [
                     ("prealloc", JoinScheme::PreallocCombine),
                     ("two-step", JoinScheme::TwoStep),
-                    ("radix-hash", JoinScheme::RadixHash),
                 ]
                 .into_iter()
                 .map(move |(sname, scheme)| {

@@ -44,7 +44,7 @@ use crate::plan::{JoinPlan, JoinStep, PlanError};
 use gsi_graph::{EdgeLabel, Graph, GraphStats, VertexId, VertexLabel};
 use gsi_signature::CandidateSet;
 
-/// Which join-order planner runs when no cached plan is supplied.
+/// Which join-order planner runs when no plan is supplied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlannerKind {
     /// Algorithm 2's greedy score heuristic (the paper's planner; the
@@ -99,9 +99,7 @@ pub struct ExplainStep {
 /// because only the estimates' *ranking* of orders matters (`paper
 /// optimize` reports this as `core.plan_regret`). Nothing re-plans on a
 /// miss. The only readers of the numbers are the explain rows themselves
-/// (the service's query traces and its `gsi_mean_q_error` gauge) and the
-/// serving layer's keep-or-replace decision when it re-costs cached plans
-/// at an epoch publication (`PlanCache::recost_scope`).
+/// (the service's query traces and its `gsi_mean_q_error` gauge).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainPlan {
     /// The planner that produced the executed order (the cost-based
@@ -301,7 +299,7 @@ pub fn estimate_for_plan(
     }
 }
 
-/// Shared validation for every planner entry point.
+/// Validate the cost-based planner's inputs.
 fn validate(query: &Graph, n_sizes: usize) -> Result<(), PlanError> {
     let nq = query.n_vertices();
     if nq == 0 {
@@ -328,31 +326,19 @@ pub fn plan_join_costed(
     cfg: &GsiConfig,
 ) -> Result<(JoinPlan, ExplainPlan), PlanError> {
     let sizes: Vec<f64> = cands.iter().map(|c| c.len() as f64).collect();
-    plan_join_estimated(query, stats, &sizes, cfg)
-}
-
-/// Cost-based join planning from candidate-*size estimates* (e.g.
-/// `gsi_signature::selectivity` at epoch publication, when no filter has
-/// run). Identical search; only the cardinality inputs differ.
-pub fn plan_join_estimated(
-    query: &Graph,
-    stats: &GraphStats,
-    sizes: &[f64],
-    cfg: &GsiConfig,
-) -> Result<(JoinPlan, ExplainPlan), PlanError> {
     validate(query, sizes.len())?;
     let nq = query.n_vertices();
     let (order, planner) = if nq > MAX_EXACT_SEARCH_VERTICES {
-        (greedy_order(query, stats, sizes)?, PlannerKind::Greedy)
+        (greedy_order(query, stats, &sizes)?, PlannerKind::Greedy)
     } else {
         (
-            cheapest_order(query, stats, sizes, cfg)?,
+            cheapest_order(query, stats, &sizes, cfg)?,
             PlannerKind::CostBased,
         )
     };
     let plan = plan_from_order(query, &order);
     debug_assert!(plan.covers(query), "planner emitted a non-covering plan");
-    let explain = estimate_for_plan(&plan, query, stats, sizes, cfg, planner);
+    let explain = estimate_for_plan(&plan, query, stats, &sizes, cfg, planner);
     Ok((plan, explain))
 }
 

@@ -181,10 +181,10 @@ pub struct QueryOptions<'a> {
     /// Abort (with `stats.timed_out`) when the wall clock exceeds this
     /// between join iterations — the paper's 100-second threshold analogue.
     pub timeout: Option<Duration>,
-    /// A previously computed join plan to reuse instead of running
-    /// Algorithm 2 again (the serving layer's plan cache). The plan is
-    /// validated with [`JoinPlan::covers`]; one that does not cover `query`
-    /// is ignored and a fresh plan is computed.
+    /// A join plan to execute instead of running Algorithm 2 (`paper
+    /// optimize` supplies random orders this way). The plan is validated
+    /// with [`JoinPlan::covers`]; one that does not cover `query` is
+    /// ignored and a fresh plan is computed.
     pub plan: Option<&'a JoinPlan>,
     /// Shared filter cache for this run: distinct label demands already
     /// computed under it are reused instead of re-scanned, so a batch of
@@ -194,8 +194,8 @@ pub struct QueryOptions<'a> {
     /// device work (and wall time) of the filtering phase changes.
     pub filter_cache: Option<&'a FilterCache>,
     /// Join-order planner override for this run; `None` uses
-    /// [`GsiConfig::planner`]. Ignored when a valid cached plan is
-    /// supplied through [`QueryOptions::plan`].
+    /// [`GsiConfig::planner`]. Ignored when a valid plan is supplied
+    /// through [`QueryOptions::plan`].
     pub planner: Option<PlannerKind>,
     /// Per-query tracing. `Off` (the default) is zero-cost: the engine
     /// skips the per-join-step clock reads and leaves
@@ -212,17 +212,16 @@ pub struct QueryOutput {
     pub matches: Matches,
     /// Measurements for the run.
     pub stats: RunStats,
-    /// The join plan the run executed (freshly computed, or the reused one).
-    /// A serving layer can store it in a plan cache keyed by query shape.
+    /// The join plan the run executed (freshly computed, or the supplied
+    /// one).
     pub plan: JoinPlan,
     /// Whether `plan` came in through [`QueryOptions::plan`] (false when it
-    /// was computed by this run, including the invalid-cached-plan fallback).
+    /// was computed by this run, including the invalid-supplied-plan fallback).
     pub plan_reused: bool,
     /// The planner that produced the executed plan when this run computed
     /// it fresh (the cost-based planner reports `Greedy` when its
-    /// exact-search cap forced the fallback). For reused plans this is the
-    /// run's *resolved* planner — the provenance of a cached plan lives
-    /// with its cache entry (see `gsi-service`'s plan cache).
+    /// exact-search cap forced the fallback). For a supplied plan this is
+    /// the run's *resolved* planner, which did not produce it.
     pub planner: PlannerKind,
     /// The executed plan's cost report: per-position estimated cardinality
     /// and cost, with actual cardinalities filled in for every position
@@ -619,7 +618,7 @@ impl GsiEngine {
     /// prepared structures; every repeat — across queries or within one —
     /// reuses the cached candidate list by `Arc`. The join phase then runs
     /// per query through the configured [`JoinPool`] width, honoring each
-    /// item's own [`QueryOptions`] (timeout, cached plan, planner override).
+    /// item's own [`QueryOptions`] (timeout, supplied plan, planner override).
     ///
     /// Results are **bit-identical** to running each item alone through
     /// [`GsiEngine::query_with_options`]: candidate lists are deterministic

@@ -88,8 +88,8 @@ pub mod write_cache;
 pub use backend::JoinPool;
 pub use config::{FilterStrategy, GsiConfig, JoinScheme, LbParams, SetOpKernels, SetOpStrategy};
 pub use cost::{
-    estimate_for_plan, plan_from_order, plan_join_costed, plan_join_estimated, CostModel,
-    ExplainPlan, ExplainStep, PlannerKind, MAX_EXACT_SEARCH_VERTICES,
+    estimate_for_plan, plan_from_order, plan_join_costed, CostModel, ExplainPlan, ExplainStep,
+    PlannerKind, MAX_EXACT_SEARCH_VERTICES,
 };
 pub use engine::{
     BatchItem, BatchOutput, GsiEngine, PreparedData, QueryOptions, QueryOutput, UpdateReport,

@@ -8,8 +8,8 @@ use std::time::Duration;
 pub struct RunStats {
     /// Filtering-phase wall time.
     pub filter_time: Duration,
-    /// Join-order resolution wall time: plan-cache reuse check plus (on a
-    /// miss) greedy or cost-based plan construction. A sub-interval of
+    /// Join-order resolution wall time: the supplied plan's validity check
+    /// or greedy / cost-based plan construction. A sub-interval of
     /// [`join_time`](Self::join_time), which historically starts its clock
     /// before planning and keeps that meaning.
     pub plan_time: Duration,

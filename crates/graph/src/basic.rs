@@ -61,14 +61,14 @@ impl BasicStore {
             .map(|i| &self.layers[i])
     }
 
-    /// Locate the row bounds of `v` in label `l`'s layer, charging one
-    /// offset-pair read.
-    fn locate(&self, gpu: &Gpu, v: VertexId, l: EdgeLabel) -> Option<(usize, usize)> {
+    /// Locate label `l`'s layer and the row bounds of `v` in it, charging
+    /// one offset-pair read.
+    fn locate(&self, gpu: &Gpu, v: VertexId, l: EdgeLabel) -> Option<(&BasicLayer, usize, usize)> {
         let layer = self.layer(l)?;
         gpu.stats().gld_range(v as usize, 2, 4);
         let s = layer.row_offsets[v as usize] as usize;
         let e = layer.row_offsets[v as usize + 1] as usize;
-        Some((s, e))
+        Some((layer, s, e))
     }
 }
 
@@ -79,20 +79,17 @@ impl LabeledStore for BasicStore {
 
     fn neighbors_with_label(&self, gpu: &Gpu, v: VertexId, l: EdgeLabel) -> Neighbors<'_> {
         match self.locate(gpu, v, l) {
-            Some((s, e)) => {
-                let layer = self.layer(l).expect("locate verified the layer");
-                Neighbors {
-                    list: Cow::Borrowed(&layer.column_index[s..e]),
-                    in_global: true,
-                    ci_offset: s,
-                }
-            }
+            Some((layer, s, e)) => Neighbors {
+                list: Cow::Borrowed(&layer.column_index[s..e]),
+                in_global: true,
+                ci_offset: s,
+            },
             None => Neighbors::empty(),
         }
     }
 
     fn neighbor_count(&self, gpu: &Gpu, v: VertexId, l: EdgeLabel) -> usize {
-        self.locate(gpu, v, l).map_or(0, |(s, e)| e - s)
+        self.locate(gpu, v, l).map_or(0, |(_, s, e)| e - s)
     }
 
     fn space_bytes(&self) -> usize {

@@ -12,11 +12,11 @@ pub(crate) fn paper_example_data() -> Graph {
     let mut b = GraphBuilder::new();
     let v0 = b.add_vertex(0);
     let bs: Vec<_> = (0..100).map(|_| b.add_vertex(1)).collect();
-    let cs: Vec<_> = (0..101).map(|_| b.add_vertex(2)).collect();
+    let cs: Vec<_> = (0..100).map(|_| b.add_vertex(2)).collect();
+    let v201 = b.add_vertex(2);
     for &vb in &bs {
         b.add_edge(v0, vb, 0);
     }
-    let v201 = *cs.last().unwrap();
     b.add_edge(v0, v201, 1);
     for (i, &vb) in bs.iter().enumerate() {
         b.add_edge(vb, cs[i], 0);

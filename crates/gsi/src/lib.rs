@@ -22,12 +22,11 @@
 //!   sharing prepared graphs across queries with epoch-versioned in-place
 //!   updates, a scheduler whose one bounded queue is the stack's only
 //!   admission point (per-tenant lanes popped in deficit-round-robin
-//!   order, deadlines, worker threads), a plan cache keyed by canonical
-//!   query hashes, and
-//!   aggregated serving statistics with per-epoch attribution (see the
-//!   `gsi-service` crate docs for the architecture, and the repository
-//!   `README.md` for the crate map and the "Updating graphs in place"
-//!   walkthrough).
+//!   order, deadlines, worker threads) where every query plans from its
+//!   own candidate sets, and aggregated serving statistics with per-epoch
+//!   attribution (see the `gsi-service` crate docs for the architecture,
+//!   and the repository `README.md` for the crate map and the "Updating
+//!   graphs in place" walkthrough).
 //! * [`api`] — the transport-neutral request/response vocabulary:
 //!   builder-style [`prelude::QueryRequest`], consolidated
 //!   [`prelude::ApiError`] with stable wire discriminants, typed

@@ -413,12 +413,12 @@ pub fn metric_name_ok(name: &str) -> Result<(), String> {
 /// The documented lock-order map for `crates/service`: when two of these
 /// locks are ever held together, they must be acquired left-to-right.
 /// The one real nesting is `ServiceStats::retire_epoch`, which takes
-/// `retired_epochs` then `per_epoch`; the scheduler queue's `state` and
-/// the plan cache's `inner` are each taken alone. (Metrics are registry
+/// `retired_epochs` then `per_epoch`; the scheduler queue's `state` is
+/// taken alone. (Metrics are registry
 /// handles and device work arrives in each query's own ledger — atomics,
 /// no lock.) A `.lock()` on a field that is not listed here is itself an
 /// error: the map must grow with the code.
-pub const LOCK_ORDER: [&str; 4] = ["retired_epochs", "per_epoch", "state", "inner"];
+pub const LOCK_ORDER: [&str; 3] = ["retired_epochs", "per_epoch", "state"];
 
 fn lock_rank(field: &str) -> Option<usize> {
     LOCK_ORDER.iter().position(|f| *f == field)

@@ -172,7 +172,6 @@ mod tests {
             graph: "g".into(),
             epoch: 0,
             planner: "greedy".into(),
-            plan_cache_hit: false,
             outcome,
             latency: Duration::from_micros(latency_us),
             breakdown: StageBreakdown::default(),

@@ -54,13 +54,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise the counter to `n` if it is below — for a count another
-    /// component owns, copied in at scrape time. Never moves it backwards,
-    /// so two racing scrapes cannot make a counter look reset.
-    pub fn raise_to(&self, n: u64) {
-        self.0.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

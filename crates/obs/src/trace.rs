@@ -46,15 +46,14 @@ impl TraceConfig {
 pub enum Stage {
     /// Waiting in the bounded submission queue (admission → pickup).
     Queue,
-    /// Plan resolution: canonicalization + plan-cache lookup on the
-    /// serving side, plus the engine's join-order construction / costing.
+    /// Plan resolution: the engine's join-order construction / costing.
     Plan,
     /// The filtering phase (candidate-set construction).
     Filter,
     /// The joining phase (Algorithm 3's iterations; join-step child spans
     /// hang under this stage in a full trace).
     Join,
-    /// Post-engine bookkeeping: plan-cache record, stats, response send.
+    /// Post-engine bookkeeping: stats, trace, response send.
     Respond,
 }
 
@@ -187,8 +186,6 @@ pub struct QueryTrace {
     /// Planner provenance of the executed join order (`"greedy"`,
     /// `"cost-based"`; empty when the query never reached planning).
     pub planner: String,
-    /// Whether the executed join order came from the plan cache.
-    pub plan_cache_hit: bool,
     /// How the query ended.
     pub outcome: TraceOutcome,
     /// End-to-end latency (submit → response ready).
@@ -212,7 +209,6 @@ impl QueryTrace {
         buf.field_str("graph", &self.graph);
         buf.field_u64("epoch", self.epoch);
         buf.field_str("planner", &self.planner);
-        buf.field_bool("plan_cache_hit", self.plan_cache_hit);
         buf.field_str("outcome", self.outcome.name());
         if let TraceOutcome::Panicked { message } = &self.outcome {
             buf.field_str("panic_message", message);
@@ -286,7 +282,6 @@ mod tests {
             graph: "g".into(),
             epoch: 3,
             planner: "cost-based".into(),
-            plan_cache_hit: true,
             outcome: TraceOutcome::Completed {
                 matches: 2,
                 timed_out: false,

@@ -122,7 +122,8 @@ pub struct RemoteOutcome {
     pub completion: Completion,
     /// Catalog epoch the query ran against.
     pub epoch: u64,
-    /// Whether the join order came from the plan cache.
+    /// The `ResponseHeader`'s `plan_cache_hit` byte: always false from a
+    /// current server, which has no plan cache.
     pub plan_cache_hit: bool,
     /// Server-side end-to-end latency.
     pub server_latency: Duration,

@@ -135,7 +135,9 @@ pub enum Frame {
         epoch: u64,
         /// Whether the match set is complete or a typed partial.
         completion: Completion,
-        /// Whether the join order came from the plan cache.
+        /// Always false from this server, which has no plan cache; older
+        /// servers set it when the join order came from one. Kept so the
+        /// wire layout does not change.
         plan_cache_hit: bool,
         /// Server-side end-to-end latency, microseconds.
         latency_us: u64,

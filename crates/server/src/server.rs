@@ -643,7 +643,6 @@ impl<W: Write> ReplyWriter<W> {
                 &outcome.output.matches,
                 outcome.epoch,
                 outcome.completion,
-                outcome.plan_cache_hit,
                 outcome.latency,
             ),
             Err(e) => {
@@ -658,14 +657,14 @@ impl<W: Write> ReplyWriter<W> {
     }
 
     /// Stream `matches` as the successful reply to request `rid`; the
-    /// remaining arguments fill the `ResponseHeader`.
+    /// remaining arguments fill the `ResponseHeader`, whose
+    /// `plan_cache_hit` byte is always 0 (the service has no plan cache).
     pub fn write_matches(
         &mut self,
         rid: u64,
         matches: &Matches,
         epoch: u64,
         completion: Completion,
-        plan_cache_hit: bool,
         latency: Duration,
     ) -> io::Result<()> {
         let header = FrameHeader::new(rid, "");
@@ -681,7 +680,7 @@ impl<W: Write> ReplyWriter<W> {
                 n_query_vertices: cols.len() as u32,
                 epoch,
                 completion,
-                plan_cache_hit,
+                plan_cache_hit: false,
                 latency_us: latency.as_micros() as u64,
             },
         )?;

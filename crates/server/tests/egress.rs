@@ -53,7 +53,6 @@ fn write_reply<W: Write>(out: W, chunk_rows: usize, matches: &Matches) -> (Reply
         matches,
         7,
         Completion::Complete,
-        true,
         Duration::from_micros(1234),
     );
     (reply, sent.is_ok())
@@ -71,7 +70,7 @@ fn reference_bytes(chunk_rows: usize, matches: &Matches) -> Vec<u8> {
             n_query_vertices: width,
             epoch: 7,
             completion: Completion::Complete,
-            plan_cache_hit: true,
+            plan_cache_hit: false,
             latency_us: 1234,
         },
     );
@@ -216,7 +215,6 @@ fn reply_within_budget_is_exactly_one_write() {
             &matches,
             7,
             Completion::Complete,
-            true,
             Duration::from_micros(1234),
         )
         .expect("second reply");

@@ -253,10 +253,10 @@ fn metrics_and_health_over_wire() {
     assert_eq!(served, 1, "connection served {served}");
 }
 
-/// Every exported metric family, `(name, type)` in export order: the 48
+/// Every exported metric family, `(name, type)` in export order: the 40
 /// service families, then the server's 3. A metric cannot be added,
 /// dropped, renamed or re-typed without changing this list.
-const PINNED_FAMILIES: [(&str, &str); 51] = [
+const PINNED_FAMILIES: [(&str, &str); 43] = [
     ("gsi_queries_submitted_total", "counter"),
     ("gsi_queries_rejected_total", "counter"),
     ("gsi_queries_completed_total", "counter"),
@@ -270,12 +270,6 @@ const PINNED_FAMILIES: [(&str, &str); 51] = [
     ("gsi_filter_demands_reused_total", "counter"),
     ("gsi_planned_greedy_total", "counter"),
     ("gsi_planned_cost_based_total", "counter"),
-    ("gsi_plans_migrated_total", "counter"),
-    ("gsi_plans_recost_kept_total", "counter"),
-    ("gsi_plans_recost_dropped_total", "counter"),
-    ("gsi_plan_cache_hits_total", "counter"),
-    ("gsi_plan_cache_misses_total", "counter"),
-    ("gsi_plan_cache_evictions_total", "counter"),
     ("gsi_updates_incremental_total", "counter"),
     ("gsi_updates_rebuilt_total", "counter"),
     ("gsi_stage_queue_us_total", "counter"),
@@ -297,8 +291,6 @@ const PINNED_FAMILIES: [(&str, &str); 51] = [
     ("gsi_scheduler_lanes", "gauge"),
     ("gsi_scheduler_lane_depth_max", "gauge"),
     ("gsi_scheduler_in_flight", "gauge"),
-    ("gsi_plan_cache_size", "gauge"),
-    ("gsi_plan_cache_hit_rate", "gauge"),
     ("gsi_mean_q_error", "gauge"),
     ("gsi_last_update_drift", "gauge"),
     ("gsi_flight_recorder_len", "gauge"),

@@ -1,10 +1,13 @@
-//! Canonical query-graph hashing for the plan cache.
+//! Canonical query-graph hashing: an isomorphism-invariant key per pattern.
 //!
 //! Two queries that differ only by a permutation of their vertex ids are the
-//! *same pattern* and should share one plan-cache entry. [`canonicalize`]
-//! computes an isomorphism-invariant key plus the permutation that maps the
-//! query into its canonical labeling, so a plan stored in canonical space
-//! can be replayed on any relabeling of the pattern.
+//! *same pattern*. [`canonicalize`] computes a key that every relabeling of
+//! a pattern shares, plus the permutation that maps the query into its
+//! canonical labeling. The serving path does not use it: every served query
+//! plans from its own candidate sets. The key is what a workload generator
+//! dedupes a pattern pool by, so that each admitted pattern is its own
+//! isomorphism class (the repository benchmark's pool does exactly this);
+//! a unit test pins the keys of the fixture patterns.
 //!
 //! Algorithm: Weisfeiler–Leman color refinement over `(vertex label, degree,
 //! incident edge labels)` seeds, followed by an exact branch-and-bound
@@ -13,32 +16,20 @@
 //! paper's workloads use ≤ ~16 vertices), so the exact search is cheap; a
 //! step budget guards against adversarially symmetric patterns, falling
 //! back to a refinement-only key (still isomorphism-invariant, but two
-//! relabelings may then disagree on the permutation — the consumer must
-//! validate a mapped plan with `JoinPlan::covers` before trusting it).
+//! relabelings may then disagree on the permutation).
 
 use gsi_graph::{Graph, VertexId};
 
 /// The canonical identity of a query pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalQuery {
-    /// Isomorphism-invariant cache key.
+    /// Isomorphism-invariant key.
     pub key: u64,
     /// `perm[v]` is the canonical id of query vertex `v`.
     pub perm: Vec<VertexId>,
     /// Whether the exact canonical search completed within budget. When
     /// false, `perm` is deterministic but not canonical across relabelings.
     pub exact: bool,
-}
-
-impl CanonicalQuery {
-    /// `inverse()[c]` is the query vertex with canonical id `c`.
-    pub fn inverse(&self) -> Vec<VertexId> {
-        let mut inv = vec![0; self.perm.len()];
-        for (v, &c) in self.perm.iter().enumerate() {
-            inv[c as usize] = v as VertexId;
-        }
-        inv
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -244,7 +235,7 @@ pub fn canonicalize(query: &Graph) -> CanonicalQuery {
         // gsi-lint: allow(panic-freedom, reason = "`exact` is true only when `search.best.is_some()`, checked one line up")
         let code = search.best.expect("exact search found an ordering");
         // Canonical form: per-position (vertex label, class) + minimal edge
-        // code. Hash it into the cache key.
+        // code. Hash it into the key.
         let mut h = fnv(FNV_OFFSET, n as u64);
         for (pos, &v) in order.iter().enumerate() {
             h = fnv(h, query.vlabel(v) as u64);
@@ -258,8 +249,7 @@ pub fn canonicalize(query: &Graph) -> CanonicalQuery {
     } else {
         // Budget blown: deterministic fallback ordering (class, then id) and
         // an invariant-only key (color multiset). Two relabelings still get
-        // equal keys, but possibly different permutations — consumers must
-        // covers()-check any plan mapped through this permutation.
+        // equal keys, but possibly different permutations.
         let mut order: Vec<VertexId> = (0..n as VertexId).collect();
         order.sort_unstable_by_key(|&v| (class_of[v as usize], v));
         let mut sorted_colors = colors.clone();
@@ -272,27 +262,6 @@ pub fn canonicalize(query: &Graph) -> CanonicalQuery {
         perm[v as usize] = canon_id as VertexId;
     }
     CanonicalQuery { key, perm, exact }
-}
-
-/// Rebuild `g` with every vertex id mapped through `perm` (`perm[v]` is the
-/// new id of vertex `v`). Labels and edges are preserved; only the id space
-/// changes. Used to store plan-cache patterns in canonical vertex space so
-/// a cached plan can later be re-costed without the original query in hand.
-pub fn permuted_graph(g: &Graph, perm: &[VertexId]) -> Graph {
-    let n = g.n_vertices();
-    debug_assert_eq!(perm.len(), n);
-    let mut labels = vec![0u32; n];
-    for v in 0..n {
-        labels[perm[v] as usize] = g.vlabel(v as VertexId);
-    }
-    let mut b = gsi_graph::GraphBuilder::new();
-    for &l in &labels {
-        b.add_vertex(l);
-    }
-    for e in g.edges() {
-        b.add_edge(perm[e.u as usize], perm[e.v as usize], e.label);
-    }
-    b.build()
 }
 
 #[cfg(test)]
@@ -351,10 +320,8 @@ mod tests {
         assert_eq!(canon_edges(&g1, &c1), canon_edges(&g2, &c2));
     }
 
-    #[test]
-    fn different_patterns_get_different_keys() {
-        let p = canonicalize(&path());
-        // Triangle with same labels — different shape.
+    /// The path with labels 0,1,2 closed into a triangle by a third edge.
+    fn triangle() -> Graph {
         let mut b = GraphBuilder::new();
         let u0 = b.add_vertex(0);
         let u1 = b.add_vertex(1);
@@ -362,41 +329,56 @@ mod tests {
         b.add_edge(u0, u1, 0);
         b.add_edge(u1, u2, 1);
         b.add_edge(u0, u2, 0);
-        let t = canonicalize(&b.build());
-        assert_ne!(p.key, t.key);
-        // Same shape, different edge label.
+        b.build()
+    }
+
+    /// The path's shape with its second edge relabelled (1 → 2).
+    fn path_relabeled_edge() -> Graph {
         let mut b = GraphBuilder::new();
         let u0 = b.add_vertex(0);
         let u1 = b.add_vertex(1);
         let u2 = b.add_vertex(2);
         b.add_edge(u0, u1, 0);
         b.add_edge(u1, u2, 2);
-        let l = canonicalize(&b.build());
-        assert_ne!(p.key, l.key);
+        b.build()
+    }
+
+    /// A 4-cycle with uniform labels, its edges added from vertex `rot`.
+    fn four_cycle(rot: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        let vs: Vec<u32> = (0..4).map(|_| b.add_vertex(7)).collect();
+        for i in 0..4 {
+            b.add_edge(vs[(i + rot) % 4], vs[(i + rot + 1) % 4], 3);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn different_patterns_get_different_keys() {
+        let p = canonicalize(&path());
+        // Same labels, different shape.
+        assert_ne!(p.key, canonicalize(&triangle()).key);
+        // Same shape, different edge label.
+        assert_ne!(p.key, canonicalize(&path_relabeled_edge()).key);
     }
 
     #[test]
     fn symmetric_query_is_stable() {
-        // A 4-cycle with uniform labels: every vertex is equivalent.
-        let build = |rot: usize| {
-            let mut b = GraphBuilder::new();
-            let vs: Vec<u32> = (0..4).map(|_| b.add_vertex(7)).collect();
-            for i in 0..4 {
-                b.add_edge(vs[(i + rot) % 4], vs[(i + rot + 1) % 4], 3);
-            }
-            b.build()
-        };
-        let keys: Vec<u64> = (0..4).map(|r| canonicalize(&build(r)).key).collect();
+        // Every vertex of the 4-cycle is equivalent.
+        let keys: Vec<u64> = (0..4).map(|r| canonicalize(&four_cycle(r)).key).collect();
         assert!(keys.windows(2).all(|w| w[0] == w[1]));
     }
 
+    /// The keys are what a pattern pool is deduplicated by, so they must
+    /// not move: a changed hash changes which patterns a pool admits.
     #[test]
-    fn inverse_roundtrips() {
-        let c = canonicalize(&path());
-        let inv = c.inverse();
-        for v in 0..c.perm.len() {
-            assert_eq!(inv[c.perm[v] as usize] as usize, v);
-        }
+    fn keys_are_pinned() {
+        let key = |g: &Graph| canonicalize(g).key;
+        assert_eq!(key(&path()), 0x017d_c755_89b3_e004);
+        assert_eq!(key(&path_relabeled()), 0x017d_c755_89b3_e004);
+        assert_eq!(key(&triangle()), 0x3b3a_5b26_3564_c926);
+        assert_eq!(key(&path_relabeled_edge()), 0xed69_2297_775a_4f67);
+        assert_eq!(key(&four_cycle(0)), 0x1ff6_1a60_e36b_5001);
     }
 
     #[test]
@@ -406,21 +388,5 @@ mod tests {
         let c = canonicalize(&b.build());
         assert!(c.exact);
         assert_eq!(c.perm, vec![0]);
-    }
-
-    #[test]
-    fn permuted_graph_maps_relabelings_onto_one_pattern() {
-        // Mapping each relabeling through its own canonical permutation
-        // must produce literally the same graph.
-        let (g1, g2) = (path(), path_relabeled());
-        let (c1, c2) = (canonicalize(&g1), canonicalize(&g2));
-        let p1 = permuted_graph(&g1, &c1.perm);
-        let p2 = permuted_graph(&g2, &c2.perm);
-        assert_eq!(p1, p2);
-        assert_eq!(p1.n_edges(), g1.n_edges());
-        // Labels ride along with their vertices.
-        for v in 0..g1.n_vertices() as VertexId {
-            assert_eq!(p1.vlabel(c1.perm[v as usize]), g1.vlabel(v));
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! every in-flight query touching that graph.
 //!
 //! **Epochs.** Every registered state of a graph carries an epoch: a
-//! monotonic id scoping plan-cache entries and stats attribution. A
+//! monotonic id scoping stats attribution. A
 //! [`GraphCatalog::update`] applies an [`UpdateBatch`] through the
 //! incremental re-prepare path (`PreparedData::apply_updates` — untouched
 //! PCSR label layers are *shared* between the epochs, not copied) and
@@ -29,8 +29,8 @@ use std::sync::Arc;
 pub struct CatalogEntry {
     name: String,
     /// Monotonic id distinguishing states published under the same name
-    /// (re-registrations and in-place updates). Scopes the plan cache and
-    /// the per-epoch serving stats.
+    /// (re-registrations and in-place updates). Scopes the per-epoch
+    /// serving stats.
     epoch: u64,
     graph: Graph,
     prepared: Arc<PreparedData>,
@@ -42,7 +42,7 @@ impl CatalogEntry {
         &self.name
     }
 
-    /// Unique epoch id of this state (plan-cache and stats scope).
+    /// Unique epoch id of this state (stats scope).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -79,8 +79,8 @@ pub struct Registration {
     pub entry: Arc<CatalogEntry>,
     /// The entry this registration displaced, when the name was already
     /// taken. The displaced epoch keeps serving queries that hold it; the
-    /// caller is responsible for invalidating state scoped to it (the
-    /// service drops its plan-cache entries).
+    /// caller is responsible for retiring state scoped to it (the service
+    /// retires its per-epoch stats entry).
     pub displaced: Option<Arc<CatalogEntry>>,
 }
 
@@ -180,7 +180,7 @@ impl GraphCatalog {
                 assert!(
                     entry.epoch > old.epoch,
                     "debug-invariants: re-registration published epoch {} over a newer epoch {}; \
-                     plan-cache and per-epoch stats scoping rely on epochs growing monotonically",
+                     per-epoch stats scoping relies on epochs growing monotonically",
                     entry.epoch,
                     old.epoch
                 );
@@ -192,7 +192,7 @@ impl GraphCatalog {
     /// debug-invariants: a published entry's epoch must have been allocated
     /// from this catalog's `next_epoch` counter (i.e. be strictly below it);
     /// otherwise a pinned epoch could collide with a future allocation and
-    /// alias another graph state's plan-cache/stats scope.
+    /// alias another graph state's stats scope.
     #[cfg(feature = "debug-invariants")]
     fn assert_epoch_pinnable(&self, entry: &CatalogEntry) {
         let next = self.next_epoch.load(Ordering::Relaxed);

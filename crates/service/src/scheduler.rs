@@ -12,12 +12,12 @@
 //! budget is exhausted before a worker picks it up is failed without
 //! running.
 //!
-//! Workers execute the full serving pipeline per query: canonical-hash the
-//! pattern, consult the plan cache, run the engine (reusing the cached join
-//! order on a hit), record the plan and its size estimates back, and
-//! deliver a [`QueryResponse`] into the submitter's sink — the private
-//! channel behind a [`QueryTicket`], or a receiver shared by many tagged
-//! queries ([`QueryScheduler::submit_to`]).
+//! Workers execute the full serving pipeline per query: run the engine on
+//! the catalog entry the query pinned — filter, a join order planned from
+//! this query's own candidate sets, join — and deliver a [`QueryResponse`]
+//! into the submitter's sink — the private channel behind a
+//! [`QueryTicket`], or a receiver shared by many tagged queries
+//! ([`QueryScheduler::submit_to`]).
 //!
 //! **Batched execution.** When a worker picks up work and every *other*
 //! worker is already busy, it drains up to `batch_window` *compatible*
@@ -41,9 +41,7 @@
 //! width (`gsi_core::GsiConfig::join_threads`); the scheduler hands out
 //! no threads of its own.
 
-use crate::canon::canonicalize;
 use crate::catalog::CatalogEntry;
-use crate::plan_cache::PlanEstimates;
 use crate::tenant::{FairQueue, LaneSlot, LaneSnapshot, TenantPolicy};
 use crate::ServiceCore;
 use gsi_api::{ApiError, Completion, PartialReason};
@@ -175,17 +173,10 @@ pub struct QueryOutcome {
     /// state the query actually saw — `ServiceStats` attributes the
     /// completion to the same epoch.
     pub epoch: u64,
-    /// Whether the join order came from the plan cache.
-    pub plan_cache_hit: bool,
-    /// Which planner produced the executed join order: the run's planner
-    /// for fresh plans, the recorded provenance for cache hits.
-    pub planner_kind: PlannerKind,
     /// Mean q-error of the executed plan's cardinality estimates
     /// (estimated vs. actual intermediate rows per join position; 1.0 =
     /// perfect). `None` when the run executed no join position.
     pub estimation_error: Option<f64>,
-    /// Cross-run size estimates for the pattern, when cached.
-    pub estimates: Option<PlanEstimates>,
     /// How many queries were drained into the pickup this query executed
     /// in (`1` when it executed alone; members that expired in the queue
     /// are included). Queries in a batch share one filtering pass per
@@ -449,12 +440,11 @@ fn worker_loop(
 ///
 /// Items execute sequentially over one shared [`FilterCache`] — the same
 /// mechanism as [`gsi_core::GsiEngine::query_batch`], unrolled here so
-/// each item's deadline triage, queue-wait accounting, and plan-cache
-/// lookup happen at *its own* execution instant: time spent running
-/// earlier batch items charges later items' deadline budgets exactly as
-/// if each had been picked up on its own, a repeated pattern later in the
-/// batch hits the plan its predecessor just recorded, and every submitter
-/// is answered the moment their item finishes.
+/// each item's deadline triage and queue-wait accounting happen at *its
+/// own* execution instant: time spent running earlier batch items charges
+/// later items' deadline budgets exactly as if each had been picked up on
+/// its own, and every submitter is answered the moment their item
+/// finishes.
 ///
 /// Panic isolation is **per item**: a poisoned query gets
 /// [`QueryError::Internal`], is counted, and the rest of the batch (and
@@ -514,7 +504,6 @@ fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
                 graph: graph.clone(),
                 epoch: scope,
                 planner: String::new(),
-                plan_cache_hit: false,
                 outcome,
                 latency: job.submitted.elapsed(),
                 breakdown,
@@ -573,19 +562,12 @@ fn run_job(
         None => None,
     };
 
-    // Serving-side half of the plan stage: canonicalization plus the
-    // cache lookup (the engine adds its in-run plan construction time).
-    let t_plan = Instant::now();
-    let canon = canonicalize(&job.query);
-    let cached = core.plan_cache.lookup(scope, &canon, &job.query);
-    let sched_plan = t_plan.elapsed();
     let output = core.engine.query_with_options(
         entry.graph(),
         entry.prepared(),
         &job.query,
         QueryOptions {
             timeout: remaining,
-            plan: cached.as_ref().map(|c| &c.plan),
             filter_cache: Some(cache),
             trace: core.trace,
             ..QueryOptions::default()
@@ -600,55 +582,27 @@ fn run_job(
             // the join phase, and the rest of the batch is unaffected.
             let breakdown = StageBreakdown {
                 queue: waited,
-                plan: sched_plan,
+                plan: job.submitted.elapsed().saturating_sub(waited),
                 ..StageBreakdown::default()
             };
             return Err((QueryError::Plan(e), breakdown));
         }
     };
 
-    // Record the executed plan and fold this run's sizes into the
-    // pattern's estimates (the first writer keeps the order; see
-    // `PlanCache::record`). Skipped
-    // for aborted runs — a timed-out run's zero match count would poison
-    // the estimates — and for scopes no longer current in the catalog, so
-    // a concurrent unregister/re-register doesn't resurrect dead entries.
     let estimation_error = output.explain.mean_q_error();
-    let scope_current = core
-        .catalog
-        .get(entry.name())
-        .is_some_and(|cur| cur.epoch() == scope);
-    if !output.stats.timed_out && scope_current {
-        core.plan_cache.record(
-            scope,
-            &canon,
-            &job.query,
-            &output.plan,
-            output.planner,
-            &output.stats,
-        );
-    }
-
-    let plan_cache_hit = output.plan_reused;
-    // Provenance: a cache hit executed the order its entry recorded; a
-    // fresh run executed whatever the engine's resolved planner produced.
-    let planner_kind = match &cached {
-        Some(c) if plan_cache_hit => c.planner,
-        _ => output.planner,
-    };
     let latency = job.submitted.elapsed();
 
     // Stage accounting for every served query. The engine's `join_time`
     // historically includes plan resolution; the breakdown separates the
     // two so the five stages partition the latency:
     //   queue   — admission → pickup (incl. earlier batch items),
-    //   plan    — serving-side canon+lookup + engine plan construction,
+    //   plan    — the engine's plan construction,
     //   filter  — candidate-set construction,
     //   join    — Algorithm 3's iterations (planning excluded),
     //   respond — post-engine bookkeeping through response hand-off.
     let breakdown = StageBreakdown {
         queue: waited,
-        plan: sched_plan + output.stats.plan_time,
+        plan: output.stats.plan_time,
         filter: output.stats.filter_time,
         join: output
             .stats
@@ -658,7 +612,7 @@ fn run_job(
     };
     core.stats.record_stage_breakdown(&breakdown);
     core.stats.record_completed(scope, latency, &output.stats);
-    core.stats.record_planned(planner_kind, estimation_error);
+    core.stats.record_planned(output.planner, estimation_error);
 
     // Offer the trace to the flight recorder (a relaxed load for the fast
     // majority). Span trees exist only under TraceConfig::On; the coarse
@@ -672,8 +626,7 @@ fn run_job(
         query_id,
         graph: entry.name().to_string(),
         epoch: scope,
-        planner: planner_name(planner_kind).to_string(),
-        plan_cache_hit,
+        planner: planner_name(output.planner).to_string(),
         outcome: TraceOutcome::Completed {
             matches: output.matches.len() as u64,
             timed_out: output.stats.timed_out,
@@ -699,10 +652,7 @@ fn run_job(
     let outcome = QueryOutcome {
         output,
         epoch: scope,
-        plan_cache_hit,
-        planner_kind,
         estimation_error,
-        estimates: cached.map(|c| c.estimates),
         batch_size,
         queue_wait: waited,
         latency,

@@ -5,9 +5,9 @@
 //! scheduler's `record_*` calls add to those handles — relaxed atomics, no
 //! lock except the per-epoch map — and a scrape renders the same handles,
 //! after [`ServiceStats`] has copied in the few values other components
-//! own (queue depth and lanes, plan-cache size and traffic, flight-recorder
-//! occupancy, uptime). Device work is recorded per completed query, from
-//! the query's own device ledger.
+//! own (queue depth and lanes, flight-recorder occupancy, uptime). Device
+//! work is recorded per completed query, from the query's own device
+//! ledger.
 //!
 //! End-to-end latency and batch fill are log-linear histograms
 //! ([`gsi_obs::Histogram`]): every served query is counted, and p50 / p99
@@ -16,7 +16,7 @@
 //! Per-epoch attribution is a keyed map, not a metric, and stays beside
 //! the registry.
 
-use crate::{PlanCache, QueryScheduler};
+use crate::QueryScheduler;
 use gsi_core::{PlannerKind, RunStats};
 use gsi_gpu_sim::StatsSnapshot;
 use gsi_obs::{
@@ -62,12 +62,6 @@ pub struct ServiceStats {
     pub(crate) filter_demands_reused: Counter,
     planned_greedy: Counter,
     planned_cost_based: Counter,
-    pub(crate) plans_migrated: Counter,
-    pub(crate) plans_recost_kept: Counter,
-    pub(crate) plans_recost_dropped: Counter,
-    plan_cache_hits: Counter,
-    plan_cache_misses: Counter,
-    plan_cache_evictions: Counter,
     updates_incremental: Counter,
     updates_rebuilt: Counter,
     /// Summed per-stage wall time of served queries, microseconds, in
@@ -82,8 +76,6 @@ pub struct ServiceStats {
     lanes: Gauge,
     lane_depth_max: Gauge,
     in_flight: Gauge,
-    plan_cache_size: Gauge,
-    plan_cache_hit_rate: Gauge,
     mean_q_error: Gauge,
     last_update_drift: Gauge,
     flight_recorder_len: Gauge,
@@ -185,25 +177,6 @@ impl ServiceStats {
                 "gsi_planned_cost_based_total",
                 "Served queries whose join order came from the cost-based optimizer.",
             ),
-            plans_migrated: r.counter(
-                "gsi_plans_migrated_total",
-                "Cached plans migrated across low-drift epoch publications.",
-            ),
-            plans_recost_kept: r.counter(
-                "gsi_plans_recost_kept_total",
-                "Cached plans that survived re-costing after statistics drift.",
-            ),
-            plans_recost_dropped: r.counter(
-                "gsi_plans_recost_dropped_total",
-                "Cached plans dropped by re-costing after statistics drift.",
-            ),
-            plan_cache_hits: r.counter("gsi_plan_cache_hits_total", "Plan-cache lookup hits."),
-            plan_cache_misses: r
-                .counter("gsi_plan_cache_misses_total", "Plan-cache lookup misses."),
-            plan_cache_evictions: r.counter(
-                "gsi_plan_cache_evictions_total",
-                "Plans evicted by the cache's LRU capacity bound.",
-            ),
             updates_incremental: r.counter(
                 "gsi_updates_incremental_total",
                 "Graph updates applied by incremental PCSR splice.",
@@ -244,11 +217,6 @@ impl ServiceStats {
             in_flight: r.gauge(
                 "gsi_scheduler_in_flight",
                 "Queries dispatched whose response has not been handed over or written yet.",
-            ),
-            plan_cache_size: r.gauge("gsi_plan_cache_size", "Plans currently cached."),
-            plan_cache_hit_rate: r.gauge(
-                "gsi_plan_cache_hit_rate",
-                "Plan-cache hit rate over all lookups (0 when none).",
             ),
             mean_q_error: r.gauge(
                 "gsi_mean_q_error",
@@ -310,15 +278,16 @@ impl ServiceStats {
 
     /// A graph update was applied: `incremental` is whether storage took
     /// the PCSR splice path (vs a wholesale rebuild), `drift` the
-    /// statistics drift the epoch publication reported.
-    pub fn record_update(&self, incremental: bool, drift: Option<f64>) {
+    /// statistics drift the epoch publication reported. The drift is an
+    /// observability reading only; nothing acts on it.
+    pub fn record_update(&self, incremental: bool, drift: f64) {
         if incremental {
             self.updates_incremental.inc();
         } else {
             self.updates_rebuilt.inc();
         }
-        if let Some(d) = drift.filter(|d| d.is_finite()) {
-            self.last_update_drift.set(d);
+        if drift.is_finite() {
+            self.last_update_drift.set(drift);
         }
     }
 
@@ -370,15 +339,8 @@ impl ServiceStats {
     }
 
     /// Copy the values other components own into their handles, and
-    /// derive the rate and mean gauges; done before every read of the
-    /// ledger. Counters only ever rise, so racing reads cannot make one
-    /// look reset.
-    pub(crate) fn sample(
-        &self,
-        scheduler: &QueryScheduler,
-        plan_cache: &PlanCache,
-        flight: &FlightRecorder,
-    ) {
+    /// derive the mean gauge; done before every read of the ledger.
+    pub(crate) fn sample(&self, scheduler: &QueryScheduler, flight: &FlightRecorder) {
         self.queue_depth.set(scheduler.queue_depth() as f64);
         self.queue_depth_highwater
             .set(scheduler.queue_depth_highwater() as f64);
@@ -389,12 +351,6 @@ impl ServiceStats {
         self.lane_depth_max.set(deepest as f64);
         let in_flight: usize = lanes.iter().map(|l| l.in_flight).sum();
         self.in_flight.set(in_flight as f64);
-        self.plan_cache_size.set(plan_cache.len() as f64);
-        self.plan_cache_hits.raise_to(plan_cache.hits());
-        self.plan_cache_misses.raise_to(plan_cache.misses());
-        self.plan_cache_evictions.raise_to(plan_cache.evictions());
-        let (hits, misses) = (self.plan_cache_hits.get(), self.plan_cache_misses.get());
-        self.plan_cache_hit_rate.set(rate(hits, hits + misses));
         let mean_q = mean(
             self.estimation_error_sum.get(),
             self.estimation_samples.get(),
@@ -423,9 +379,6 @@ impl ServiceStats {
             filter_demands_reused: self.filter_demands_reused.get(),
             planned_greedy: self.planned_greedy.get(),
             planned_cost_based: self.planned_cost_based.get(),
-            plans_migrated: self.plans_migrated.get(),
-            plans_recost_kept: self.plans_recost_kept.get(),
-            plans_recost_dropped: self.plans_recost_dropped.get(),
             estimation_error_sum: self.estimation_error_sum.get(),
             estimation_samples: self.estimation_samples.get(),
             updates_incremental: self.updates_incremental.get(),
@@ -433,8 +386,8 @@ impl ServiceStats {
             last_update_drift: (!drift.is_nan()).then_some(drift),
             batch_fill: self.batch_fill.snapshot(),
             stage_us: self.stage_us.each_ref().map(Counter::get),
-            plan_cache_hits: self.plan_cache_hits.get(),
-            plan_cache_misses: self.plan_cache_misses.get(),
+            plan_cache_hits: 0,
+            plan_cache_misses: 0,
             device: StatsSnapshot::from_metric_values(self.device.each_ref().map(Counter::get)),
             latency_us: self.latency_us.snapshot(),
             per_epoch: self.per_epoch.lock().clone(),
@@ -493,20 +446,11 @@ pub struct ServiceStatsSnapshot {
     /// skipped a pass; singleton runs are not counted).
     pub filter_demands_reused: u64,
     /// Served queries whose executed join order came from the greedy
-    /// planner (Algorithm 2) — fresh runs and cache hits alike.
+    /// planner (Algorithm 2).
     pub planned_greedy: u64,
     /// Served queries whose executed join order came from the cost-based
     /// optimizer.
     pub planned_cost_based: u64,
-    /// Cached plans migrated across an epoch publication whose statistics
-    /// drift stayed under the replan threshold.
-    pub plans_migrated: u64,
-    /// Cached plans that survived re-costing at a past-threshold epoch
-    /// publication (cheapest order unchanged under the new statistics).
-    pub plans_recost_kept: u64,
-    /// Cached plans dropped by re-costing (the new statistics prefer a
-    /// different order; the pattern re-plans on next occurrence).
-    pub plans_recost_dropped: u64,
     /// Summed per-query mean q-errors of cardinality estimates (see
     /// [`ServiceStatsSnapshot::mean_estimation_error`]).
     pub estimation_error_sum: f64,
@@ -516,7 +460,8 @@ pub struct ServiceStatsSnapshot {
     pub updates_incremental: u64,
     /// Graph updates that rebuilt storage wholesale.
     pub updates_rebuilt: u64,
-    /// Statistics drift of the most recent epoch publication.
+    /// Statistics drift of the most recent epoch publication (an
+    /// observability reading; nothing acts on it).
     pub last_update_drift: Option<f64>,
     /// Batch-pickup fill distribution (every fill up to 32 is a bucket of
     /// its own).
@@ -524,9 +469,11 @@ pub struct ServiceStatsSnapshot {
     /// Summed per-stage wall time of served queries, microseconds, in
     /// queue/plan/filter/join/respond order.
     pub stage_us: [u64; 5],
-    /// Plan-cache hits.
+    /// Always 0: the service has no plan cache, and every query plans
+    /// from its own candidate sets. Kept so that readers of the old
+    /// plan-cache hit rate still compile.
     pub plan_cache_hits: u64,
-    /// Plan-cache misses.
+    /// Always 0, like `plan_cache_hits`.
     pub plan_cache_misses: u64,
     /// Device work of completed queries: the sum of their own device
     /// ledgers (graph preparation excluded). Exact under concurrency —
@@ -574,14 +521,6 @@ impl ServiceStatsSnapshot {
         self.latency_percentile(0.999)
     }
 
-    /// Plan-cache hit rate over all lookups, 0 when none.
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        rate(
-            self.plan_cache_hits,
-            self.plan_cache_hits + self.plan_cache_misses,
-        )
-    }
-
     /// Mean q-error of served queries' per-plan cardinality estimates
     /// (1.0 = perfect estimation); `None` before any join executed.
     pub fn mean_estimation_error(&self) -> Option<f64> {
@@ -625,13 +564,6 @@ impl std::fmt::Display for ServiceStatsSnapshot {
         }
         writeln!(
             f,
-            "plan cache: {:.0}% hit rate ({} hits / {} misses)",
-            self.plan_cache_hit_rate() * 100.0,
-            self.plan_cache_hits,
-            self.plan_cache_misses
-        )?;
-        writeln!(
-            f,
             "batching: {} batched queries; filter reuse {:.0}% ({} shared / {} computed)",
             self.batched_queries,
             self.filter_reuse_rate() * 100.0,
@@ -646,13 +578,6 @@ impl std::fmt::Display for ServiceStatsSnapshot {
         match self.mean_estimation_error() {
             Some(err) => writeln!(f, "; mean q-error {err:.2}")?,
             None => writeln!(f)?,
-        }
-        if self.plans_migrated + self.plans_recost_kept + self.plans_recost_dropped > 0 {
-            writeln!(
-                f,
-                "epoch plan carry-over: {} migrated, {} re-cost kept, {} re-cost dropped",
-                self.plans_migrated, self.plans_recost_kept, self.plans_recost_dropped
-            )?;
         }
         if !self.per_epoch.is_empty() {
             let cells: Vec<String> = self
@@ -826,10 +751,8 @@ mod tests {
         let s = ServiceStats::new();
         s.submitted.inc();
         s.record_completed(0, Duration::from_micros(42), &RunStats::default());
-        let mut snap = s.snapshot();
-        snap.plan_cache_hits = 1;
-        let text = format!("{snap}");
-        for needle in ["throughput", "p50", "p99", "plan cache", "matches"] {
+        let text = format!("{}", s.snapshot());
+        for needle in ["throughput", "p50", "p99", "planner", "matches"] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
     }

@@ -1,15 +1,14 @@
 //! Integration tests for the serving subsystem: concurrent execution is
-//! byte-identical to serial execution, and the plan cache amortizes
-//! planning across repeated and relabeled patterns.
+//! byte-identical to serial execution, queries pin their epoch across
+//! updates, and every served query runs the join order the engine plans
+//! fresh from its own candidate sets.
 
 use gsi_core::{GsiConfig, GsiEngine};
 use gsi_datasets::{build, DatasetKind, DatasetSpec};
 use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::query_gen::random_walk_query;
 use gsi_graph::{Graph, GraphBuilder};
-use gsi_service::{
-    canonicalize, GsiService, QueryRequest, ServiceConfig, SubmitError, UpdateBatch,
-};
+use gsi_service::{GsiService, QueryRequest, ServiceConfig, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -164,105 +163,6 @@ fn concurrent_execution_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Repeat queries hit the plan cache; the hit rate over a repeated
-/// workload is strictly positive and the cached plans change no results.
-#[test]
-fn repeated_workload_hits_plan_cache() {
-    let graphs = catalog_graphs();
-    let queries = workload(&graphs, 5);
-
-    let service = GsiService::new(test_service(2));
-    for (name, g) in &graphs {
-        service.register(name, g.clone());
-    }
-    let mut counts_by_round = Vec::new();
-    for _round in 0..3 {
-        let tickets: Vec<_> = queries
-            .iter()
-            .map(|(name, q)| service.submit(QueryRequest::new(*name, q.clone())).unwrap())
-            .collect();
-        counts_by_round.push(
-            tickets
-                .into_iter()
-                .map(|t| t.wait().match_count())
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(counts_by_round[0], counts_by_round[1]);
-    assert_eq!(counts_by_round[0], counts_by_round[2]);
-
-    let snap = service.stats();
-    assert!(
-        snap.plan_cache_hit_rate() > 0.0,
-        "repeat workload must hit the cache (rate {})",
-        snap.plan_cache_hit_rate()
-    );
-    // Rounds 2 and 3 replay round 1's patterns exactly: at least 2/3 of
-    // lookups hit (distinct patterns miss once each).
-    assert!(
-        snap.plan_cache_hits >= 2 * snap.plan_cache_misses,
-        "hits {} vs misses {}",
-        snap.plan_cache_hits,
-        snap.plan_cache_misses
-    );
-}
-
-/// Isomorphic-but-relabeled queries hash to the same plan key and share a
-/// cache entry.
-#[test]
-fn relabeled_queries_share_plan_entries() {
-    // A labeled path pattern and a vertex-permuted copy.
-    let mut b = GraphBuilder::new();
-    let u0 = b.add_vertex(0);
-    let u1 = b.add_vertex(1);
-    let u2 = b.add_vertex(2);
-    b.add_edge(u0, u1, 0);
-    b.add_edge(u1, u2, 1);
-    let q = b.build();
-
-    let mut b = GraphBuilder::new();
-    let w2 = b.add_vertex(2); // ids reversed
-    let w1 = b.add_vertex(1);
-    let w0 = b.add_vertex(0);
-    b.add_edge(w0, w1, 0);
-    b.add_edge(w1, w2, 1);
-    let q_relabeled = b.build();
-
-    assert_eq!(
-        canonicalize(&q).key,
-        canonicalize(&q_relabeled).key,
-        "relabelings share the canonical key"
-    );
-
-    let service = GsiService::new(test_service(1));
-    let (name, data) = &catalog_graphs()[0];
-    service.register(name, data.clone());
-
-    let first = service
-        .query_blocking(QueryRequest::new(*name, q.clone()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(!first.plan_cache_hit);
-    let second = service
-        .query_blocking(QueryRequest::new(*name, q_relabeled.clone()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(
-        second.plan_cache_hit,
-        "the relabeled pattern must reuse the cached plan"
-    );
-    assert_eq!(service.plan_cache().len(), 1, "one shared entry");
-
-    // Same pattern, same data ⇒ same number of embeddings.
-    assert_eq!(
-        first.output.matches.len(),
-        second.output.matches.len(),
-        "relabeling cannot change the embedding count"
-    );
-}
-
 /// Epoch isolation: a query admitted *before* `GraphCatalog::update`
 /// publishes completes against the old epoch's data even though it executes
 /// *after* the publish, while a query admitted after sees the new epoch.
@@ -356,74 +256,23 @@ fn edge_query_ab() -> Graph {
     qb.build()
 }
 
-/// After a past-threshold update, cached plans are *re-costed* under the
-/// new epoch's statistics: a plan whose cheapest order is unchanged is
-/// carried over (and keeps serving hits), never blindly replayed — the
-/// re-cost decision is observable in the service stats, and results stay
-/// correct against the new data.
-#[test]
-fn high_drift_updates_recost_old_epoch_plans() {
-    let service = GsiService::new(test_service(1));
-    let mut b = GraphBuilder::new();
-    let v0 = b.add_vertex(0);
-    let v1 = b.add_vertex(1);
-    let v2 = b.add_vertex(1);
-    b.add_edge(v0, v1, 0);
-    b.add_edge(v0, v2, 0);
-    service.register("g", b.build());
-
-    let first = service
-        .query_blocking(QueryRequest::new("g", edge_query_ab()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(!first.plan_cache_hit);
-    assert_eq!(service.plan_cache().len(), 1);
-
-    // Removing 1 of 2 edges moves the statistics catalog far past the
-    // 0.25 drift threshold: the blanket migration path must NOT run.
-    let mut batch = UpdateBatch::new();
-    batch.remove_edge(0, 2, 0);
-    service.update_graph("g", &batch).expect("applies");
-    let snap = service.stats();
-    assert_eq!(snap.plans_migrated, 0, "drift too large to migrate blindly");
-    assert_eq!(
-        snap.plans_recost_kept + snap.plans_recost_dropped,
-        1,
-        "the cached plan was re-costed"
-    );
-
-    // Either way the next query answers correctly against the new data; a
-    // re-cost survivor serves it as a hit, a dropped plan re-plans.
-    let second = service
-        .query_blocking(QueryRequest::new("g", edge_query_ab()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert_eq!(second.output.matches.len(), 1, "new epoch's data");
-    assert_eq!(
-        second.plan_cache_hit,
-        snap.plans_recost_kept == 1,
-        "hit iff the re-cost kept the order"
-    );
-    let third = service
-        .query_blocking(QueryRequest::new("g", edge_query_ab()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(
-        third.plan_cache_hit,
-        "the pattern is cached again either way"
-    );
+/// A B–b–C edge query (labels 1 and 2 over edge label 1).
+fn edge_query_bc() -> Graph {
+    let mut qb = GraphBuilder::new();
+    let u0 = qb.add_vertex(1);
+    let u1 = qb.add_vertex(2);
+    qb.add_edge(u0, u1, 1);
+    qb.build()
 }
 
-/// A small update (statistics drift under the threshold) migrates cached
-/// plans to the new epoch: recurring patterns keep hitting the plan cache
-/// across a stream of minor mutations instead of re-planning after each.
+/// Every served query runs the join order the engine plans fresh from the
+/// candidate sets of the epoch it pinned — after a low-drift update that
+/// flips the cheapest seed, and after a high-drift one. A join order from
+/// an earlier epoch is never replayed.
 #[test]
-fn low_drift_updates_migrate_cached_plans() {
+fn served_queries_run_the_fresh_plan_of_their_pinned_epoch() {
     let service = GsiService::new(test_service(1));
-    // A larger graph so one extra edge is a tiny relative drift.
+    // A star of 24 A–B–C paths: v0(A) –a– b_i(B) –b– c_i(C).
     let mut b = GraphBuilder::new();
     let v0 = b.add_vertex(0);
     let bs: Vec<u32> = (0..24).map(|_| b.add_vertex(1)).collect();
@@ -433,38 +282,54 @@ fn low_drift_updates_migrate_cached_plans() {
         b.add_edge(vb, cs[i], 1);
     }
     service.register("g", b.build());
+    let q = edge_query_bc();
 
-    let first = service
-        .query_blocking(QueryRequest::new("g", edge_query_ab()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(!first.plan_cache_hit);
-    assert_eq!(service.plan_cache().len(), 1);
+    // Serve `q`, and check it against a fresh engine run on the catalog
+    // entry it pinned; returns the served join order.
+    let serve_and_check = || {
+        let outcome = service
+            .query_blocking(QueryRequest::new("g", q.clone()))
+            .unwrap()
+            .result
+            .unwrap();
+        let entry = service.catalog().get("g").unwrap();
+        assert_eq!(outcome.epoch, entry.epoch());
+        let fresh = service
+            .engine()
+            .query(entry.graph(), entry.prepared(), &q)
+            .expect("plans");
+        assert_eq!(outcome.output.plan, fresh.plan, "epoch {}", entry.epoch());
+        assert_eq!(
+            outcome.output.matches.canonical(),
+            fresh.matches.canonical()
+        );
+        outcome.output.plan
+    };
+    let first = serve_and_check();
 
+    // Low drift: one new B vertex wired to c_0. B now has 25 candidates
+    // and C 24, so the cheapest order seeds from the other end.
     let mut batch = UpdateBatch::new();
-    batch.insert_edge(bs[0], cs[1], 1);
-    let up = service.update_graph("g", &batch).expect("applies");
-    assert_ne!(up.entry.epoch(), up.displaced.epoch(), "epoch bumped");
+    batch.add_vertex(1).insert_edge(49, cs[0], 1);
+    service.update_graph("g", &batch).expect("applies");
+    let drift = service.stats().last_update_drift.expect("recorded");
+    assert!(drift < 0.25, "low drift: {drift}");
+    let second = serve_and_check();
+    assert_ne!(second, first, "the update flipped the cheapest order");
 
-    let snap = service.stats();
-    assert_eq!(snap.plans_migrated, 1, "plan carried to the new epoch");
-    assert_eq!(snap.plans_recost_kept + snap.plans_recost_dropped, 0);
-    assert_eq!(service.plan_cache().len(), 1);
-
-    let second = service
-        .query_blocking(QueryRequest::new("g", edge_query_ab()))
-        .unwrap()
-        .result
-        .unwrap();
-    assert!(second.plan_cache_hit, "migrated plan serves the new epoch");
-    assert_eq!(second.epoch, up.entry.epoch());
-    assert_eq!(second.output.matches.len(), 24);
+    // High drift: 20 of the 24 B–C edges removed.
+    let mut batch = UpdateBatch::new();
+    for i in 0..20 {
+        batch.remove_edge(bs[i], cs[i], 1);
+    }
+    service.update_graph("g", &batch).expect("applies");
+    let drift = service.stats().last_update_drift.expect("recorded");
+    assert!(drift > 0.25, "high drift: {drift}");
+    serve_and_check();
 }
 
 /// Serving outcomes carry planner provenance and estimation quality: the
-/// default service plans cost-based, hits report the cached provenance,
-/// and the stats ledger aggregates both.
+/// default service plans cost-based, and the stats ledger aggregates both.
 #[test]
 fn outcomes_report_planner_kind_and_estimation_error() {
     use gsi_core::PlannerKind;
@@ -482,7 +347,7 @@ fn outcomes_report_planner_kind_and_estimation_error() {
         .unwrap()
         .result
         .unwrap();
-    assert_eq!(first.planner_kind, PlannerKind::CostBased);
+    assert_eq!(first.output.planner, PlannerKind::CostBased);
     let err = first.estimation_error.expect("join positions executed");
     assert!(err >= 1.0, "q-error is at least 1: {err}");
 
@@ -491,12 +356,7 @@ fn outcomes_report_planner_kind_and_estimation_error() {
         .unwrap()
         .result
         .unwrap();
-    assert!(second.plan_cache_hit);
-    assert_eq!(
-        second.planner_kind,
-        PlannerKind::CostBased,
-        "hits report the cached plan's provenance"
-    );
+    assert_eq!(second.output.planner, PlannerKind::CostBased);
 
     let snap = service.stats();
     assert_eq!(snap.planned_cost_based, 2);
@@ -588,25 +448,4 @@ fn batched_execution_is_bit_identical_to_solo_runs() {
         "repeated patterns share filter passes (reuse rate {:.2})",
         snap.filter_reuse_rate()
     );
-}
-
-/// The same pattern on two different catalog graphs gets two cache entries
-/// (plans are data-dependent), and both serve correctly.
-#[test]
-fn plan_cache_scoped_per_graph() {
-    let graphs = catalog_graphs();
-    let service = GsiService::new(test_service(2));
-    for (name, g) in &graphs {
-        service.register(name, g.clone());
-    }
-    let q = workload(&graphs, 1)[0].1.clone();
-    for (name, _) in &graphs {
-        match service.query_blocking(QueryRequest::new(*name, q.clone())) {
-            Ok(resp) => assert!(resp.result.is_ok()),
-            Err(SubmitError::UnknownGraph(_)) => panic!("registered above"),
-            Err(e) => panic!("unexpected: {e}"),
-        }
-    }
-    assert_eq!(service.plan_cache().len(), 2, "one entry per graph scope");
-    assert_eq!(service.stats().plan_cache_hits, 0);
 }

@@ -17,7 +17,6 @@
 
 pub mod encode;
 pub mod filter;
-pub mod selectivity;
 pub mod shared;
 pub mod table;
 
@@ -26,6 +25,5 @@ pub use filter::{
     filter_label_degree, filter_label_degree_cached, filter_label_only, filter_label_only_cached,
     filter_signature, filter_signature_cached, min_candidate_size, CandidateSet,
 };
-pub use selectivity::{estimate_candidates, pass_fraction, GroupDensity};
 pub use shared::{FilterCache, FilterDemand};
 pub use table::{Layout, SignatureTable};

@@ -187,11 +187,11 @@ pub struct QueryOptions<'a> {
     /// ignored and a fresh plan is computed.
     pub plan: Option<&'a JoinPlan>,
     /// Shared filter cache for this run: distinct label demands already
-    /// computed under it are reused instead of re-scanned, so a batch of
-    /// queries against one prepared graph pays each demand once
-    /// ([`GsiEngine::query_batch`] supplies this). Candidate lists are
-    /// shared by `Arc` and bit-identical to an uncached run's; only the
-    /// device work (and wall time) of the filtering phase changes.
+    /// computed under it are reused instead of re-scanned, so queries
+    /// against one prepared graph that share a cache pay each demand once.
+    /// Candidate lists are shared by `Arc` and bit-identical to an
+    /// uncached run's; only the device work (and wall time) of the
+    /// filtering phase changes.
     pub filter_cache: Option<&'a FilterCache>,
     /// Join-order planner override for this run; `None` uses
     /// [`GsiConfig::planner`]. Ignored when a valid plan is supplied
@@ -434,12 +434,12 @@ impl GsiEngine {
     /// an optional reusable [`JoinPlan`], and the other per-run overrides
     /// of [`QueryOptions`].
     ///
-    /// The run is split into the cacheable and per-run halves of the joining
-    /// phase: Algorithm 2 (join-order construction) only executes when no
-    /// valid plan is supplied, while filtering and Algorithm 3 (the joins
-    /// themselves) always execute. Fails with a typed [`PlanError`] on
-    /// queries Algorithm 2 cannot order (empty or disconnected patterns) —
-    /// no panic, so serving workers reject them gracefully.
+    /// Filtering and Algorithm 3 (the joins themselves) always execute;
+    /// Algorithm 2 (join-order construction) executes unless a valid plan
+    /// is supplied through [`QueryOptions::plan`]. Fails with a typed
+    /// [`PlanError`] on queries Algorithm 2 cannot order (empty or
+    /// disconnected patterns) — no panic, so serving workers reject them
+    /// gracefully.
     ///
     /// The run charges a device ledger of its own ([`Gpu::scoped`]), so
     /// `stats.device` is exactly this query's work however many queries
@@ -607,96 +607,6 @@ impl GsiEngine {
             planner,
             explain,
         })
-    }
-
-    /// Answer a *batch* of queries against one prepared graph, sharing the
-    /// filtering phase across them.
-    ///
-    /// The filtering phase is a pure function of each query vertex's label
-    /// demand (its encoded signature, or its label/degree bound), so within
-    /// a batch each **distinct** demand pays exactly one pass over the
-    /// prepared structures; every repeat — across queries or within one —
-    /// reuses the cached candidate list by `Arc`. The join phase then runs
-    /// per query through the configured [`JoinPool`] width, honoring each
-    /// item's own [`QueryOptions`] (timeout, supplied plan, planner override).
-    ///
-    /// Results are **bit-identical** to running each item alone through
-    /// [`GsiEngine::query_with_options`]: candidate lists are deterministic
-    /// per demand, so plans, match tables, and per-query join work are
-    /// unchanged — only filtering's device work and wall time shrink. One
-    /// item's [`PlanError`] fails that item alone, not the batch.
-    pub fn query_batch(
-        &self,
-        data: &Graph,
-        prepared: &PreparedData,
-        items: &[BatchItem<'_>],
-    ) -> BatchOutput {
-        let cache = FilterCache::new();
-        let results = items
-            .iter()
-            .map(|item| {
-                self.query_with_options(
-                    data,
-                    prepared,
-                    item.query,
-                    QueryOptions {
-                        filter_cache: Some(&cache),
-                        ..item.opts
-                    },
-                )
-            })
-            .collect();
-        BatchOutput {
-            results,
-            filter_demands_computed: cache.demands_computed(),
-            filter_demands_reused: cache.demands_reused(),
-        }
-    }
-}
-
-/// One query of a [`GsiEngine::query_batch`] call.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchItem<'a> {
-    /// The pattern to match.
-    pub query: &'a Graph,
-    /// Per-run options for this item. `opts.filter_cache` is overridden by
-    /// the batch's shared cache.
-    pub opts: QueryOptions<'a>,
-}
-
-impl<'a> BatchItem<'a> {
-    /// Item with default options.
-    pub fn new(query: &'a Graph) -> Self {
-        Self {
-            query,
-            opts: QueryOptions::default(),
-        }
-    }
-}
-
-/// What one [`GsiEngine::query_batch`] call produced.
-#[derive(Debug)]
-pub struct BatchOutput {
-    /// Per-item outcome, in input order. A [`PlanError`] is per item — the
-    /// rest of the batch still ran.
-    pub results: Vec<Result<QueryOutput, PlanError>>,
-    /// Distinct label demands the batch computed (each one filter pass).
-    pub filter_demands_computed: u64,
-    /// Demand lookups served from the shared cache (each one skipped pass).
-    pub filter_demands_reused: u64,
-}
-
-impl BatchOutput {
-    /// Fraction of demand lookups served by sharing, in `[0, 1]`; `0.0`
-    /// before any lookup. `(queries alone would have paid computed+reused
-    /// passes; the batch paid computed.)`
-    pub fn filter_reuse_rate(&self) -> f64 {
-        let total = self.filter_demands_computed + self.filter_demands_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.filter_demands_reused as f64 / total as f64
-        }
     }
 }
 
@@ -1032,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_is_bit_identical_to_solo_runs_and_shares_filters() {
+    fn shared_filter_cache_is_bit_identical_to_solo_runs_and_shares_filters() {
         let (data, query) = paper_example();
         let mut qb = GraphBuilder::new();
         let u0 = qb.add_vertex(0);
@@ -1042,8 +952,8 @@ mod tests {
         let engine = test_engine(GsiConfig::gsi());
         let prepared = engine.prepare(&data);
 
-        // A mixed batch with heavy demand repetition: 3× the paper query,
-        // 2× the edge query, plus one degenerate pattern mid-batch.
+        // A mixed sequence with heavy demand repetition: 3× the paper
+        // query, 2× the edge query, plus one degenerate pattern mid-way.
         let empty = GraphBuilder::new().build();
         let patterns: Vec<&Graph> = vec![&query, &edge, &query, &empty, &edge, &query];
         let solo: Vec<Result<QueryOutput, PlanError>> = patterns
@@ -1051,11 +961,17 @@ mod tests {
             .map(|q| engine.query(&data, &prepared, q))
             .collect();
 
-        let items: Vec<BatchItem<'_>> = patterns.iter().map(|q| BatchItem::new(q)).collect();
-        let batch = engine.query_batch(&data, &prepared, &items);
+        let cache = FilterCache::new();
+        let opts = QueryOptions {
+            filter_cache: Some(&cache),
+            ..QueryOptions::default()
+        };
+        let shared: Vec<Result<QueryOutput, PlanError>> = patterns
+            .iter()
+            .map(|q| engine.query_with_options(&data, &prepared, q, opts))
+            .collect();
 
-        assert_eq!(batch.results.len(), solo.len());
-        for (i, (b, s)) in batch.results.iter().zip(&solo).enumerate() {
+        for (i, (b, s)) in shared.iter().zip(&solo).enumerate() {
             match (b, s) {
                 (Ok(b), Ok(s)) => {
                     assert_eq!(b.matches.table, s.matches.table, "item {i}: bit-identical");
@@ -1066,23 +982,27 @@ mod tests {
                     );
                 }
                 (Err(b), Err(s)) => assert_eq!(b, s, "item {i}: same typed error"),
-                _ => panic!("item {i}: batch and solo outcomes diverge"),
+                _ => panic!("item {i}: shared-cache and solo outcomes diverge"),
             }
         }
 
         // Demand sharing: the repeats contribute only reuse, not recompute.
-        assert!(batch.filter_demands_reused > 0, "repeats must share");
+        let (computed, reused) = (cache.demands_computed(), cache.demands_reused());
+        assert!(reused > 0, "repeats must share");
         let total_vertices: u64 = patterns.iter().map(|q| q.n_vertices() as u64).sum();
         assert_eq!(
-            batch.filter_demands_computed + batch.filter_demands_reused,
+            computed + reused,
             total_vertices,
             "every query vertex resolves through the shared cache"
         );
-        assert!(batch.filter_reuse_rate() > 0.5, "repetition-heavy batch");
+        assert!(
+            reused as f64 / total_vertices as f64 > 0.5,
+            "repetition-heavy sequence"
+        );
     }
 
     #[test]
-    fn query_batch_shares_filters_on_host_parallel_backend_too() {
+    fn shared_filter_cache_works_on_host_parallel_backend_too() {
         let (data, query) = paper_example();
         let cfg = GsiConfig::gsi_opt().with_join_threads(4);
         let engine = test_engine(cfg);
@@ -1093,13 +1013,18 @@ mod tests {
             .query(&data, &serial_prepared, &query)
             .expect("plans");
 
-        let items = [BatchItem::new(&query), BatchItem::new(&query)];
-        let batch = engine.query_batch(&data, &prepared, &items);
-        for r in &batch.results {
-            let out = r.as_ref().expect("plans");
+        let cache = FilterCache::new();
+        for _ in 0..2 {
+            let opts = QueryOptions {
+                filter_cache: Some(&cache),
+                ..QueryOptions::default()
+            };
+            let out = engine
+                .query_with_options(&data, &prepared, &query, opts)
+                .expect("plans");
             assert_eq!(out.matches.table, reference.matches.table);
         }
-        assert!(batch.filter_demands_reused > 0);
+        assert!(cache.demands_reused() > 0);
     }
 
     #[test]

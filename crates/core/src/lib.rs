@@ -91,9 +91,7 @@ pub use cost::{
     estimate_for_plan, plan_from_order, plan_join_costed, CostModel, ExplainPlan, ExplainStep,
     PlannerKind, MAX_EXACT_SEARCH_VERTICES,
 };
-pub use engine::{
-    BatchItem, BatchOutput, GsiEngine, PreparedData, QueryOptions, QueryOutput, UpdateReport,
-};
+pub use engine::{GsiEngine, PreparedData, QueryOptions, QueryOutput, UpdateReport};
 pub use gsi_graph::update::{GraphOp, UpdateBatch, UpdateError};
 pub use gsi_graph::GraphStats;
 pub use gsi_obs::TraceConfig;

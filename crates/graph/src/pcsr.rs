@@ -120,13 +120,15 @@ impl Pcsr {
                 continue;
             }
             overflowed += 1;
-            let mut chunks = keys.chunks(keys_per_group);
-            assignment[g] = chunks.next().expect("nonempty").to_vec();
+            // More keys than one group holds, so the split is in range.
+            let (home, overflow) = keys.split_at(keys_per_group);
+            assignment[g] = home.to_vec();
             let mut prev = g;
-            for chunk in chunks {
+            for chunk in overflow.chunks(keys_per_group) {
                 // Claim 1: an empty group is always available.
                 let target = empties
                     .pop()
+                    // gsi-lint: allow(panic-freedom, reason = "Claim 1: there is one group per vertex and every used group holds at least one vertex, so an empty group always remains for an overflow chunk; a violation is a construction bug, not an input error")
                     .expect("Claim 1 violated: no empty group for overflow");
                 assignment[target] = chunk.to_vec();
                 gid[prev] = target as u32;

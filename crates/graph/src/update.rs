@@ -244,7 +244,10 @@ pub fn random_update_batch<R: rand::Rng>(
         } else if roll < 4 && !edges.is_empty() {
             // Remove a random existing edge.
             let idx = rng.random_range(0..edges.len());
-            let &(u, v, l) = edges.iter().nth(idx).expect("in range");
+            // `idx < edges.len()`, so `nth` always finds an edge.
+            let Some(&(u, v, l)) = edges.iter().nth(idx) else {
+                continue;
+            };
             batch.remove_edge(u, v, l);
             edges.remove(&(u, v, l));
         } else if n >= 2 {
@@ -404,8 +407,8 @@ impl Graph {
                             del.next();
                             continue;
                         }
-                        while ins.peek().is_some_and(|&&(il, inb)| (il, inb) < (l, nbr)) {
-                            let &(il, inb) = ins.next().expect("peeked");
+                        while let Some(&(il, inb)) = ins.next_if(|&&(il, inb)| (il, inb) < (l, nbr))
+                        {
                             adj.push((inb, il));
                         }
                         adj.push((nbr, l));

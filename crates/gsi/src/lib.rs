@@ -82,10 +82,9 @@ pub use gsi_signature as signature;
 pub mod prelude {
     pub use gsi_api::{ApiError, Completion, PartialReason};
     pub use gsi_core::{
-        BatchItem, BatchOutput, ExplainPlan, FilterCache, FilterStrategy, GraphOp, GraphStats,
-        GsiConfig, GsiEngine, JoinPlan, JoinScheme, LbParams, Matches, PlanError, PlannerKind,
-        QueryOptions, QueryOutput, RunStats, SetOpKernels, SetOpStrategy, TraceConfig, UpdateBatch,
-        UpdateError, UpdateReport,
+        ExplainPlan, FilterCache, FilterStrategy, GraphOp, GraphStats, GsiConfig, GsiEngine,
+        JoinPlan, JoinScheme, LbParams, Matches, PlanError, PlannerKind, QueryOptions, QueryOutput,
+        RunStats, SetOpKernels, SetOpStrategy, TraceConfig, UpdateBatch, UpdateError, UpdateReport,
     };
     pub use gsi_datasets::{DatasetKind, DatasetSpec};
     pub use gsi_gpu_sim::{DeviceConfig, Gpu};

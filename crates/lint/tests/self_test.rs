@@ -203,7 +203,7 @@ fn metric_grammar_accepts_format_placeholders_as_segments() {
 fn metric_grammar_sees_every_live_declaration_site() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for (path, at_least) in [
-        ("crates/service/src/stats.rs", 29),
+        ("crates/service/src/stats.rs", 25),
         ("crates/server/src/server.rs", 3),
     ] {
         let text = std::fs::read_to_string(root.join(path)).expect("source readable");

@@ -580,10 +580,10 @@ gsi_query_latency_us_count 4
         r.counter("gsi_queries_completed_total", "Queries served.")
             .add(42);
         r.gauge("gsi_hit_rate", "Cache hit rate.").set(0.5);
-        let fill = r.histogram("gsi_batch_fill", "Batch sizes.");
-        fill.observe(1);
-        fill.observe(2);
-        let expected = r#"{"metrics":[{"name":"gsi_queries_completed_total","type":"counter","help":"Queries served.","value":42},{"name":"gsi_hit_rate","type":"gauge","help":"Cache hit rate.","value":0.5},{"name":"gsi_batch_fill","type":"histogram","help":"Batch sizes.","buckets":[{"le":1,"count":1},{"le":2,"count":1}],"sum":3,"count":2}]}"#;
+        let rows = r.histogram("gsi_reply_rows", "Rows per reply.");
+        rows.observe(1);
+        rows.observe(2);
+        let expected = r#"{"metrics":[{"name":"gsi_queries_completed_total","type":"counter","help":"Queries served.","value":42},{"name":"gsi_hit_rate","type":"gauge","help":"Cache hit rate.","value":0.5},{"name":"gsi_reply_rows","type":"histogram","help":"Rows per reply.","buckets":[{"le":1,"count":1},{"le":2,"count":1}],"sum":3,"count":2}]}"#;
         assert_eq!(r.to_json(), expected);
         assert_eq!(r.render(MetricFormat::Json), expected);
     }

@@ -26,10 +26,10 @@
 //!   ([`SubmitError::TenantQuota`]) rejects immediately rather than
 //!   growing an unbounded backlog. Workers pop the per-tenant lanes
 //!   ([`TenantPolicy`]) in deficit-round-robin order weighted by pattern
-//!   size. Every accepted query carries a deadline budget; queue wait is
-//!   charged against it, the remainder becomes the engine's join-loop
-//!   timeout, and a query that expires while queued is failed without
-//!   running.
+//!   size, one job per pickup. Every accepted query carries a deadline
+//!   budget; queue wait is charged against it, the remainder becomes the
+//!   engine's join-loop timeout, and a query that expires while queued is
+//!   failed without running.
 //! * **[`ServiceStats`]** (`stats`) — the metric ledger: every serving
 //!   metric (throughput, p50/p99/p99.9 end-to-end latency, timeout and
 //!   rejection counts, …) is a handle in one `gsi-obs` registry, declared
@@ -131,15 +131,6 @@ pub struct ServiceConfig {
     /// Requests without a tenant (the embedding application's own) are
     /// bounded by `queue_capacity` alone.
     pub tenants: TenantPolicy,
-    /// Most *compatible* queued queries — same graph, same epoch — one
-    /// worker pickup drains into a single batched run over a shared
-    /// filter cache (shared candidate filtering; the mechanism of
-    /// `GsiEngine::query_batch`). Batches form only from already-queued
-    /// work and only when every other worker is busy, so a lone query
-    /// never waits and parallel dispatch wins while the pool has idle
-    /// capacity; `1` (or `0`) disables batching. Results are
-    /// bit-identical either way.
-    pub batch_window: usize,
     /// Deadline applied to queries that don't set their own.
     pub default_deadline: Option<Duration>,
     /// Per-query tracing. `Off` (the default) records no span trees and
@@ -164,7 +155,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 256,
             tenants: TenantPolicy::default(),
-            batch_window: 8,
             default_deadline: None,
             trace: TraceConfig::Off,
             flight_recorder_capacity: 64,
@@ -187,7 +177,6 @@ impl ServiceConfig {
                 inflight_quota: 4,
                 quantum: 8,
             },
-            batch_window: 4,
             default_deadline: None,
             trace: TraceConfig::Off,
             flight_recorder_capacity: 16,
@@ -201,8 +190,6 @@ pub(crate) struct ServiceCore {
     pub(crate) catalog: GraphCatalog,
     pub(crate) stats: ServiceStats,
     pub(crate) default_deadline: Option<Duration>,
-    /// Workers currently executing a query (the batch window reads it).
-    pub(crate) busy_workers: std::sync::atomic::AtomicUsize,
     /// Per-query tracing mode (see [`ServiceConfig::trace`]).
     pub(crate) trace: TraceConfig,
     /// Retained traces of the slowest / failed / panicked queries.
@@ -236,7 +223,6 @@ impl GsiService {
             catalog: GraphCatalog::new(),
             stats: ServiceStats::new(),
             default_deadline: config.default_deadline,
-            busy_workers: std::sync::atomic::AtomicUsize::new(0),
             trace: config.trace,
             flight: FlightRecorder::new(config.flight_recorder_capacity),
             query_seq: AtomicU64::new(0),
@@ -245,7 +231,6 @@ impl GsiService {
             Arc::clone(&core),
             config.workers,
             config.queue_capacity,
-            config.batch_window,
             config.tenants,
         );
         Self { core, scheduler }

@@ -12,27 +12,12 @@
 //! budget is exhausted before a worker picks it up is failed without
 //! running.
 //!
-//! Workers execute the full serving pipeline per query: run the engine on
-//! the catalog entry the query pinned — filter, a join order planned from
-//! this query's own candidate sets, join — and deliver a [`QueryResponse`]
-//! into the submitter's sink — the private channel behind a
-//! [`QueryTicket`], or a receiver shared by many tagged queries
-//! ([`QueryScheduler::submit_to`]).
-//!
-//! **Batched execution.** When a worker picks up work and every *other*
-//! worker is already busy, it drains up to `batch_window` *compatible*
-//! jobs queued in the same tenant lane — jobs that pinned the same
-//! catalog entry, i.e. the same `(graph, epoch)` — into one batch served
-//! over a shared [`FilterCache`] (the same mechanism as
-//! [`gsi_core::GsiEngine::query_batch`]): each distinct label demand's
-//! candidate set is computed once and shared across the batch's joins.
-//! Results are bit-identical to running each query alone; only the shared
-//! filtering work (and wall time) shrinks. A query never waits for a
-//! batch to fill (batches form only from jobs *already* queued, so an
-//! idle service runs singletons immediately), an idle peer worker
-//! disables draining (parallel dispatch beats serializing joins behind
-//! one worker), and jobs for other graphs or epochs are left queued in
-//! order for the next worker.
+//! Every worker pickup is one job, and the worker runs the full serving
+//! pipeline for it: run the engine on the catalog entry the query pinned
+//! — filter, a join order planned from this query's own candidate sets,
+//! join — and deliver a [`QueryResponse`] into the submitter's sink — the
+//! private channel behind a [`QueryTicket`], or a receiver shared by many
+//! tagged queries ([`QueryScheduler::submit_to`]).
 //!
 //! Workers share the engine's one modeled device, and each query charges a
 //! device ledger of its own (`gsi_gpu_sim::Gpu::scoped`): queries on
@@ -48,7 +33,6 @@ use gsi_api::{ApiError, Completion, PartialReason};
 use gsi_core::{FilterCache, PlanError, PlannerKind, QueryOptions, QueryOutput};
 use gsi_graph::Graph;
 use gsi_obs::{QueryTrace, Stage, StageBreakdown, TraceOutcome, TraceSpan};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -177,11 +161,6 @@ pub struct QueryOutcome {
     /// (estimated vs. actual intermediate rows per join position; 1.0 =
     /// perfect). `None` when the run executed no join position.
     pub estimation_error: Option<f64>,
-    /// How many queries were drained into the pickup this query executed
-    /// in (`1` when it executed alone; members that expired in the queue
-    /// are included). Queries in a batch share one filtering pass per
-    /// distinct label demand; results are identical either way.
-    pub batch_size: usize,
     /// Time spent queued before a worker started the query.
     pub queue_wait: Duration,
     /// End-to-end latency (submit → response ready).
@@ -279,12 +258,6 @@ struct Job {
     tx: mpsc::Sender<Delivery>,
 }
 
-/// Jobs batch together when they pinned the same catalog entry — the same
-/// `(graph, epoch)`, by `Arc` identity.
-fn compatible(a: &Job, b: &Job) -> bool {
-    Arc::ptr_eq(&a.entry, &b.entry)
-}
-
 /// The worker pool plus its bounded, tenant-fair submission queue.
 pub struct QueryScheduler {
     core: Arc<ServiceCore>,
@@ -294,25 +267,22 @@ pub struct QueryScheduler {
 
 impl QueryScheduler {
     /// Spawn `workers` threads serving from a queue of `queue_capacity`
-    /// split into per-tenant lanes under `tenants`, draining up to
-    /// `batch_window` compatible jobs per pickup.
+    /// split into per-tenant lanes under `tenants`.
     pub(crate) fn new(
         core: Arc<ServiceCore>,
         workers: usize,
         queue_capacity: usize,
-        batch_window: usize,
         tenants: TenantPolicy,
     ) -> Self {
         let n = gsi_gpu_sim::device::resolve_threads(workers);
         let queue = Arc::new(FairQueue::new(queue_capacity, tenants));
-        let batch_window = batch_window.max(1);
         let handles = (0..n)
             .map(|i| {
                 let core = Arc::clone(&core);
                 let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("gsi-service-worker-{i}"))
-                    .spawn(move || worker_loop(&core, &queue, n, batch_window))
+                    .spawn(move || worker_loop(&core, &queue))
                     // gsi-lint: allow(panic-freedom, reason = "service construction, not the serving path; a host that cannot spawn threads cannot serve at all")
                     .expect("spawn service worker")
             })
@@ -412,142 +382,92 @@ impl Drop for QueryScheduler {
     }
 }
 
-fn worker_loop(
-    core: &ServiceCore,
-    queue: &Arc<FairQueue<Job>>,
-    n_workers: usize,
-    batch_window: usize,
-) {
-    // Batch only when every *other* worker is already busy: with an idle
-    // worker available, parallel dispatch of the queued jobs beats
-    // serializing their join phases behind this one's for the sake of
-    // shared filtering.
-    let window = || {
-        if core.busy_workers.load(Ordering::SeqCst) + 1 < n_workers {
-            1
-        } else {
-            batch_window
-        }
-    };
-    while let Some(jobs) = queue.dequeue_batch(window, compatible) {
-        core.busy_workers.fetch_add(1, Ordering::SeqCst);
-        execute_batch(core, jobs);
-        core.busy_workers.fetch_sub(1, Ordering::SeqCst);
+fn worker_loop(core: &ServiceCore, queue: &Arc<FairQueue<Job>>) {
+    while let Some((job, slot)) = queue.dequeue() {
+        execute_job(core, job, slot);
     }
 }
 
-/// Run one compatible batch of jobs end to end and deliver every response.
+/// Run one job end to end and deliver its response.
 ///
-/// Items execute sequentially over one shared [`FilterCache`] — the same
-/// mechanism as [`gsi_core::GsiEngine::query_batch`], unrolled here so
-/// each item's deadline triage and queue-wait accounting happen at *its
-/// own* execution instant: time spent running earlier batch items charges
-/// later items' deadline budgets exactly as if each had been picked up on
-/// its own, and every submitter is answered the moment their item
-/// finishes.
-///
-/// Panic isolation is **per item**: a poisoned query gets
-/// [`QueryError::Internal`], is counted, and the rest of the batch (and
-/// the worker) carries on — exactly the old single-job guarantee.
-fn execute_batch(core: &ServiceCore, jobs: Vec<(Job, LaneSlot<Job>)>) {
-    let Some((first, _)) = jobs.first() else {
-        return;
-    };
-    let entry = Arc::clone(&first.entry);
-    let scope = entry.epoch();
-    let batch_size = jobs.len();
-
-    // Pickup-size distribution (singletons included): how often batching
-    // found company at all.
-    core.stats.batch_fill.observe(batch_size as u64);
-
-    // Shared filtering for the whole batch: each distinct label demand
-    // pays one filter pass, repeats share the cached candidate list.
-    let cache = FilterCache::new();
-    let mut ran = 0u64;
-    for (job, slot) in jobs {
-        let graph = entry.name().to_string();
-        let query_id = core.next_query_id();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(core, &entry, batch_size, &cache, query_id, &job)
-        }))
-        .unwrap_or_else(|payload| {
-            // The panic is this item's alone.
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err((QueryError::Internal { message }, StageBreakdown::default()))
+/// Panic isolation: a poisoned query gets [`QueryError::Internal`], is
+/// counted, and the worker carries on serving.
+fn execute_job(core: &ServiceCore, job: Job, slot: LaneSlot<Job>) {
+    let entry = &job.entry;
+    let graph = entry.name().to_string();
+    let query_id = core.next_query_id();
+    // Measured once, at pickup: the deadline budget, the breakdown and a
+    // panicked job's failure trace all read this one queue wait.
+    let waited = job.submitted.elapsed();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_job(core, query_id, &job, waited)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        // The run's stage times are lost with the panic; its queue wait
+        // is not.
+        let breakdown = StageBreakdown {
+            queue: waited,
+            ..StageBreakdown::default()
+        };
+        Err((QueryError::Internal { message }, breakdown))
+    });
+    // Every way a query can fail is counted and handed to the flight
+    // recorder here; only a deadline that expired in the queue never
+    // reached the engine.
+    let result = result.map_err(|(error, breakdown)| {
+        let outcome = match &error {
+            QueryError::DeadlineExpired { .. } => {
+                core.stats.deadline_expired.inc();
+                TraceOutcome::DeadlineExpired
+            }
+            QueryError::Plan(_) => {
+                core.stats.plan_rejected.inc();
+                TraceOutcome::PlanRejected
+            }
+            QueryError::Internal { message } => {
+                core.stats.worker_panics.inc();
+                let message = message.clone();
+                TraceOutcome::Panicked { message }
+            }
+        };
+        core.flight.record_failure(QueryTrace {
+            query_id,
+            graph: graph.clone(),
+            epoch: entry.epoch(),
+            planner: String::new(),
+            outcome,
+            latency: job.submitted.elapsed(),
+            breakdown,
+            spans: Vec::new(),
+            explain_rows: Vec::new(),
         });
-        // Every way a query can fail is counted and handed to the flight
-        // recorder here; only a deadline that expired in the queue never
-        // reached the engine.
-        let result = result.map_err(|(error, breakdown)| {
-            let outcome = match &error {
-                QueryError::DeadlineExpired { .. } => {
-                    core.stats.deadline_expired.inc();
-                    TraceOutcome::DeadlineExpired
-                }
-                QueryError::Plan(_) => {
-                    core.stats.plan_rejected.inc();
-                    TraceOutcome::PlanRejected
-                }
-                QueryError::Internal { message } => {
-                    core.stats.worker_panics.inc();
-                    let message = message.clone();
-                    TraceOutcome::Panicked { message }
-                }
-            };
-            core.flight.record_failure(QueryTrace {
-                query_id,
-                graph: graph.clone(),
-                epoch: scope,
-                planner: String::new(),
-                outcome,
-                latency: job.submitted.elapsed(),
-                breakdown,
-                spans: Vec::new(),
-                explain_rows: Vec::new(),
-            });
-            error
-        });
-        ran += !matches!(result, Err(QueryError::DeadlineExpired { .. })) as u64;
-        // A vanished receiver drops the delivery, which frees the slot.
-        let _ = job.tx.send(Delivery {
-            tag: job.tag,
-            response: QueryResponse { graph, result },
-            _slot: slot,
-        });
-    }
-
-    // Only real batches — two or more items that actually reached the
-    // engine — count toward the sharing stats: singletons' intra-query
-    // demand repeats (or a batch whose other members expired in the
-    // queue) would otherwise inflate a rate read as "what batching buys".
-    if ran > 1 {
-        let stats = &core.stats;
-        stats.filter_demands_computed.add(cache.demands_computed());
-        stats.filter_demands_reused.add(cache.demands_reused());
-        stats.batched_queries.add(ran);
-    }
+        error
+    });
+    // A vanished receiver drops the delivery, which frees the slot.
+    let _ = job.tx.send(Delivery {
+        tag: job.tag,
+        response: QueryResponse { graph, result },
+        _slot: slot,
+    });
 }
 
-/// Serve one batch item end to end. A query that produced no result
-/// comes back with the stage times it did spend, for its failure trace.
+/// Serve one job end to end. A query that produced no result comes back
+/// with the stage times it did spend, for its failure trace.
 fn run_job(
     core: &ServiceCore,
-    entry: &Arc<CatalogEntry>,
-    batch_size: usize,
-    cache: &FilterCache,
     query_id: u64,
     job: &Job,
+    waited: Duration,
 ) -> Result<QueryOutcome, (QueryError, StageBreakdown)> {
+    let entry = &job.entry;
     let scope = entry.epoch();
-    // Deadline budget, measured when this item actually starts: queue
-    // wait *and* earlier batch items' run time are part of its latency
-    // budget; an expired job is answered without running.
-    let waited = job.submitted.elapsed();
+    // Deadline budget: the queue wait is part of the latency budget; an
+    // expired job is answered without running.
     let remaining = match job.deadline {
         Some(d) => match d.checked_sub(waited) {
             Some(rem) => Some(rem),
@@ -562,13 +482,16 @@ fn run_job(
         None => None,
     };
 
+    // A cache of the job's own: a label demand repeated within the
+    // pattern is filtered once.
+    let cache = FilterCache::new();
     let output = core.engine.query_with_options(
         entry.graph(),
         entry.prepared(),
         &job.query,
         QueryOptions {
             timeout: remaining,
-            filter_cache: Some(cache),
+            filter_cache: Some(&cache),
             trace: core.trace,
             ..QueryOptions::default()
         },
@@ -579,7 +502,7 @@ fn run_job(
         Ok(output) => output,
         Err(e) => {
             // Typed planner rejection: the worker neither panicked nor ran
-            // the join phase, and the rest of the batch is unaffected.
+            // the join phase.
             let breakdown = StageBreakdown {
                 queue: waited,
                 plan: job.submitted.elapsed().saturating_sub(waited),
@@ -595,7 +518,7 @@ fn run_job(
     // Stage accounting for every served query. The engine's `join_time`
     // historically includes plan resolution; the breakdown separates the
     // two so the five stages partition the latency:
-    //   queue   — admission → pickup (incl. earlier batch items),
+    //   queue   — admission → pickup,
     //   plan    — the engine's plan construction,
     //   filter  — candidate-set construction,
     //   join    — Algorithm 3's iterations (planning excluded),
@@ -653,7 +576,6 @@ fn run_job(
         output,
         epoch: scope,
         estimation_error,
-        batch_size,
         queue_wait: waited,
         latency,
         query_id,
@@ -717,82 +639,4 @@ fn build_spans(breakdown: &StageBreakdown, output: &QueryOutput) -> Vec<TraceSpa
         offset += duration;
     }
     spans
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{compatible, Job};
-    use crate::tenant::{FairQueue, TenantPolicy};
-    use crate::GraphCatalog;
-    use gsi_core::{GsiConfig, GsiEngine};
-    use gsi_gpu_sim::{DeviceConfig, Gpu};
-    use gsi_graph::GraphBuilder;
-    use std::sync::{mpsc, Arc};
-    use std::time::Instant;
-
-    fn tiny_graph(label: u32) -> gsi_graph::Graph {
-        let mut b = GraphBuilder::new();
-        let v0 = b.add_vertex(label);
-        let v1 = b.add_vertex(label + 1);
-        b.add_edge(v0, v1, 0);
-        b.build()
-    }
-
-    /// A job for `entry`, tagged with the lane it will be queued in.
-    fn job_for(entry: &Arc<crate::CatalogEntry>, lane: u64) -> Job {
-        let (tx, _rx) = mpsc::channel();
-        Job {
-            entry: Arc::clone(entry),
-            query: tiny_graph(0),
-            deadline: None,
-            submitted: Instant::now(),
-            tag: lane,
-            tx,
-        }
-    }
-
-    #[test]
-    fn drain_compatible_batches_same_entry_only_and_respects_window() {
-        let engine = GsiEngine::with_gpu(GsiConfig::gsi(), Gpu::new(DeviceConfig::test_device()));
-        let catalog = GraphCatalog::new();
-        let a = catalog.register(&engine, "a", tiny_graph(0)).entry;
-        let b = catalog.register(&engine, "b", tiny_graph(5)).entry;
-        // Re-register "a": same name, *new epoch* — must not batch with the
-        // old entry's jobs.
-        let a2 = catalog.register(&engine, "a", tiny_graph(0)).entry;
-
-        let queue = Arc::new(FairQueue::new(64, TenantPolicy::default()));
-        // Lane 1: a2 b a2 a(old-epoch) a2 a2 — first pickup is a2. Lane 2
-        // holds more a2 jobs: compatible, but another tenant's.
-        for entry in [&a2, &b, &a2, &a, &a2, &a2] {
-            queue.enqueue(Some("1"), 2, job_for(entry, 1)).unwrap();
-        }
-        for _ in 0..2 {
-            queue.enqueue(Some("2"), 2, job_for(&a2, 2)).unwrap();
-        }
-        let pickup = |window: usize| -> Vec<Job> {
-            let batch = queue.dequeue_batch(|| window, compatible).unwrap();
-            batch.into_iter().map(|(job, _slot)| job).collect()
-        };
-
-        let batch = pickup(3);
-        assert_eq!(batch.len(), 3, "window caps the batch");
-        assert!(batch
-            .iter()
-            .all(|j| j.tag == 1 && Arc::ptr_eq(&j.entry, &a2)));
-
-        // Window 1 disables batching entirely. What is left comes out one
-        // by one, each lane in its own order.
-        let rest: Vec<Job> = (0..5).flat_map(|_| pickup(1)).collect();
-        assert_eq!(queue.total_queued(), 0);
-        let lane = |tag: u64| -> Vec<&Job> { rest.iter().filter(|j| j.tag == tag).collect() };
-        // Lane 1 kept b, old-epoch a, the surplus a2 — order preserved.
-        let kept = lane(1);
-        assert_eq!(kept.len(), 3);
-        assert!(Arc::ptr_eq(&kept[0].entry, &b));
-        assert!(Arc::ptr_eq(&kept[1].entry, &a));
-        assert!(Arc::ptr_eq(&kept[2].entry, &a2));
-        // Lane 2's compatible jobs were never pulled into lane 1's batch.
-        assert_eq!(lane(2).len(), 2);
-    }
 }

@@ -9,7 +9,7 @@
 //! work is recorded per completed query, from the query's own device
 //! ledger.
 //!
-//! End-to-end latency and batch fill are log-linear histograms
+//! End-to-end latency is a log-linear histogram
 //! ([`gsi_obs::Histogram`]): every served query is counted, and p50 / p99
 //! / p99.9 are read from those exact counts, over-reporting by at most
 //! 1/16. [`ServiceStatsSnapshot`] is a typed read of the handles.
@@ -53,13 +53,6 @@ pub struct ServiceStats {
     pub(crate) plan_rejected: Counter,
     pub(crate) worker_panics: Counter,
     matches: Counter,
-    /// Members of multi-query batches; singleton runs are not counted.
-    pub(crate) batched_queries: Counter,
-    /// Filter-demand lookups of multi-query batches: `computed` paid a full
-    /// filter pass, `reused` shared one (singleton runs are not counted, so
-    /// the reuse rate reads as what batching bought).
-    pub(crate) filter_demands_computed: Counter,
-    pub(crate) filter_demands_reused: Counter,
     planned_greedy: Counter,
     planned_cost_based: Counter,
     updates_incremental: Counter,
@@ -85,9 +78,6 @@ pub struct ServiceStats {
     /// counted but not observed, so percentiles reflect answers actually
     /// delivered, not the deadline constant.
     latency_us: Histogram,
-    /// Compatible queries drained per worker pickup, singletons included,
-    /// so the distribution shows how often batching found company.
-    pub(crate) batch_fill: Histogram,
     /// Inputs of the mean-q-error gauge (not exported themselves).
     estimation_error_sum: Gauge,
     estimation_samples: Counter,
@@ -156,18 +146,6 @@ impl ServiceStats {
             matches: r.counter(
                 "gsi_query_matches_total",
                 "Matches produced by served queries.",
-            ),
-            batched_queries: r.counter(
-                "gsi_batched_queries_total",
-                "Queries executed as part of a multi-query batch.",
-            ),
-            filter_demands_computed: r.counter(
-                "gsi_filter_demands_computed_total",
-                "Distinct filter demands paid in full across batch runs.",
-            ),
-            filter_demands_reused: r.counter(
-                "gsi_filter_demands_reused_total",
-                "Filter-demand lookups served from a batch's shared cache.",
             ),
             planned_greedy: r.counter(
                 "gsi_planned_greedy_total",
@@ -241,10 +219,6 @@ impl ServiceStats {
             latency_us: r.histogram(
                 "gsi_query_latency_us",
                 "End-to-end latency of served queries, microseconds.",
-            ),
-            batch_fill: r.histogram(
-                "gsi_batch_fill",
-                "Compatible queries drained per worker pickup.",
             ),
             estimation_error_sum: Gauge::default(),
             estimation_samples: Counter::default(),
@@ -374,9 +348,9 @@ impl ServiceStats {
             plan_rejected: self.plan_rejected.get(),
             worker_panics: self.worker_panics.get(),
             matches: self.matches.get(),
-            batched_queries: self.batched_queries.get(),
-            filter_demands_computed: self.filter_demands_computed.get(),
-            filter_demands_reused: self.filter_demands_reused.get(),
+            batched_queries: 0,
+            filter_demands_computed: 0,
+            filter_demands_reused: 0,
             planned_greedy: self.planned_greedy.get(),
             planned_cost_based: self.planned_cost_based.get(),
             estimation_error_sum: self.estimation_error_sum.get(),
@@ -384,7 +358,6 @@ impl ServiceStats {
             updates_incremental: self.updates_incremental.get(),
             updates_rebuilt: self.updates_rebuilt.get(),
             last_update_drift: (!drift.is_nan()).then_some(drift),
-            batch_fill: self.batch_fill.snapshot(),
             stage_us: self.stage_us.each_ref().map(Counter::get),
             plan_cache_hits: 0,
             plan_cache_misses: 0,
@@ -398,15 +371,6 @@ impl ServiceStats {
     /// completed against it).
     pub fn epoch_stats(&self, epoch: u64) -> Option<EpochStats> {
         self.per_epoch.lock().get(&epoch).copied()
-    }
-}
-
-/// `part / whole`, 0 when `whole` is.
-fn rate(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
     }
 }
 
@@ -436,14 +400,14 @@ pub struct ServiceStatsSnapshot {
     pub worker_panics: u64,
     /// Matches produced by completed queries.
     pub matches: u64,
-    /// Queries that executed as part of a multi-query batch (shared
-    /// candidate filtering); singleton runs are not counted.
+    /// Always 0: every worker pickup is one query, so no query runs as
+    /// part of a multi-query batch. Kept so that readers of the old
+    /// batched fraction still compile.
     pub batched_queries: u64,
-    /// Distinct filter demands computed across multi-query batch runs
-    /// (each paid one full filter pass; singleton runs are not counted).
+    /// Always 0, like `batched_queries`: no filter cache is shared across
+    /// served queries.
     pub filter_demands_computed: u64,
-    /// Filter-demand lookups served from a batch's shared cache (each
-    /// skipped a pass; singleton runs are not counted).
+    /// Always 0, like `batched_queries`.
     pub filter_demands_reused: u64,
     /// Served queries whose executed join order came from the greedy
     /// planner (Algorithm 2).
@@ -463,9 +427,6 @@ pub struct ServiceStatsSnapshot {
     /// Statistics drift of the most recent epoch publication (an
     /// observability reading; nothing acts on it).
     pub last_update_drift: Option<f64>,
-    /// Batch-pickup fill distribution (every fill up to 32 is a bucket of
-    /// its own).
-    pub batch_fill: HistogramSnapshot,
     /// Summed per-stage wall time of served queries, microseconds, in
     /// queue/plan/filter/join/respond order.
     pub stage_us: [u64; 5],
@@ -526,16 +487,6 @@ impl ServiceStatsSnapshot {
     pub fn mean_estimation_error(&self) -> Option<f64> {
         mean(self.estimation_error_sum, self.estimation_samples)
     }
-
-    /// Fraction of multi-query-batch filter-demand lookups served from
-    /// the shared cache instead of a fresh filter pass, in `[0, 1]`; 0
-    /// when no multi-query batch ran.
-    pub fn filter_reuse_rate(&self) -> f64 {
-        rate(
-            self.filter_demands_reused,
-            self.filter_demands_computed + self.filter_demands_reused,
-        )
-    }
 }
 
 impl std::fmt::Display for ServiceStatsSnapshot {
@@ -562,14 +513,6 @@ impl std::fmt::Display for ServiceStatsSnapshot {
             (Some(p50), Some(p99)) => writeln!(f, "latency: p50 {p50:.2?}, p99 {p99:.2?}")?,
             _ => writeln!(f, "latency: no samples")?,
         }
-        writeln!(
-            f,
-            "batching: {} batched queries; filter reuse {:.0}% ({} shared / {} computed)",
-            self.batched_queries,
-            self.filter_reuse_rate() * 100.0,
-            self.filter_demands_reused,
-            self.filter_demands_computed
-        )?;
         write!(
             f,
             "planner: {} cost-based / {} greedy",
@@ -733,17 +676,6 @@ mod tests {
         assert_eq!(s.snapshot().stage_us, [5, 1, 2, 17, 3]);
         let text = s.registry().to_prometheus_text();
         assert!(text.contains("gsi_stage_join_us_total 17\n"), "{text}");
-    }
-
-    #[test]
-    fn batch_fill_keeps_one_bucket_per_small_fill() {
-        let s = ServiceStats::new();
-        for n in [1, 1, 3, 8, 8, 8] {
-            s.batch_fill.observe(n);
-        }
-        let fill = s.snapshot().batch_fill;
-        assert_eq!(fill.buckets, vec![(1, 2), (3, 1), (8, 3)]);
-        assert_eq!((fill.count, fill.sum), (6, 29));
     }
 
     #[test]

@@ -7,11 +7,8 @@
 //! *cost* (pattern vertex count — a proxy for join depth, the dominant
 //! cost driver) fits the accumulated deficit. A tenant streaming
 //! 12-vertex patterns therefore gets the same long-run *work* share as
-//! one streaming 3-vertex patterns, not 4× the queries. A pickup may
-//! extend into a *batch* of compatible jobs, but only from the lane DRR
-//! selected, and every member's cost is charged to that lane's deficit
-//! (which may go into debt the lane repays in skipped turns) — batching
-//! cannot bypass fairness.
+//! one streaming 3-vertex patterns, not 4× the queries. Every pickup is
+//! one job.
 //!
 //! Admission is one decision ([`FairQueue::enqueue`]): the global
 //! capacity first, then the tenant's **queue quota**. The **in-flight
@@ -63,8 +60,9 @@ type Tenant = Option<String>;
 /// One tenant's lane.
 struct Lane<T> {
     queue: VecDeque<(u64, T)>,
-    /// Signed: a batch may overdraw it; the debt is repaid in turns.
-    deficit: i64,
+    /// Never negative: a job dispatches only when the deficit covers its
+    /// cost.
+    deficit: u64,
     in_flight: usize,
     dispatched_total: u64,
     dispatched_cost: u64,
@@ -79,34 +77,6 @@ impl<T> Default for Lane<T> {
             dispatched_total: 0,
             dispatched_cost: 0,
         }
-    }
-}
-
-impl<T> Lane<T> {
-    /// Pop the head job plus up to `limit - 1` queued jobs `compatible`
-    /// with it, preserving their relative order and charging every one to
-    /// this lane. Incompatible jobs stay queued in place.
-    fn take_batch(&mut self, limit: usize, compatible: &impl Fn(&T, &T) -> bool) -> Vec<T> {
-        let mut batch: Vec<T> = Vec::new();
-        let mut i = 0;
-        while i < self.queue.len() && batch.len() < limit.max(1) {
-            if batch
-                .first()
-                .is_some_and(|first| !compatible(first, &self.queue[i].1))
-            {
-                i += 1;
-                continue;
-            }
-            let Some((cost, job)) = self.queue.remove(i) else {
-                break;
-            };
-            self.deficit -= cost as i64;
-            self.in_flight += 1;
-            self.dispatched_total += 1;
-            self.dispatched_cost += cost;
-            batch.push(job);
-        }
-        batch
     }
 }
 
@@ -222,20 +192,13 @@ impl<T> FairQueue<T> {
         Ok(())
     }
 
-    /// Block for the next pickup under DRR order: the selected lane's head
-    /// job plus up to `window() - 1` jobs from the *same lane* that are
-    /// `compatible` with it (`window` is read at pickup time, under the
-    /// queue lock). Every job comes with the [`LaneSlot`] holding its
-    /// in-flight claim. Returns `None` only after [`FairQueue::drain`]
-    /// once every lane is empty.
-    pub(crate) fn dequeue_batch(
-        self: &Arc<Self>,
-        window: impl Fn() -> usize,
-        compatible: impl Fn(&T, &T) -> bool,
-    ) -> Option<Vec<(T, LaneSlot<T>)>> {
+    /// Block for the next job under DRR order, with the [`LaneSlot`]
+    /// holding its in-flight claim. Returns `None` only after
+    /// [`FairQueue::drain`] once every lane is empty.
+    pub(crate) fn dequeue(self: &Arc<Self>) -> Option<(T, LaneSlot<T>)> {
         let mut state = self.state.lock();
-        let (tenant, batch) = loop {
-            if let Some(popped) = Self::try_pop(&mut state, &self.policy, &window, &compatible) {
+        let (tenant, job) = loop {
+            if let Some(popped) = Self::try_pop(&mut state, &self.policy) {
                 break popped;
             }
             if state.draining && state.total_queued == 0 {
@@ -247,31 +210,23 @@ impl<T> FairQueue<T> {
             self.work.wait(&mut state);
         };
         drop(state);
-        let slots = batch.into_iter().map(|job| {
-            let slot = LaneSlot {
-                queue: Arc::clone(self),
-                tenant: tenant.clone(),
-            };
-            (job, slot)
-        });
-        Some(slots.collect())
+        let slot = LaneSlot {
+            queue: Arc::clone(self),
+            tenant,
+        };
+        Some((job, slot))
     }
 
     /// One DRR dispatch step. A lane's *turn* starts when it reaches the
     /// ring front: it is credited one quantum (once — `front_credited`
-    /// guards re-entry across `dequeue_batch` calls), then served while
-    /// its accumulated deficit covers its head job's cost. When the
-    /// deficit falls short the leftover (or debt) is kept and the ring
-    /// rotates. Every lane thus earns deficit at the same per-turn rate,
-    /// so long-run dispatched *cost* — not query count — equalizes across
-    /// backlogged tenants. Returns `None` when no lane can dispatch (empty
-    /// ring, or every lane with work is at its in-flight quota).
-    fn try_pop(
-        state: &mut State<T>,
-        policy: &TenantPolicy,
-        window: &impl Fn() -> usize,
-        compatible: &impl Fn(&T, &T) -> bool,
-    ) -> Option<(Tenant, Vec<T>)> {
+    /// guards re-entry across `dequeue` calls), then served while its
+    /// accumulated deficit covers its head job's cost. When the deficit
+    /// falls short the leftover is kept and the ring rotates. Every lane
+    /// thus earns deficit at the same per-turn rate, so long-run
+    /// dispatched *cost* — not query count — equalizes across backlogged
+    /// tenants. Returns `None` when no lane can dispatch (empty ring, or
+    /// every lane with work is at its in-flight quota).
+    fn try_pop(state: &mut State<T>, policy: &TenantPolicy) -> Option<(Tenant, T)> {
         // Lanes passed over in a row for being at their in-flight cap;
         // once that is the whole ring nothing can dispatch.
         let mut capped = 0;
@@ -282,33 +237,34 @@ impl<T> FairQueue<T> {
             let lane = state.lanes.get_mut(&tenant)?;
             // The run-down ignores the cap: a shutdown must not wait on
             // callers to collect the responses they already have.
-            let free_slots = match tenant {
-                Some(_) if !state.draining => policy.inflight_quota.saturating_sub(lane.in_flight),
-                _ => usize::MAX,
-            };
-            if free_slots == 0 {
+            let at_cap =
+                tenant.is_some() && !state.draining && lane.in_flight >= policy.inflight_quota;
+            if at_cap {
                 capped += 1;
             } else {
                 capped = 0;
                 if !state.front_credited {
-                    lane.deficit += policy.quantum as i64;
+                    lane.deficit += policy.quantum;
                     state.front_credited = true;
                 }
                 let head_cost = lane.queue.front().map_or(1, |(c, _)| *c);
-                if lane.deficit >= head_cost as i64 {
-                    let batch = lane.take_batch(window().min(free_slots), compatible);
-                    state.total_queued -= batch.len();
+                if lane.deficit >= head_cost {
+                    let (cost, job) = lane.queue.pop_front()?;
+                    lane.deficit -= cost;
+                    lane.in_flight += 1;
+                    lane.dispatched_total += 1;
+                    lane.dispatched_cost += cost;
+                    state.total_queued -= 1;
                     if lane.queue.is_empty() {
                         // An emptied lane leaves the ring and forfeits its
                         // saved deficit: idleness must not bank priority.
-                        // Debt stays owed.
-                        lane.deficit = lane.deficit.min(0);
+                        lane.deficit = 0;
                         state.ring.pop_front();
                         state.front_credited = false;
                     }
                     // Otherwise the lane keeps the front — its turn isn't
                     // over until its deficit no longer covers a head job.
-                    return Some((tenant, batch));
+                    return Some((tenant, job));
                 }
             }
             state.ring.rotate_left(1);
@@ -338,7 +294,7 @@ impl<T> FairQueue<T> {
     }
 
     /// Stop accepting work; queued jobs keep dispatching until every lane
-    /// is empty, after which `dequeue_batch` returns `None`.
+    /// is empty, after which `dequeue` returns `None`.
     pub(crate) fn drain(&self) {
         self.state.lock().draining = true;
         self.work.notify_all();
@@ -386,9 +342,9 @@ mod tests {
         ))
     }
 
-    /// Pop one job, unbatched; the returned slot holds its in-flight claim.
+    /// Pop one job; the returned slot holds its in-flight claim.
     fn dequeue(q: &Arc<FairQueue<u32>>) -> Option<(String, u32, LaneSlot<u32>)> {
-        let (job, slot) = q.dequeue_batch(|| 1, |_, _| false)?.pop()?;
+        let (job, slot) = q.dequeue()?;
         Some((slot.tenant.clone().unwrap_or_default(), job, slot))
     }
 
@@ -451,17 +407,24 @@ mod tests {
         }
         let mut order = Vec::new();
         for _ in 0..20 {
-            let (tenant, _, _slot) = dequeue(&q).unwrap();
-            order.push(tenant);
+            let (tenant, job, _slot) = dequeue(&q).unwrap();
+            order.push((tenant, job));
         }
         // Equal cost and quantum: the schedule must alternate rather than
         // serving the flood first. Check the first 10 dispatches contain
         // both tenants ~equally.
-        let bulk_first10 = order[..10].iter().filter(|t| *t == "bulk").count();
+        let bulk_first10 = order[..10].iter().filter(|(t, _)| t == "bulk").count();
         assert!(
             (4..=6).contains(&bulk_first10),
             "DRR should interleave, got {order:?}"
         );
+        // Within a lane, jobs come out in the order they were submitted.
+        let lane = |tenant: &str| -> Vec<u32> {
+            let jobs = order.iter().filter(|(t, _)| t == tenant);
+            jobs.map(|(_, job)| *job).collect()
+        };
+        assert_eq!(lane("bulk"), (0..10).collect::<Vec<_>>());
+        assert_eq!(lane("interactive"), (100..110).collect::<Vec<_>>());
     }
 
     #[test]
@@ -489,28 +452,6 @@ mod tests {
             light >= heavy * 3,
             "cost-weighted fairness violated: heavy={heavy} light={light}"
         );
-    }
-
-    #[test]
-    fn batch_stays_in_its_lane_and_its_cost_is_repaid() {
-        let q = queue(64, 64, 4);
-        // Same-parity jobs are "compatible". Lane a: 0 1 2 4 6, lane b: 8 10.
-        for job in [0, 1, 2, 4, 6] {
-            q.enqueue(Some("a"), 4, job).unwrap();
-        }
-        for job in [8, 10] {
-            q.enqueue(Some("b"), 4, job).unwrap();
-        }
-        let same_parity = |x: &u32, y: &u32| x % 2 == y % 2;
-        let batch = q.dequeue_batch(|| 8, same_parity).unwrap();
-        let jobs: Vec<u32> = batch.iter().map(|(job, _)| *job).collect();
-        // b's 8 and 10 are compatible with the head but in another lane.
-        assert_eq!(jobs, [0, 2, 4, 6], "window 8, yet only lane a's jobs");
-        assert!(batch.iter().all(|(_, s)| s.tenant.as_deref() == Some("a")));
-        // The batch overdrew a's deficit (one quantum 4, charged 16): b is
-        // served twice before a's leftover job gets its next turn.
-        let next: Vec<String> = (0..3).map(|_| dequeue(&q).unwrap().0).collect();
-        assert_eq!(next, ["b", "b", "a"]);
     }
 
     #[test]

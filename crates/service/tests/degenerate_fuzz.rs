@@ -1,5 +1,5 @@
 //! Property fuzz: degenerate queries through the *full* service path —
-//! submit → scheduler → (batched) engine → response — must never panic a
+//! submit → scheduler → engine → response — must never panic a
 //! worker. Every degenerate pattern either fails submit-time validation
 //! with a typed [`SubmitError`], fails at plan time with a typed
 //! [`QueryError::Plan`], or runs to an ordinary (possibly empty) result.

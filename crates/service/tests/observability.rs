@@ -238,7 +238,6 @@ fn json_export_carries_the_registry() {
         "gsi_queries_completed_total",
         "gsi_queue_depth_highwater",
         "gsi_query_latency_us",
-        "gsi_batch_fill",
         "gsi_device_gld_transactions_total",
     ] {
         assert!(

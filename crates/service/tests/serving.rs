@@ -3,14 +3,17 @@
 //! updates, and every served query runs the join order the engine plans
 //! fresh from its own candidate sets.
 
-use gsi_core::{GsiConfig, GsiEngine};
+use gsi_core::{FilterStrategy, GsiConfig, GsiEngine};
 use gsi_datasets::{build, DatasetKind, DatasetSpec};
 use gsi_gpu_sim::{DeviceConfig, Gpu};
 use gsi_graph::query_gen::random_walk_query;
 use gsi_graph::{Graph, GraphBuilder};
-use gsi_service::{GsiService, QueryRequest, ServiceConfig, UpdateBatch};
+use gsi_service::{
+    GsiService, QueryError, QueryRequest, QueryTicket, ServiceConfig, TraceOutcome, UpdateBatch,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 /// Two small catalog graphs from the dataset stand-ins.
 fn catalog_graphs() -> Vec<(&'static str, Graph)> {
@@ -34,6 +37,31 @@ fn workload(graphs: &[(&'static str, Graph)], n: usize) -> Vec<(&'static str, Gr
         }
     }
     queries
+}
+
+/// Register a dense graph as "dense" and submit a 4-path query on it,
+/// which keeps one worker busy for a while; queries submitted next queue
+/// up behind it on a one-worker service.
+fn occupy_worker(service: &GsiService) -> QueryTicket {
+    let mut d = GraphBuilder::new();
+    let vs: Vec<u32> = (0..48).map(|i| d.add_vertex(i % 2)).collect();
+    for i in 0..vs.len() {
+        for j in (i + 1)..vs.len() {
+            d.add_edge(vs[i], vs[j], 0);
+        }
+    }
+    service.register("dense", d.build());
+    let mut qb = GraphBuilder::new();
+    let u0 = qb.add_vertex(0);
+    let u1 = qb.add_vertex(1);
+    let u2 = qb.add_vertex(0);
+    let u3 = qb.add_vertex(1);
+    qb.add_edge(u0, u1, 0);
+    qb.add_edge(u1, u2, 0);
+    qb.add_edge(u2, u3, 0);
+    service
+        .submit(QueryRequest::new("dense", qb.build()))
+        .expect("blocker admitted")
 }
 
 fn test_service(workers: usize) -> ServiceConfig {
@@ -93,15 +121,11 @@ fn concurrent_matches_equal_serial() {
 /// Each query charges a device ledger of its own: run side by side on two
 /// workers, every query reports exactly the device work it reports when it
 /// runs alone, and the service's device totals are the sum of them.
-/// (Batching is off: a batch shares filter work, and charges it once.)
 #[test]
 fn concurrent_queries_report_the_device_work_they_report_alone() {
     let graphs = catalog_graphs();
     let queries = workload(&graphs, 6);
-    let service = GsiService::new(ServiceConfig {
-        batch_window: 1,
-        ..test_service(2)
-    });
+    let service = GsiService::new(test_service(2));
     for (name, g) in &graphs {
         service.register(name, g.clone());
     }
@@ -188,26 +212,7 @@ fn queries_pin_their_epoch_across_updates() {
     b.add_vertex(1); // v4: unwired B vertex the update will connect
     let e0 = service.register("g", b.build()).entry;
 
-    // A dense blocker graph whose 4-path query takes a while.
-    let mut d = GraphBuilder::new();
-    let vs: Vec<u32> = (0..48).map(|i| d.add_vertex(i % 2)).collect();
-    for i in 0..vs.len() {
-        for j in (i + 1)..vs.len() {
-            d.add_edge(vs[i], vs[j], 0);
-        }
-    }
-    service.register("dense", d.build());
-    let mut qb = GraphBuilder::new();
-    let u0 = qb.add_vertex(0);
-    let u1 = qb.add_vertex(1);
-    let u2 = qb.add_vertex(0);
-    let u3 = qb.add_vertex(1);
-    qb.add_edge(u0, u1, 0);
-    qb.add_edge(u1, u2, 0);
-    qb.add_edge(u2, u3, 0);
-    let blocker = service
-        .submit(QueryRequest::new("dense", qb.build()))
-        .expect("blocker admitted");
+    let blocker = occupy_worker(&service);
 
     // Admitted now: pins epoch e0 (3 matches), runs after the update.
     let before = service
@@ -245,6 +250,17 @@ fn queries_pin_their_epoch_across_updates() {
     assert_eq!(snap.per_epoch[&e0.epoch()].matches, 3);
     assert_eq!(snap.per_epoch[&e1].completed, 1);
     assert_eq!(snap.per_epoch[&e1].matches, 4);
+}
+
+/// A star: one A vertex joined to three B vertices over edge label a.
+fn edge_graph() -> Graph {
+    let mut b = GraphBuilder::new();
+    let v0 = b.add_vertex(0);
+    for _ in 0..3 {
+        let vb = b.add_vertex(1);
+        b.add_edge(v0, vb, 0);
+    }
+    b.build()
 }
 
 /// An A–a–B edge query (used by the epoch tests).
@@ -364,14 +380,13 @@ fn outcomes_report_planner_kind_and_estimation_error() {
     assert!(snap.mean_estimation_error().expect("samples") >= 1.0);
 }
 
-/// Batched execution is invisible in results: queries drained into one
-/// shared-filter batch return matches bit-identical to solo serial runs,
-/// while the stats record the batching and the filter reuse it bought.
+/// Queueing is invisible in results: queries that wait behind a busy
+/// worker return matches bit-identical to solo serial runs.
 #[test]
-fn batched_execution_is_bit_identical_to_solo_runs() {
+fn queued_queries_equal_solo_runs() {
     let graphs = catalog_graphs();
     let (gname, data) = &graphs[0];
-    // Two recurring patterns, interleaved — the repetition a batch shares.
+    // Two recurring patterns, interleaved.
     let mut rng = StdRng::seed_from_u64(7);
     let patterns: Vec<Graph> = (0..2)
         .map(|_| random_walk_query(data, 4, &mut rng).expect("query"))
@@ -393,28 +408,10 @@ fn batched_execution_is_bit_identical_to_solo_runs() {
         .collect();
 
     // One worker, parked on a dense blocker: the workload queues up behind
-    // it and the next pickups drain it in batches of `batch_window`.
+    // it and the next pickups serve it one query at a time.
     let service = GsiService::new(test_service(1));
     service.register(gname, data.clone());
-    let mut d = GraphBuilder::new();
-    let vs: Vec<u32> = (0..48).map(|i| d.add_vertex(i % 2)).collect();
-    for i in 0..vs.len() {
-        for j in (i + 1)..vs.len() {
-            d.add_edge(vs[i], vs[j], 0);
-        }
-    }
-    service.register("dense", d.build());
-    let mut qb = GraphBuilder::new();
-    let u0 = qb.add_vertex(0);
-    let u1 = qb.add_vertex(1);
-    let u2 = qb.add_vertex(0);
-    let u3 = qb.add_vertex(1);
-    qb.add_edge(u0, u1, 0);
-    qb.add_edge(u1, u2, 0);
-    qb.add_edge(u2, u3, 0);
-    let blocker = service
-        .submit(QueryRequest::new("dense", qb.build()))
-        .expect("blocker admitted");
+    let blocker = occupy_worker(&service);
 
     let tickets: Vec<_> = workload
         .iter()
@@ -434,18 +431,75 @@ fn batched_execution_is_bit_identical_to_solo_runs() {
         assert_eq!(
             outcome.output.matches.canonical(),
             *expect,
-            "query {i}: batched result must equal the solo run"
+            "query {i}: queued result must equal the solo run"
         );
     }
-    assert!(
-        outcomes.iter().any(|o| o.batch_size >= 2),
-        "the parked queue must have produced at least one real batch"
+}
+
+/// A panic inside one query's execution is isolated and typed: the
+/// submitter gets `QueryError::Internal` carrying the panic message, the
+/// panic is counted, the flight recorder keeps a `panicked` trace with the
+/// job's queue wait, and the worker goes on to answer the next query.
+///
+/// The panic is real: "foreign" is prepared by an engine that runs the
+/// label-degree filter, so its entry has no signature table, and the
+/// service's signature filter panics on it.
+#[test]
+fn worker_panic_is_isolated_and_typed() {
+    let service = GsiService::new(test_service(1));
+    service.register("g", edge_graph());
+    let foreign = GsiEngine::with_gpu(
+        GsiConfig {
+            filter: FilterStrategy::LabelDegree,
+            ..GsiConfig::gsi()
+        },
+        Gpu::new(DeviceConfig::test_device()),
     );
-    let snap = service.stats();
-    assert!(snap.batched_queries >= 2, "stats count batched queries");
-    assert!(
-        snap.filter_demands_reused > 0,
-        "repeated patterns share filter passes (reuse rate {:.2})",
-        snap.filter_reuse_rate()
-    );
+    service
+        .catalog()
+        .register(&foreign, "foreign", edge_graph());
+
+    let healthy = || {
+        service
+            .query_blocking(QueryRequest::new("g", edge_query_ab()))
+            .expect("admitted")
+            .result
+            .expect("a healthy graph answers")
+    };
+    let first = healthy();
+
+    // The poisoned query waits in the queue behind a busy worker first,
+    // so its failure trace has a queue wait to report.
+    let blocker = occupy_worker(&service);
+    let poisoned = service
+        .submit(QueryRequest::new("foreign", edge_query_ab()))
+        .expect("admitted");
+    blocker.wait().result.expect("blocker ran");
+    let message = match poisoned.wait().result {
+        Err(QueryError::Internal { message }) => message,
+        other => panic!("expected QueryError::Internal, got {other:?}"),
+    };
+    assert_eq!(message, "signature filter requires a prepared table");
+    assert_eq!(service.stats().worker_panics, 1);
+
+    // Pickup order on the one worker: first, blocker, poisoned, next.
+    let poisoned_id = first.query_id + 2;
+    let trace = service
+        .flight_recorder()
+        .records()
+        .into_iter()
+        .find(|t| t.query_id == poisoned_id)
+        .expect("the flight recorder keeps the panicked query");
+    assert_eq!(trace.graph, "foreign");
+    assert_eq!(trace.outcome.name(), "panicked");
+    assert!(matches!(
+        &trace.outcome,
+        TraceOutcome::Panicked { message: m } if *m == message
+    ));
+    assert!(trace.breakdown.queue > Duration::ZERO, "queue wait carried");
+    assert!(trace.breakdown.queue <= trace.latency);
+
+    let next = healthy();
+    assert_eq!(next.query_id, poisoned_id + 1);
+    assert_eq!(next.output.matches.len(), first.output.matches.len());
 }

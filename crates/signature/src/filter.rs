@@ -21,9 +21,10 @@ use std::sync::Arc;
 /// Candidate data vertices for one query vertex, sorted ascending.
 ///
 /// The list is behind an [`Arc`]: the filtering phase is a pure function of
-/// the query vertex's label demand, so batched execution shares one list
-/// across every query vertex (of any query in the batch) with the same
-/// demand instead of recomputing or copying it (see [`crate::shared`]).
+/// the query vertex's label demand, so runs sharing a [`FilterCache`]
+/// share one list across every query vertex (of any of those queries) with
+/// the same demand instead of recomputing or copying it (see
+/// [`crate::shared`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateSet {
     /// The query vertex these candidates belong to.

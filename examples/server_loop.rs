@@ -2,9 +2,8 @@
 //! two registered data graphs with 32 queries in flight.
 //!
 //! Demonstrates the full subsystem — graph catalog, bounded-queue
-//! scheduler with worker threads, batched execution over shared candidate
-//! filtering, and aggregated service statistics — and cross-checks every
-//! answer against single-threaded serial execution.
+//! scheduler with worker threads, and aggregated service statistics — and
+//! cross-checks every answer against single-threaded serial execution.
 //!
 //! ```text
 //! cargo run --release --example server_loop
@@ -22,8 +21,7 @@ use std::time::Duration;
 
 /// How many queries the client keeps in flight at once.
 const IN_FLIGHT: usize = 32;
-/// Distinct patterns per graph; each is submitted `REPEATS` times, so
-/// queued repeats can share a batch's filter passes.
+/// Distinct patterns per graph; each is submitted `REPEATS` times.
 const PATTERNS_PER_GRAPH: usize = 12;
 const REPEATS: usize = 4;
 

@@ -107,8 +107,12 @@ impl EdgeJoinEngine {
         query: &Graph,
     ) -> Vec<CandidateSet> {
         match self.cfg.filter {
-            BaselineFilter::LabelDegree => filter_label_degree(gpu, &prepared.filter_inputs, query),
-            BaselineFilter::LabelOnly => filter_label_only(gpu, &prepared.filter_inputs, query),
+            BaselineFilter::LabelDegree => {
+                filter_label_degree(gpu, &prepared.filter_inputs, query, None)
+            }
+            BaselineFilter::LabelOnly => {
+                filter_label_only(gpu, &prepared.filter_inputs, query, None)
+            }
         }
     }
 

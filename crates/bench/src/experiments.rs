@@ -16,7 +16,7 @@ use crate::runner::{
 use crate::workloads::{gowalla_with_labels, watdiv_series, HarnessOpts};
 use gsi::baselines::{gpsm, gunrock};
 use gsi::datasets::{statistics, DatasetKind};
-use gsi::engine::PreparedData;
+use gsi::engine::{estimate_for_plan, PreparedData};
 use gsi::graph::basic::BasicStore;
 use gsi::graph::compressed::CompressedStore;
 use gsi::graph::csr::Csr;
@@ -585,8 +585,9 @@ fn bench_engine(cfg: GsiConfig, latency_ns: u64) -> GsiEngine {
 }
 
 /// One measured, determinism-checked run of `arm` in `scope`: `q` executes
-/// twice under `opts`; `report` gains the warmed-up second run's rows (its
-/// own `stats.join_time` is the wall time kept) and the gates
+/// twice, its join order from `planner`; `report` gains the warmed-up
+/// second run's rows (its own `stats.join_time` is the wall time kept) and
+/// the gates
 /// `<scope>/<arm>/completes` (neither repetition hit the timeout or row
 /// guard) and `<scope>/<arm>/repeats_exactly` (match table and
 /// device-counter delta identical between the two). Returns the second run.
@@ -596,11 +597,15 @@ fn run_twice(
     engine: &GsiEngine,
     (data, prepared): (&Graph, &PreparedData),
     q: &Graph,
-    opts: QueryOptions<'_>,
+    planner: PlannerKind,
 ) -> QueryOutput {
     let run = || {
+        let cands = engine.candidates(prepared, q, None);
         engine
-            .query_with_options(data, prepared, q, opts)
+            .plan(data, prepared, &cands, planner)
+            .and_then(|planned| {
+                engine.join(data, prepared, &cands, planned, None, TraceConfig::Off)
+            })
             .expect("workload patterns are connected")
     };
     let (first, second) = (run(), run());
@@ -878,10 +883,9 @@ pub fn update_churn(
 /// PR 4 perf trajectory — inter-query batched execution: a batch of
 /// concurrent same-graph queries drawn from a small recurring-pattern pool
 /// (the shape real serving workloads have), run once per query through
-/// `GsiEngine::query_with_options` and once more through the same call
-/// with one `FilterCache` shared by the whole batch, so candidate
-/// filtering is shared (not part of the paper; the repo's own serving
-/// trajectory).
+/// `GsiEngine::query` and once more through the three stages with one
+/// `FilterCache` shared by the whole batch, so candidate filtering is
+/// shared (not part of the paper; the repo's own serving trajectory).
 ///
 /// Gates, per concurrency level: per-query match tables bit-identical,
 /// per-query join work exactly equal, every repeated demand actually
@@ -940,7 +944,7 @@ pub fn batch_queries(
             continue;
         };
         let vet = engine
-            .query_with_options(&data, &prepared, &q, QueryOptions::default())
+            .query(&data, &prepared, &q)
             .expect("random walks are connected");
         if !vet.stats.timed_out {
             patterns.push(q);
@@ -967,7 +971,7 @@ pub fn batch_queries(
             .iter()
             .map(|q| {
                 engine
-                    .query_with_options(&data, &prepared, q, QueryOptions::default())
+                    .query(&data, &prepared, q)
                     .expect("pool queries are connected")
             })
             .collect();
@@ -981,12 +985,10 @@ pub fn batch_queries(
         let batch: Vec<_> = workload
             .iter()
             .map(|q| {
-                let opts = QueryOptions {
-                    filter_cache: Some(&cache),
-                    ..QueryOptions::default()
-                };
+                let cands = engine.candidates(&prepared, q, Some(&cache));
                 engine
-                    .query_with_options(&data, &prepared, q, opts)
+                    .plan(&data, &prepared, &cands, engine.config().planner)
+                    .and_then(|p| engine.join(&data, &prepared, &cands, p, None, TraceConfig::Off))
                     .expect("pool queries are connected")
             })
             .collect();
@@ -1147,8 +1149,9 @@ fn random_connected_order(q: &Graph, rng: &mut StdRng) -> Vec<u32> {
 /// prepared graph (not part of the paper; the repo's own serving
 /// trajectory). A third arm asks how much better any order could do: the
 /// best join work of 40 (`RANDOM_ORDERS`) seeded random connected orders per
-/// pattern, each executed through `QueryOptions::plan`. Each planner's
-/// `core.plan_regret` is its join work over the best found by any arm —
+/// pattern, each joined over the pattern's candidates without the plan
+/// stage. Each planner's `core.plan_regret` is its join work over the best
+/// found by any arm —
 /// the true-cardinality check of Leis et al., *How Good Are Query
 /// Optimizers, Really?* (VLDB 2015): measure what a perfect estimate
 /// would buy before paying for better estimates.
@@ -1195,21 +1198,17 @@ pub fn optimize(
     let mut best_total = 0u64;
     for (name, q) in &patterns {
         let mut run = |arm: &str, planner| {
-            let opts = QueryOptions {
-                planner: Some(planner),
-                ..QueryOptions::default()
-            };
             let out = run_twice(
                 &mut report,
                 (name, arm),
                 &engine,
                 (&data, &prepared),
                 q,
-                opts,
+                planner,
             );
             report.check(
                 format!("{name}/{arm}/planner_override_honoured"),
-                out.planner != planner,
+                out.explain.planner != planner,
             );
             out
         };
@@ -1223,15 +1222,22 @@ pub fn optimize(
         );
 
         let (mut random_best, mut random_mismatches) = (u64::MAX, 0usize);
+        let cands = engine.candidates(&prepared, q, None);
+        let sizes = cands.sizes();
+        let estimate = |plan: &JoinPlan| {
+            let greedy = PlannerKind::Greedy;
+            estimate_for_plan(plan, q, prepared.stats(), &sizes, engine.config(), greedy)
+        };
         for _ in 0..RANDOM_ORDERS {
             let plan = gsi::engine::plan_from_order(q, &random_connected_order(q, &mut rng));
-            let opts = QueryOptions {
-                plan: Some(&plan),
-                ..QueryOptions::default()
+            let planned = Planned {
+                explain: estimate(&plan),
+                plan,
+                time: Duration::ZERO,
             };
             let out = engine
-                .query_with_options(&data, &prepared, q, opts)
-                .expect("random connected orders plan");
+                .join(&data, &prepared, &cands, planned, None, TraceConfig::Off)
+                .expect("random connected orders cover the pattern");
             random_mismatches +=
                 usize::from(out.stats.timed_out || out.matches.canonical() != truth);
             random_best = random_best.min(out.stats.join_work_units);
@@ -1360,17 +1366,11 @@ pub fn observe(opts: &HarnessOpts, max_overhead: f64, out_path: &str) -> Outcome
             for (q, first) in queries.iter().zip(&mut reference) {
                 let mut best = Duration::MAX;
                 for rep in 0..REPS {
+                    let cands = engine.candidates(&prepared, q, None);
+                    let deadline = cands.deadline(opts.timeout());
                     let o = engine
-                        .query_with_options(
-                            data,
-                            &prepared,
-                            q,
-                            QueryOptions {
-                                trace,
-                                timeout: Some(opts.timeout()),
-                                ..QueryOptions::default()
-                            },
-                        )
+                        .plan(data, &prepared, &cands, engine.config().planner)
+                        .and_then(|p| engine.join(data, &prepared, &cands, p, deadline, trace))
                         .expect("workload patterns are connected");
                     let delta = o.stats.device;
                     best = best.min(o.stats.join_time);
@@ -1763,14 +1763,13 @@ pub fn setops(opts: &HarnessOpts, min_speedup: f64, out_path: &str) -> Outcome {
         let mut canon_all: Vec<Vec<u32>> = Vec::new();
         for (pname, q) in &patterns {
             let scope = format!("multiplicity/{pname}");
-            let opts = QueryOptions::default();
             let out = run_twice(
                 &mut report,
                 (&scope, name),
                 &engine,
                 (&data, &prepared),
                 q,
-                opts,
+                engine.config().planner,
             );
             total.accumulate(&out.stats);
             canon_all.extend(out.matches.canonical());

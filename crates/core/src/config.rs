@@ -134,7 +134,7 @@ pub struct GsiConfig {
     /// Abort when the intermediate table exceeds this many rows (guards
     /// against explosive queries the paper's 100 s timeout would kill).
     pub max_intermediate_rows: usize,
-    /// Which planner computes the join order when no plan is supplied:
+    /// Which planner [`crate::GsiEngine::query`] hands the plan stage:
     /// Algorithm 2's greedy heuristic (the paper's planner, and
     /// the preset default for fidelity with its evaluation) or the
     /// statistics-driven cost-based optimizer of [`crate::cost`]. The

@@ -44,7 +44,7 @@ use crate::plan::{JoinPlan, JoinStep, PlanError};
 use gsi_graph::{EdgeLabel, Graph, GraphStats, VertexId, VertexLabel};
 use gsi_signature::CandidateSet;
 
-/// Which join-order planner runs when no plan is supplied.
+/// Which join-order planner the plan stage ([`crate::GsiEngine::plan`]) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlannerKind {
     /// Algorithm 2's greedy score heuristic (the paper's planner; the
@@ -470,9 +470,8 @@ fn greedy_order(
 
 /// Materialize the [`JoinPlan`] for a connected vertex order: each step
 /// links the next vertex to every already-ordered neighbor. Public so a
-/// caller can execute an order of its own choosing through
-/// [`crate::QueryOptions::plan`] (the `paper optimize` random-order arm
-/// does).
+/// caller can hand an order of its own choosing to the join stage as a
+/// [`crate::Planned`] (the `paper optimize` random-order arm does).
 pub fn plan_from_order(query: &Graph, order: &[VertexId]) -> JoinPlan {
     let mut steps = Vec::with_capacity(order.len().saturating_sub(1));
     for (pos, &u) in order.iter().enumerate().skip(1) {

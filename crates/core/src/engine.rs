@@ -10,7 +10,7 @@ use crate::stats::RunStats;
 use crate::table::MatchTable;
 use crate::{prealloc, two_step};
 use gsi_gpu_sim::device::resolve_threads;
-use gsi_gpu_sim::{DeviceConfig, Gpu};
+use gsi_gpu_sim::{DeviceConfig, Gpu, StatsSnapshot};
 use gsi_graph::basic::BasicStore;
 use gsi_graph::compressed::CompressedStore;
 use gsi_graph::csr::Csr;
@@ -20,9 +20,8 @@ use gsi_graph::{Graph, GraphStats, LabeledStore, StorageKind};
 use gsi_obs::TraceConfig;
 use gsi_signature::filter::FilterInputs;
 use gsi_signature::{
-    filter_label_degree, filter_label_degree_cached, filter_label_only, filter_label_only_cached,
-    filter_signature, filter_signature_cached, min_candidate_size, CandidateSet, FilterCache,
-    SignatureTable,
+    filter_label_degree, filter_label_only, filter_signature, min_candidate_size, CandidateSet,
+    FilterCache, SignatureTable,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -175,34 +174,50 @@ impl UpdateReport {
     }
 }
 
-/// Per-run execution options: everything [`GsiEngine::query`] defaults.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryOptions<'a> {
-    /// Abort (with `stats.timed_out`) when the wall clock exceeds this
-    /// between join iterations — the paper's 100-second threshold analogue.
-    pub timeout: Option<Duration>,
-    /// A join plan to execute instead of running Algorithm 2 (`paper
-    /// optimize` supplies random orders this way). The plan is validated
-    /// with [`JoinPlan::covers`]; one that does not cover `query` is
-    /// ignored and a fresh plan is computed.
-    pub plan: Option<&'a JoinPlan>,
-    /// Shared filter cache for this run: distinct label demands already
-    /// computed under it are reused instead of re-scanned, so queries
-    /// against one prepared graph that share a cache pay each demand once.
-    /// Candidate lists are shared by `Arc` and bit-identical to an
-    /// uncached run's; only the device work (and wall time) of the
-    /// filtering phase changes.
-    pub filter_cache: Option<&'a FilterCache>,
-    /// Join-order planner override for this run; `None` uses
-    /// [`GsiConfig::planner`]. Ignored when a valid plan is supplied
-    /// through [`QueryOptions::plan`].
-    pub planner: Option<PlannerKind>,
-    /// Per-query tracing. `Off` (the default) is zero-cost: the engine
-    /// skips the per-join-step clock reads and leaves
-    /// [`RunStats::step_times`](crate::RunStats::step_times) empty; the
-    /// coarse phase timers (`filter_time`, `plan_time`, `join_time`) are
-    /// always measured.
-    pub trace: TraceConfig,
+/// The filter stage's value (§IV): a pattern's candidate sets `C(u)`,
+/// with the filter's wall time and device work. [`GsiEngine::candidates`]
+/// makes one; the plan and join stages read it.
+#[derive(Debug)]
+pub struct Candidates<'q> {
+    /// The pattern the sets were computed for.
+    pub query: &'q Graph,
+    /// One candidate set per query vertex, in query-vertex order.
+    pub sets: Vec<CandidateSet>,
+    /// The filter's wall time.
+    pub time: Duration,
+    /// The filter's own device ledger, already folded into the engine's
+    /// totals.
+    pub device: StatsSnapshot,
+    /// When the filter started: the origin of a run's
+    /// [`RunStats::total_time`] and of [`Candidates::deadline`].
+    started: Instant,
+}
+
+impl Candidates<'_> {
+    /// Each query vertex's candidate count, the planners' size input.
+    pub fn sizes(&self) -> Vec<f64> {
+        self.sets.iter().map(|c| c.len() as f64).collect()
+    }
+
+    /// The instant `timeout` after the filter started: the deadline of a
+    /// run whose budget covers all three stages (`None` past the clock's
+    /// range).
+    pub fn deadline(&self, timeout: Duration) -> Option<Instant> {
+        self.started.checked_add(timeout)
+    }
+}
+
+/// The plan stage's value: a join order, its cost report, and the time
+/// spent choosing it. [`GsiEngine::plan`] makes one; a caller with an
+/// order of its own (`paper optimize`'s random orders) builds one directly.
+#[derive(Debug)]
+pub struct Planned {
+    /// The join order and its linking edges.
+    pub plan: JoinPlan,
+    /// The order's per-position cost report.
+    pub explain: ExplainPlan,
+    /// The planner's wall time.
+    pub time: Duration,
 }
 
 /// Result of one query run.
@@ -212,20 +227,13 @@ pub struct QueryOutput {
     pub matches: Matches,
     /// Measurements for the run.
     pub stats: RunStats,
-    /// The join plan the run executed (freshly computed, or the supplied
-    /// one).
+    /// The join plan the run executed.
     pub plan: JoinPlan,
-    /// Whether `plan` came in through [`QueryOptions::plan`] (false when it
-    /// was computed by this run, including the invalid-supplied-plan fallback).
-    pub plan_reused: bool,
-    /// The planner that produced the executed plan when this run computed
-    /// it fresh (the cost-based planner reports `Greedy` when its
-    /// exact-search cap forced the fallback). For a supplied plan this is
-    /// the run's *resolved* planner, which did not produce it.
-    pub planner: PlannerKind,
-    /// The executed plan's cost report: per-position estimated cardinality
-    /// and cost, with actual cardinalities filled in for every position
-    /// the run executed (aborted runs report a prefix).
+    /// The executed plan's cost report: the planner that produced it (the
+    /// cost-based planner reports `Greedy` when its exact-search cap forced
+    /// the fallback), per-position estimated cardinality and cost, and
+    /// actual cardinalities for every position the run executed (aborted
+    /// runs report a prefix).
     pub explain: ExplainPlan,
 }
 
@@ -251,8 +259,8 @@ impl GsiEngine {
     }
 
     /// The device handle. Its ledger holds the device's running totals:
-    /// preparation, direct [`GsiEngine::filter`] calls, and every finished
-    /// query's own ledger, folded in once per query.
+    /// preparation, and the ledger of every finished filter and join
+    /// stage, each folded in once as its stage ends.
     pub fn gpu(&self) -> &Gpu {
         &self.gpu
     }
@@ -316,55 +324,6 @@ impl GsiEngine {
         prepared.apply_updates(self, data, batch)
     }
 
-    /// Run the filtering phase only (used by the Table IV/V harness),
-    /// charging the engine's device ledger.
-    pub fn filter(&self, prepared: &PreparedData, query: &Graph) -> Vec<CandidateSet> {
-        self.filter_on(&self.gpu, prepared, query, None)
-    }
-
-    /// The configured filter, charging `gpu`. Through a shared
-    /// [`FilterCache`], label demands already computed under `cache` reuse
-    /// their candidate list (one `Arc` clone, zero device work); fresh
-    /// demands are computed and cached. The output is bit-identical either
-    /// way.
-    fn filter_on(
-        &self,
-        gpu: &Gpu,
-        prepared: &PreparedData,
-        query: &Graph,
-        cache: Option<&FilterCache>,
-    ) -> Vec<CandidateSet> {
-        let inputs = || {
-            prepared
-                .filter_inputs
-                .as_ref()
-                // gsi-lint: allow(panic-freedom, reason = "prepare() always uploads the label/degree arrays under the label filters; absence means prepared data from a different engine config, a caller bug no typed error can repair")
-                .expect("label filters require prepared label/degree arrays")
-        };
-        match (self.cfg.filter, cache) {
-            (FilterStrategy::Signature, cache) => {
-                let table = prepared
-                    .sig_table
-                    .as_ref()
-                    // gsi-lint: allow(panic-freedom, reason = "prepare() always builds the table under the Signature config; absence means prepared data from a different engine config, a caller bug no typed error can repair")
-                    .expect("signature filter requires a prepared table");
-                let cfg = &self.cfg.signature;
-                match cache {
-                    Some(cache) => filter_signature_cached(gpu, table, query, cfg, cache),
-                    None => filter_signature(gpu, table, query, cfg),
-                }
-            }
-            (FilterStrategy::LabelDegree, Some(cache)) => {
-                filter_label_degree_cached(gpu, inputs(), query, cache)
-            }
-            (FilterStrategy::LabelDegree, None) => filter_label_degree(gpu, inputs(), query),
-            (FilterStrategy::LabelOnly, Some(cache)) => {
-                filter_label_only_cached(gpu, inputs(), query, cache)
-            }
-            (FilterStrategy::LabelOnly, None) => filter_label_only(gpu, inputs(), query),
-        }
-    }
-
     /// Answer a query: all subgraph-isomorphism matches of `query` in `data`.
     ///
     /// Fails with a typed [`PlanError`] on a query Algorithm 2 cannot plan
@@ -411,7 +370,9 @@ impl GsiEngine {
 
     /// Like [`GsiEngine::query`], aborting (with `stats.timed_out`) when the
     /// wall clock exceeds `timeout` between join iterations — the analogue
-    /// of the paper's 100-second experiment threshold.
+    /// of the paper's 100-second experiment threshold. The three stages
+    /// composed with the configured planner, no filter cache and tracing
+    /// off.
     pub fn query_with_timeout(
         &self,
         data: &Graph,
@@ -419,117 +380,140 @@ impl GsiEngine {
         query: &Graph,
         timeout: Option<Duration>,
     ) -> Result<QueryOutput, PlanError> {
-        self.query_with_options(
-            data,
-            prepared,
-            query,
-            QueryOptions {
-                timeout,
-                ..QueryOptions::default()
-            },
-        )
+        let cands = self.candidates(prepared, query, None);
+        let planned = self.plan(data, prepared, &cands, self.cfg.planner)?;
+        let deadline = timeout.and_then(|t| cands.deadline(t));
+        self.join(data, prepared, &cands, planned, deadline, TraceConfig::Off)
     }
 
-    /// The fully general entry point: [`GsiEngine::query`] plus a timeout,
-    /// an optional reusable [`JoinPlan`], and the other per-run overrides
-    /// of [`QueryOptions`].
-    ///
-    /// Filtering and Algorithm 3 (the joins themselves) always execute;
-    /// Algorithm 2 (join-order construction) executes unless a valid plan
-    /// is supplied through [`QueryOptions::plan`]. Fails with a typed
-    /// [`PlanError`] on queries Algorithm 2 cannot order (empty or
-    /// disconnected patterns) — no panic, so serving workers reject them
-    /// gracefully.
-    ///
-    /// The run charges a device ledger of its own ([`Gpu::scoped`]), so
-    /// `stats.device` is exactly this query's work however many queries
-    /// share the device; the ledger is folded into the device's totals when
-    /// the run ends, whatever its outcome.
-    pub fn query_with_options(
+    /// Run the filtering phase only (used by the Table IV/V harness),
+    /// charging the engine's device ledger.
+    pub fn filter(&self, prepared: &PreparedData, query: &Graph) -> Vec<CandidateSet> {
+        self.candidates(prepared, query, None).sets
+    }
+
+    /// The filter stage: the configured filter's candidate sets for
+    /// `query`, charged to a device ledger of the stage's own that is
+    /// folded into the engine's totals before it returns. Through a
+    /// [`FilterCache`], label demands already computed under `cache` reuse
+    /// their candidate list (one `Arc` clone, zero device work); fresh
+    /// demands are computed and cached. The lists are bit-identical either
+    /// way.
+    pub fn candidates<'q>(
         &self,
-        data: &Graph,
         prepared: &PreparedData,
-        query: &Graph,
-        opts: QueryOptions<'_>,
-    ) -> Result<QueryOutput, PlanError> {
+        query: &'q Graph,
+        cache: Option<&FilterCache>,
+    ) -> Candidates<'q> {
         let gpu = self.gpu.scoped();
-        let out = self.run_query(&gpu, data, prepared, query, opts);
-        self.gpu.stats().absorb(&gpu.stats().snapshot());
-        out
+        // gsi-lint: allow(trace-gating, reason = "one timestamp per query for RunStats phase totals, not per-step tracing; amortized over the whole run")
+        let started = Instant::now();
+        let inputs = || {
+            prepared
+                .filter_inputs
+                .as_ref()
+                // gsi-lint: allow(panic-freedom, reason = "prepare() always uploads the label/degree arrays under the label filters; absence means prepared data from a different engine config, a caller bug no typed error can repair")
+                .expect("label filters require prepared label/degree arrays")
+        };
+        let sets = match self.cfg.filter {
+            FilterStrategy::Signature => {
+                let table = prepared
+                    .sig_table
+                    .as_ref()
+                    // gsi-lint: allow(panic-freedom, reason = "prepare() always builds the table under the Signature config; absence means prepared data from a different engine config, a caller bug no typed error can repair")
+                    .expect("signature filter requires a prepared table");
+                filter_signature(&gpu, table, query, &self.cfg.signature, cache)
+            }
+            FilterStrategy::LabelDegree => filter_label_degree(&gpu, inputs(), query, cache),
+            FilterStrategy::LabelOnly => filter_label_only(&gpu, inputs(), query, cache),
+        };
+        let time = started.elapsed();
+        let device = gpu.stats().snapshot();
+        self.gpu.stats().absorb(&device);
+        Candidates {
+            query,
+            sets,
+            time,
+            device,
+            started,
+        }
     }
 
-    /// [`GsiEngine::query_with_options`] charging `gpu`, a fresh ledger.
-    fn run_query(
+    /// The plan stage: a join order for `cands.query` from its candidate
+    /// sets (Algorithm 2 under [`PlannerKind::Greedy`], the statistics-driven
+    /// search under [`PlannerKind::CostBased`]) with the order's cost
+    /// report. Fails with a typed [`PlanError`] on a pattern neither can
+    /// order (empty or disconnected). Charges no device work.
+    pub fn plan(
         &self,
-        gpu: &Gpu,
         data: &Graph,
         prepared: &PreparedData,
-        query: &Graph,
-        opts: QueryOptions<'_>,
-    ) -> Result<QueryOutput, PlanError> {
+        cands: &Candidates<'_>,
+        planner: PlannerKind,
+    ) -> Result<Planned, PlanError> {
         // gsi-lint: allow(trace-gating, reason = "one timestamp per query for RunStats phase totals, not per-step tracing; amortized over the whole run")
-        let t_start = Instant::now();
-
-        // ---- filtering phase ------------------------------------------
-        let cands = self.filter_on(gpu, prepared, query, opts.filter_cache);
-        let filter_time = t_start.elapsed();
-        let min_candidate = min_candidate_size(&cands);
-
-        let mut stats = RunStats {
-            filter_time,
-            min_candidate,
-            filter_device: gpu.stats().snapshot(),
-            ..RunStats::default()
+        let started = Instant::now();
+        let (plan, explain) = match planner {
+            PlannerKind::Greedy => {
+                let plan = plan_join(cands.query, data, &cands.sets)?;
+                let (stats, sizes) = (prepared.stats(), &cands.sizes());
+                let explain =
+                    estimate_for_plan(&plan, cands.query, stats, sizes, &self.cfg, planner);
+                (plan, explain)
+            }
+            // The explain carries the provenance: Greedy when the pattern
+            // exceeded the exact-search cap and the fallback ran.
+            PlannerKind::CostBased => {
+                plan_join_costed(cands.query, prepared.stats(), &cands.sets, &self.cfg)?
+            }
         };
+        Ok(Planned {
+            plan,
+            explain,
+            time: started.elapsed(),
+        })
+    }
 
-        // ---- joining phase --------------------------------------------
+    /// The join stage (Algorithm 3): run `planned`'s steps over `cands`.
+    /// Fails with [`PlanError::NotCovering`], before any step, on a plan
+    /// that does not cover `cands.query` ([`JoinPlan::covers`]). The run
+    /// stops with `stats.timed_out` when the intermediate table outgrows
+    /// [`GsiConfig::max_intermediate_rows`] or, checked between steps, the
+    /// clock passes `deadline`. [`TraceConfig::On`] records each step's
+    /// wall time in [`RunStats::step_times`]; `Off` skips those clock reads.
+    ///
+    /// The steps charge a device ledger of their own, folded into the
+    /// engine's totals when they end, so `stats.device` (the filter's
+    /// ledger plus this one) is exactly this query's work however many
+    /// queries share the device.
+    pub fn join(
+        &self,
+        data: &Graph,
+        prepared: &PreparedData,
+        cands: &Candidates<'_>,
+        planned: Planned,
+        deadline: Option<Instant>,
+        trace: TraceConfig,
+    ) -> Result<QueryOutput, PlanError> {
         // gsi-lint: allow(trace-gating, reason = "one timestamp per query for RunStats phase totals, not per-step tracing; amortized over the whole run")
         let t_join = Instant::now();
-        let timeout = opts.timeout;
-        let resolved_planner = opts.planner.unwrap_or(self.cfg.planner);
-        // The cost-based planner returns its ExplainPlan alongside the
-        // plan; the other paths compute one for the executed order so
-        // every run reports estimated-vs-actual cardinalities.
-        let (plan, plan_reused, mut explain) = match opts.plan {
-            Some(p) if p.covers(query) => {
-                let plan = p.clone();
-                let sizes: Vec<f64> = cands.iter().map(|c| c.len() as f64).collect();
-                let explain = estimate_for_plan(
-                    &plan,
-                    query,
-                    prepared.stats(),
-                    &sizes,
-                    &self.cfg,
-                    resolved_planner,
-                );
-                (plan, true, explain)
-            }
-            _ => match resolved_planner {
-                PlannerKind::Greedy => {
-                    let plan = plan_join(query, data, &cands)?;
-                    let sizes: Vec<f64> = cands.iter().map(|c| c.len() as f64).collect();
-                    let explain = estimate_for_plan(
-                        &plan,
-                        query,
-                        prepared.stats(),
-                        &sizes,
-                        &self.cfg,
-                        PlannerKind::Greedy,
-                    );
-                    (plan, false, explain)
-                }
-                PlannerKind::CostBased => {
-                    // The returned explain carries the provenance: Greedy
-                    // when the pattern exceeded the exact-search cap and
-                    // the fallback ran.
-                    let (p, explain) =
-                        plan_join_costed(query, prepared.stats(), &cands, &self.cfg)?;
-                    (p, false, explain)
-                }
-            },
+        let Planned {
+            plan,
+            mut explain,
+            time: plan_time,
+        } = planned;
+        if !plan.covers(cands.query) {
+            return Err(PlanError::NotCovering);
+        }
+        let gpu = self.gpu.scoped();
+        let min_candidate = min_candidate_size(&cands.sets);
+        let mut stats = RunStats {
+            filter_time: cands.time,
+            plan_time,
+            min_candidate,
+            filter_device: cands.device,
+            ..RunStats::default()
         };
-        stats.plan_time = t_join.elapsed();
-        let planner = explain.planner;
         let mut matches = Matches::empty(plan.order.clone());
 
         // The join pool (which runs each iteration's planned kernels) is
@@ -538,13 +522,13 @@ impl GsiEngine {
 
         if min_candidate > 0 {
             let ctx = JoinCtx {
-                gpu,
+                gpu: &gpu,
                 cfg: &self.cfg,
                 store: prepared.store.as_ref(),
                 data,
                 backend: &pool,
             };
-            let mut m = MatchTable::from_candidates(&cands[plan.order[0] as usize].list);
+            let mut m = MatchTable::from_candidates(&cands.sets[plan.order[0] as usize].list);
             stats.max_intermediate_rows = m.n_rows();
             stats.step_rows.push(m.n_rows());
 
@@ -552,20 +536,17 @@ impl GsiEngine {
                 if m.is_empty() {
                     break;
                 }
-                if let Some(limit) = timeout {
-                    if t_start.elapsed() > limit {
-                        stats.timed_out = true;
-                        break;
-                    }
-                }
-                if m.n_rows() > self.cfg.max_intermediate_rows {
+                // gsi-lint: allow(trace-gating, reason = "one clock read per join step, only for a run with a deadline")
+                if deadline.is_some_and(|d| Instant::now() > d)
+                    || m.n_rows() > self.cfg.max_intermediate_rows
+                {
                     stats.timed_out = true;
                     break;
                 }
-                let cand = &cands[step.vertex as usize];
+                let cand = &cands.sets[step.vertex as usize];
                 // Per-step wall clocks only under tracing — this pair of
                 // reads per join position is exactly what Off elides.
-                let t_step = opts.trace.is_on().then(Instant::now);
+                let t_step = trace.is_on().then(Instant::now);
                 let next = match self.cfg.join_scheme {
                     JoinScheme::PreallocCombine => prealloc::join_iteration(&ctx, &m, step, cand),
                     JoinScheme::TwoStep => two_step::join_iteration(&ctx, &m, step, cand),
@@ -592,9 +573,11 @@ impl GsiEngine {
             }
         }
 
-        stats.join_time = t_join.elapsed();
-        stats.total_time = t_start.elapsed();
-        stats.device = gpu.stats().snapshot();
+        stats.join_time = plan_time + t_join.elapsed();
+        stats.total_time = cands.started.elapsed();
+        let join_device = gpu.stats().snapshot();
+        self.gpu.stats().absorb(&join_device);
+        stats.device = cands.device + join_device;
         stats.n_matches = matches.len();
         (stats.join_work_units, stats.join_span_units) = pool.work_span();
         explain.fill_actuals(&stats.step_rows);
@@ -603,8 +586,6 @@ impl GsiEngine {
             matches,
             stats,
             plan,
-            plan_reused,
-            planner,
             explain,
         })
     }
@@ -622,7 +603,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsi_gpu_sim::StatsSnapshot;
     use gsi_graph::GraphBuilder;
 
     fn test_engine(cfg: GsiConfig) -> GsiEngine {
@@ -806,55 +786,82 @@ mod tests {
         assert!(!assignments.is_empty());
     }
 
+    /// The three stages run by hand, `planned` supplied by the caller.
+    fn join_with(
+        engine: &GsiEngine,
+        (data, prepared): (&Graph, &PreparedData),
+        query: &Graph,
+        planned: Planned,
+    ) -> Result<QueryOutput, PlanError> {
+        let cands = engine.candidates(prepared, query, None);
+        engine.join(data, prepared, &cands, planned, None, TraceConfig::Off)
+    }
+
     #[test]
     fn reused_plan_gives_identical_results() {
         let (data, query) = paper_example();
         let engine = test_engine(GsiConfig::gsi());
         let prepared = engine.prepare(&data);
         let first = engine.query(&data, &prepared, &query).expect("plans");
-        assert!(!first.plan_reused);
-        let second = engine
-            .query_with_options(
-                &data,
-                &prepared,
-                &query,
-                QueryOptions {
-                    plan: Some(&first.plan),
-                    ..QueryOptions::default()
-                },
-            )
-            .expect("plans");
-        assert!(second.plan_reused);
+        let planned = Planned {
+            plan: first.plan.clone(),
+            explain: first.explain.clone(),
+            time: Duration::ZERO,
+        };
+        let second = join_with(&engine, (&data, &prepared), &query, planned).expect("covers");
         assert_eq!(second.plan, first.plan);
-        assert_eq!(second.matches.canonical(), first.matches.canonical());
+        assert_eq!(second.matches.table, first.matches.table);
+        assert_eq!(second.stats.device, first.stats.device);
     }
 
     #[test]
-    fn invalid_cached_plan_falls_back_to_fresh_planning() {
+    fn join_stage_rejects_a_plan_for_another_pattern() {
         let (data, query) = paper_example();
         let engine = test_engine(GsiConfig::gsi());
         let prepared = engine.prepare(&data);
-        // A plan for a *different* query shape (single edge) must be
-        // rejected by covers() and replanned, not executed.
+        // A plan for a *different* query shape (single edge) fails
+        // covers(): a typed error, never executed nor silently re-planned.
         let mut qb = GraphBuilder::new();
         let u0 = qb.add_vertex(0);
         let u1 = qb.add_vertex(1);
         qb.add_edge(u0, u1, 0);
         let other = qb.build();
-        let stale = engine.query(&data, &prepared, &other).expect("plans").plan;
-        let out = engine
-            .query_with_options(
-                &data,
-                &prepared,
-                &query,
-                QueryOptions {
-                    plan: Some(&stale),
-                    ..QueryOptions::default()
-                },
-            )
-            .expect("plans");
-        assert!(!out.plan_reused);
-        assert_eq!(out.matches.len(), 100);
+        let stale = engine.query(&data, &prepared, &other).expect("plans");
+        let planned = Planned {
+            plan: stale.plan,
+            explain: stale.explain,
+            time: Duration::ZERO,
+        };
+        let before = engine.gpu().stats().snapshot();
+        let err = join_with(&engine, (&data, &prepared), &query, planned).expect_err("stale");
+        assert_eq!(err, PlanError::NotCovering);
+        let charged = engine.gpu().stats().snapshot() - before;
+        let filter_only = test_engine(GsiConfig::gsi());
+        let fresh = filter_only.prepare(&data);
+        filter_only.filter(&fresh, &query);
+        assert_eq!(charged, filter_only.gpu().stats().snapshot(), "no step ran");
+    }
+
+    #[test]
+    fn plan_rejected_query_charges_its_filter_exactly_once() {
+        let (data, _) = paper_example();
+        let mut qb = GraphBuilder::new();
+        qb.add_vertex(0);
+        qb.add_vertex(1); // isolated: disconnected pattern
+        let q = qb.build();
+        let engine = test_engine(GsiConfig::gsi());
+        let prepared = engine.prepare(&data);
+        let err = engine
+            .query(&data, &prepared, &q)
+            .expect_err("disconnected");
+        assert!(matches!(err, PlanError::Disconnected { step: 1 }));
+
+        let reference = test_engine(GsiConfig::gsi());
+        let fresh = reference.prepare(&data);
+        reference.filter(&fresh, &q);
+        let filtered = reference.gpu().stats().snapshot();
+        assert!(filtered.gld_transactions > 0, "the filter read the table");
+        assert_eq!(engine.gpu().stats().snapshot(), filtered);
     }
 
     #[test]
@@ -910,8 +917,9 @@ mod tests {
         let q = qb.build();
         let engine = test_engine(GsiConfig::gsi());
         let prepared = engine.prepare(&data);
+        let cands = engine.candidates(&prepared, &q, None);
         let err = engine
-            .query_with_options(&data, &prepared, &q, QueryOptions::default())
+            .plan(&data, &prepared, &cands, PlannerKind::Greedy)
             .expect_err("disconnected");
         assert!(matches!(err, crate::PlanError::Disconnected { step: 1 }));
     }
@@ -920,7 +928,7 @@ mod tests {
     fn query_returns_typed_errors_not_panics_on_degenerate_patterns() {
         // Regression for the serving path: `query` / `query_with_timeout`
         // used to panic on anything Algorithm 2 cannot plan. They now
-        // surface the same typed `PlanError` as `query_with_options`.
+        // surface the same typed `PlanError` as the plan stage.
         let (data, _) = paper_example();
         let engine = test_engine(GsiConfig::gsi());
         let prepared = engine.prepare(&data);
@@ -939,6 +947,18 @@ mod tests {
             engine.query_with_timeout(&data, &prepared, &disconnected, None),
             Err(crate::PlanError::Disconnected { step: 1 })
         ));
+    }
+
+    /// The three stages with the filter stage reading `cache`.
+    fn query_cached(
+        engine: &GsiEngine,
+        (data, prepared): (&Graph, &PreparedData),
+        query: &Graph,
+        cache: &FilterCache,
+    ) -> Result<QueryOutput, PlanError> {
+        let cands = engine.candidates(prepared, query, Some(cache));
+        let planned = engine.plan(data, prepared, &cands, engine.config().planner)?;
+        engine.join(data, prepared, &cands, planned, None, TraceConfig::Off)
     }
 
     #[test]
@@ -962,13 +982,9 @@ mod tests {
             .collect();
 
         let cache = FilterCache::new();
-        let opts = QueryOptions {
-            filter_cache: Some(&cache),
-            ..QueryOptions::default()
-        };
         let shared: Vec<Result<QueryOutput, PlanError>> = patterns
             .iter()
-            .map(|q| engine.query_with_options(&data, &prepared, q, opts))
+            .map(|q| query_cached(&engine, (&data, &prepared), q, &cache))
             .collect();
 
         for (i, (b, s)) in shared.iter().zip(&solo).enumerate() {
@@ -1015,13 +1031,7 @@ mod tests {
 
         let cache = FilterCache::new();
         for _ in 0..2 {
-            let opts = QueryOptions {
-                filter_cache: Some(&cache),
-                ..QueryOptions::default()
-            };
-            let out = engine
-                .query_with_options(&data, &prepared, &query, opts)
-                .expect("plans");
+            let out = query_cached(&engine, (&data, &prepared), &query, &cache).expect("plans");
             assert_eq!(out.matches.table, reference.matches.table);
         }
         assert!(cache.demands_reused() > 0);
@@ -1138,20 +1148,20 @@ mod tests {
         let prepared = engine.prepare(&data);
 
         let greedy = engine.query(&data, &prepared, &query).expect("plans");
-        assert_eq!(greedy.planner, PlannerKind::Greedy, "preset default");
+        assert_eq!(
+            greedy.explain.planner,
+            PlannerKind::Greedy,
+            "preset default"
+        );
 
-        let costed = engine
-            .query_with_options(
-                &data,
-                &prepared,
-                &query,
-                QueryOptions {
-                    planner: Some(PlannerKind::CostBased),
-                    ..QueryOptions::default()
-                },
-            )
+        let cands = engine.candidates(&prepared, &query, None);
+        let planned = engine
+            .plan(&data, &prepared, &cands, PlannerKind::CostBased)
             .expect("plans");
-        assert_eq!(costed.planner, PlannerKind::CostBased);
+        let costed = engine
+            .join(&data, &prepared, &cands, planned, None, TraceConfig::Off)
+            .expect("covers");
+        assert_eq!(costed.explain.planner, PlannerKind::CostBased);
         assert!(costed.plan.covers(&query));
         assert_eq!(
             costed.matches.canonical(),
@@ -1163,7 +1173,7 @@ mod tests {
         let engine2 = test_engine(GsiConfig::gsi_opt().with_planner(PlannerKind::CostBased));
         let prepared2 = engine2.prepare(&data);
         let via_cfg = engine2.query(&data, &prepared2, &query).expect("plans");
-        assert_eq!(via_cfg.planner, PlannerKind::CostBased);
+        assert_eq!(via_cfg.explain.planner, PlannerKind::CostBased);
         assert_eq!(via_cfg.plan, costed.plan);
     }
 

@@ -32,10 +32,12 @@
 //! the [`backend::JoinPool`] runs its planned kernels on `join_threads`
 //! host threads (one by default — the faithful serial order), and the
 //! simulated device underneath keeps the transaction ledger — one per
-//! query and per launch worker, so it is exact under concurrency. See the
+//! query stage and per launch worker, so it is exact under concurrency. See the
 //! [`backend`] module docs for the stack.
 //!
-//! Entry point: [`engine::GsiEngine`].
+//! Entry point: [`engine::GsiEngine`]. A query is three stages over
+//! values — [`GsiEngine::candidates`] → [`GsiEngine::plan`] →
+//! [`GsiEngine::join`] — that [`GsiEngine::query`] composes.
 //!
 //! ```
 //! use gsi_core::{GsiConfig, GsiEngine};
@@ -91,7 +93,7 @@ pub use cost::{
     estimate_for_plan, plan_from_order, plan_join_costed, CostModel, ExplainPlan, ExplainStep,
     PlannerKind, MAX_EXACT_SEARCH_VERTICES,
 };
-pub use engine::{GsiEngine, PreparedData, QueryOptions, QueryOutput, UpdateReport};
+pub use engine::{Candidates, GsiEngine, Planned, PreparedData, QueryOutput, UpdateReport};
 pub use gsi_graph::update::{GraphOp, UpdateBatch, UpdateError};
 pub use gsi_graph::GraphStats;
 pub use gsi_obs::TraceConfig;

@@ -51,6 +51,9 @@ pub enum PlanError {
         /// The join step at which the order could not be extended.
         step: usize,
     },
+    /// A join plan handed to the join stage does not cover the query
+    /// ([`JoinPlan::covers`]): it was made for another pattern.
+    NotCovering,
 }
 
 impl std::fmt::Display for PlanError {
@@ -63,6 +66,7 @@ impl std::fmt::Display for PlanError {
             PlanError::Disconnected { step } => {
                 write!(f, "query is disconnected at step {step}")
             }
+            PlanError::NotCovering => write!(f, "join plan does not cover the query"),
         }
     }
 }

@@ -8,8 +8,8 @@ use std::time::Duration;
 pub struct RunStats {
     /// Filtering-phase wall time.
     pub filter_time: Duration,
-    /// Join-order resolution wall time: the supplied plan's validity check
-    /// or greedy / cost-based plan construction. A sub-interval of
+    /// The plan stage's wall time: greedy or cost-based plan construction
+    /// (zero for a plan the caller built). Counted inside
     /// [`join_time`](Self::join_time), which historically starts its clock
     /// before planning and keeps that meaning.
     pub plan_time: Duration,

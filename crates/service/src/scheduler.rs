@@ -30,7 +30,7 @@ use crate::catalog::CatalogEntry;
 use crate::tenant::{FairQueue, LaneSlot, LaneSnapshot, TenantPolicy};
 use crate::ServiceCore;
 use gsi_api::{ApiError, Completion, PartialReason};
-use gsi_core::{FilterCache, PlanError, PlannerKind, QueryOptions, QueryOutput};
+use gsi_core::{FilterCache, PlanError, PlannerKind, QueryOutput};
 use gsi_graph::Graph;
 use gsi_obs::{QueryTrace, Stage, StageBreakdown, TraceOutcome, TraceSpan};
 use std::sync::{mpsc, Arc};
@@ -468,34 +468,24 @@ fn run_job(
     let scope = entry.epoch();
     // Deadline budget: the queue wait is part of the latency budget; an
     // expired job is answered without running.
-    let remaining = match job.deadline {
-        Some(d) => match d.checked_sub(waited) {
-            Some(rem) => Some(rem),
-            None => {
-                let breakdown = StageBreakdown {
-                    queue: waited,
-                    ..StageBreakdown::default()
-                };
-                return Err((QueryError::DeadlineExpired { waited }, breakdown));
-            }
-        },
-        None => None,
-    };
+    if job.deadline.is_some_and(|d| waited > d) {
+        let breakdown = StageBreakdown {
+            queue: waited,
+            ..StageBreakdown::default()
+        };
+        return Err((QueryError::DeadlineExpired { waited }, breakdown));
+    }
+    let deadline = job.deadline.and_then(|d| job.submitted.checked_add(d));
 
     // A cache of the job's own: a label demand repeated within the
     // pattern is filtered once.
     let cache = FilterCache::new();
-    let output = core.engine.query_with_options(
-        entry.graph(),
-        entry.prepared(),
-        &job.query,
-        QueryOptions {
-            timeout: remaining,
-            filter_cache: Some(&cache),
-            trace: core.trace,
-            ..QueryOptions::default()
-        },
-    );
+    let (engine, data, prepared) = (&core.engine, entry.graph(), entry.prepared());
+    let cands = engine.candidates(prepared, &job.query, Some(&cache));
+    let t_plan = Instant::now();
+    let output = engine
+        .plan(data, prepared, &cands, engine.config().planner)
+        .and_then(|planned| engine.join(data, prepared, &cands, planned, deadline, core.trace));
     let t_respond = Instant::now();
 
     let output = match output {
@@ -505,7 +495,8 @@ fn run_job(
             // the join phase.
             let breakdown = StageBreakdown {
                 queue: waited,
-                plan: job.submitted.elapsed().saturating_sub(waited),
+                filter: cands.time,
+                plan: t_plan.elapsed(),
                 ..StageBreakdown::default()
             };
             return Err((QueryError::Plan(e), breakdown));
@@ -535,7 +526,8 @@ fn run_job(
     };
     core.stats.record_stage_breakdown(&breakdown);
     core.stats.record_completed(scope, latency, &output.stats);
-    core.stats.record_planned(output.planner, estimation_error);
+    core.stats
+        .record_planned(output.explain.planner, estimation_error);
 
     // Offer the trace to the flight recorder (a relaxed load for the fast
     // majority). Span trees exist only under TraceConfig::On; the coarse
@@ -549,7 +541,7 @@ fn run_job(
         query_id,
         graph: entry.name().to_string(),
         epoch: scope,
-        planner: planner_name(output.planner).to_string(),
+        planner: planner_name(output.explain.planner).to_string(),
         outcome: TraceOutcome::Completed {
             matches: output.matches.len() as u64,
             timed_out: output.stats.timed_out,
@@ -639,4 +631,50 @@ fn build_spans(breakdown: &StageBreakdown, output: &QueryOutput) -> Vec<TraceSpa
         offset += duration;
     }
     spans
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GsiService, ServiceConfig};
+    use gsi_graph::GraphBuilder;
+
+    /// Submission rejects a disconnected pattern, so this test queues one
+    /// directly: the worker's filter runs, the planner rejects, and the
+    /// failure trace books each stage's own time.
+    #[test]
+    fn plan_rejected_trace_books_filter_and_plan_stages() {
+        let service = GsiService::new(ServiceConfig::for_tests());
+        let mut b = GraphBuilder::new();
+        let vs: Vec<u32> = (0..64).map(|i| b.add_vertex(i % 2)).collect();
+        for w in vs.windows(2) {
+            b.add_edge(w[0], w[1], 0);
+        }
+        let entry = service.register("g", b.build()).entry;
+        let mut qb = GraphBuilder::new();
+        qb.add_vertex(0);
+        qb.add_vertex(1); // no edge: disconnected
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            entry,
+            query: qb.build(),
+            deadline: None,
+            submitted: Instant::now(),
+            tag: 0,
+            tx,
+        };
+        service.scheduler.queue.enqueue(None, 2, job).expect("room");
+        let delivery = rx.recv().expect("delivered");
+        assert!(matches!(delivery.response.result, Err(QueryError::Plan(_))));
+
+        let trace = service
+            .flight_recorder()
+            .records()
+            .into_iter()
+            .find(|t| matches!(t.outcome, TraceOutcome::PlanRejected))
+            .expect("the flight recorder keeps the rejected query");
+        let b = &trace.breakdown;
+        assert!(b.filter > Duration::ZERO, "filter time booked to filter");
+        assert!(b.queue + b.filter + b.plan <= trace.latency, "{b:?}");
+    }
 }

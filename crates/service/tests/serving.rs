@@ -363,7 +363,7 @@ fn outcomes_report_planner_kind_and_estimation_error() {
         .unwrap()
         .result
         .unwrap();
-    assert_eq!(first.output.planner, PlannerKind::CostBased);
+    assert_eq!(first.output.explain.planner, PlannerKind::CostBased);
     let err = first.estimation_error.expect("join positions executed");
     assert!(err >= 1.0, "q-error is at least 1: {err}");
 
@@ -372,7 +372,7 @@ fn outcomes_report_planner_kind_and_estimation_error() {
         .unwrap()
         .result
         .unwrap();
-    assert_eq!(second.output.planner, PlannerKind::CostBased);
+    assert_eq!(second.output.explain.planner, PlannerKind::CostBased);
 
     let snap = service.stats();
     assert_eq!(snap.planned_cost_based, 2);

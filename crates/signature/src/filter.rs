@@ -140,7 +140,15 @@ fn signature_scan(gpu: &Gpu, table: &SignatureTable, qwords: &[u32]) -> Vec<Vert
     bitmap_to_list(&bitmap, n)
 }
 
-fn filter_signature_impl(
+/// GSI's signature filter (§III-A): for query vertex `u`, scan the entire
+/// signature table with warp-parallel early-exit containment checks.
+///
+/// Returns one [`CandidateSet`] per query vertex, in query-vertex order.
+/// Through a [`FilterCache`], each distinct encoded signature pays exactly
+/// one table scan per cache lifetime; repeats — within this query or across
+/// the queries sharing `cache` — reuse the cached list by `Arc`. The output
+/// is bit-identical with or without one.
+pub fn filter_signature(
     gpu: &Gpu,
     table: &SignatureTable,
     query: &Graph,
@@ -164,33 +172,6 @@ fn filter_signature_impl(
             }
         })
         .collect()
-}
-
-/// GSI's signature filter (§III-A): for query vertex `u`, scan the entire
-/// signature table with warp-parallel early-exit containment checks.
-///
-/// Returns one [`CandidateSet`] per query vertex, in query-vertex order.
-pub fn filter_signature(
-    gpu: &Gpu,
-    table: &SignatureTable,
-    query: &Graph,
-    cfg: &SignatureConfig,
-) -> Vec<CandidateSet> {
-    filter_signature_impl(gpu, table, query, cfg, None)
-}
-
-/// [`filter_signature`] with a [`FilterCache`]: each distinct encoded
-/// signature pays exactly one table scan per cache lifetime; repeats —
-/// within this query or across the batch sharing `cache` — reuse the
-/// cached list by `Arc`. Output is bit-identical to the uncached filter.
-pub fn filter_signature_cached(
-    gpu: &Gpu,
-    table: &SignatureTable,
-    query: &Graph,
-    cfg: &SignatureConfig,
-    cache: &FilterCache,
-) -> Vec<CandidateSet> {
-    filter_signature_impl(gpu, table, query, cfg, Some(cache))
 }
 
 /// Device-resident per-vertex label and degree arrays for the baseline
@@ -290,34 +271,26 @@ fn filter_by_predicate(
         .collect()
 }
 
-/// GpSM's filter: label equality plus a degree lower bound.
-pub fn filter_label_degree(gpu: &Gpu, inputs: &FilterInputs, query: &Graph) -> Vec<CandidateSet> {
-    filter_by_predicate(gpu, inputs, query, true, None)
-}
-
-/// GunrockSM's filter: label equality only.
-pub fn filter_label_only(gpu: &Gpu, inputs: &FilterInputs, query: &Graph) -> Vec<CandidateSet> {
-    filter_by_predicate(gpu, inputs, query, false, None)
-}
-
-/// [`filter_label_degree`] sharing passes through a [`FilterCache`].
-pub fn filter_label_degree_cached(
+/// GpSM's filter: label equality plus a degree lower bound, sharing
+/// passes through `cache` when given one.
+pub fn filter_label_degree(
     gpu: &Gpu,
     inputs: &FilterInputs,
     query: &Graph,
-    cache: &FilterCache,
+    cache: Option<&FilterCache>,
 ) -> Vec<CandidateSet> {
-    filter_by_predicate(gpu, inputs, query, true, Some(cache))
+    filter_by_predicate(gpu, inputs, query, true, cache)
 }
 
-/// [`filter_label_only`] sharing passes through a [`FilterCache`].
-pub fn filter_label_only_cached(
+/// GunrockSM's filter: label equality only, sharing passes through
+/// `cache` when given one.
+pub fn filter_label_only(
     gpu: &Gpu,
     inputs: &FilterInputs,
     query: &Graph,
-    cache: &FilterCache,
+    cache: Option<&FilterCache>,
 ) -> Vec<CandidateSet> {
-    filter_by_predicate(gpu, inputs, query, false, Some(cache))
+    filter_by_predicate(gpu, inputs, query, false, cache)
 }
 
 #[cfg(test)]
@@ -373,7 +346,7 @@ mod tests {
         let cfg = SignatureConfig::default();
         let gpu = gpu();
         let table = SignatureTable::build(&gpu, &g, &cfg, Layout::ColumnFirst);
-        let cands = filter_signature(&gpu, &table, &q, &cfg);
+        let cands = filter_signature(&gpu, &table, &q, &cfg, None);
         for u in 0..q.n_vertices() as u32 {
             let exact = exact_candidates(&g, &q, u);
             for v in exact {
@@ -393,9 +366,9 @@ mod tests {
         let gpu = gpu();
         let table = SignatureTable::build(&gpu, &g, &cfg, Layout::ColumnFirst);
         let inputs = FilterInputs::build(&gpu, &g);
-        let sig = filter_signature(&gpu, &table, &q, &cfg);
-        let ld = filter_label_degree(&gpu, &inputs, &q);
-        let lo = filter_label_only(&gpu, &inputs, &q);
+        let sig = filter_signature(&gpu, &table, &q, &cfg, None);
+        let ld = filter_label_degree(&gpu, &inputs, &q, None);
+        let lo = filter_label_only(&gpu, &inputs, &q, None);
         // Pointwise: signature ⊆ label+degree ⊆ label-only.
         for u in 0..q.n_vertices() as usize {
             assert!(sig[u].len() <= ld[u].len(), "u={u}");
@@ -413,7 +386,7 @@ mod tests {
         let q = random_walk_query(&g, 4, &mut StdRng::seed_from_u64(8)).unwrap();
         let gpu = gpu();
         let inputs = FilterInputs::build(&gpu, &g);
-        let got = filter_label_degree(&gpu, &inputs, &q);
+        let got = filter_label_degree(&gpu, &inputs, &q, None);
         for u in 0..q.n_vertices() as u32 {
             let expect: Vec<u32> = (0..g.n_vertices() as u32)
                 .filter(|&v| g.vlabel(v) == q.vlabel(u) && g.degree(v) >= q.degree(u))
@@ -439,7 +412,7 @@ mod tests {
             queries
                 .iter()
                 .map(|q| {
-                    filter_signature(&gpu, &table, q, &cfg)
+                    filter_signature(&gpu, &table, q, &cfg, None)
                         .iter()
                         .map(|c| c.len())
                         .sum::<usize>()
@@ -462,13 +435,13 @@ mod tests {
         let gpu1 = gpu();
         let col = SignatureTable::build(&gpu1, &g, &cfg, Layout::ColumnFirst);
         gpu1.reset_stats();
-        let c1 = filter_signature(&gpu1, &col, &q, &cfg);
+        let c1 = filter_signature(&gpu1, &col, &q, &cfg, None);
         let col_gld = gpu1.stats().snapshot().gld_transactions;
 
         let gpu2 = gpu();
         let row = SignatureTable::build(&gpu2, &g, &cfg, Layout::RowFirst);
         gpu2.reset_stats();
-        let c2 = filter_signature(&gpu2, &row, &q, &cfg);
+        let c2 = filter_signature(&gpu2, &row, &q, &cfg, None);
         let row_gld = gpu2.stats().snapshot().gld_transactions;
 
         assert_eq!(c1, c2, "layout must not change results");
@@ -489,7 +462,7 @@ mod tests {
         let cfg = SignatureConfig::default();
         let gpu = gpu();
         let table = SignatureTable::build(&gpu, &g, &cfg, Layout::ColumnFirst);
-        let cands = filter_signature(&gpu, &table, &q, &cfg);
+        let cands = filter_signature(&gpu, &table, &q, &cfg, None);
         assert!(cands[0].is_empty());
         assert_eq!(min_candidate_size(&cands), 0);
     }
@@ -504,9 +477,9 @@ mod tests {
 
         // Uncached reference, twice back to back: 2x the device cost.
         gpu1.reset_stats();
-        let solo = filter_signature(&gpu1, &table1, &q, &cfg);
+        let solo = filter_signature(&gpu1, &table1, &q, &cfg, None);
         let solo_gld = gpu1.stats().snapshot().gld_transactions;
-        let again = filter_signature(&gpu1, &table1, &q, &cfg);
+        let again = filter_signature(&gpu1, &table1, &q, &cfg, None);
         assert_eq!(solo, again);
 
         // Cached, same two queries through one cache: identical lists, and
@@ -515,9 +488,9 @@ mod tests {
         let table2 = SignatureTable::build(&gpu2, &g, &cfg, Layout::ColumnFirst);
         let cache = crate::shared::FilterCache::new();
         gpu2.reset_stats();
-        let first = filter_signature_cached(&gpu2, &table2, &q, &cfg, &cache);
+        let first = filter_signature(&gpu2, &table2, &q, &cfg, Some(&cache));
         let after_first = gpu2.stats().snapshot().gld_transactions;
-        let second = filter_signature_cached(&gpu2, &table2, &q, &cfg, &cache);
+        let second = filter_signature(&gpu2, &table2, &q, &cfg, Some(&cache));
         let after_second = gpu2.stats().snapshot().gld_transactions;
 
         for (a, b) in solo.iter().zip(&first) {
@@ -539,7 +512,7 @@ mod tests {
         let cfg = SignatureConfig::default();
         let gpu = gpu();
         let table = SignatureTable::build(&gpu, &g, &cfg, Layout::ColumnFirst);
-        for c in filter_signature(&gpu, &table, &q, &cfg) {
+        for c in filter_signature(&gpu, &table, &q, &cfg, None) {
             assert!(c.list.windows(2).all(|w| w[0] < w[1]));
         }
     }

@@ -22,8 +22,7 @@ pub mod table;
 
 pub use encode::{Signature, SignatureConfig};
 pub use filter::{
-    filter_label_degree, filter_label_degree_cached, filter_label_only, filter_label_only_cached,
-    filter_signature, filter_signature_cached, min_candidate_size, CandidateSet,
+    filter_label_degree, filter_label_only, filter_signature, min_candidate_size, CandidateSet,
 };
 pub use shared::{FilterCache, FilterDemand};
 pub use table::{Layout, SignatureTable};

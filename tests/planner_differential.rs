@@ -34,16 +34,10 @@ fn run_once(
     query: &Graph,
     planner: PlannerKind,
 ) -> (Vec<Vec<u32>>, gsi::sim::StatsSnapshot, Vec<u32>) {
+    let cands = engine.candidates(prepared, query, None);
     let out = engine
-        .query_with_options(
-            data,
-            prepared,
-            query,
-            QueryOptions {
-                planner: Some(planner),
-                ..QueryOptions::default()
-            },
-        )
+        .plan(data, prepared, &cands, planner)
+        .and_then(|planned| engine.join(data, prepared, &cands, planned, None, TraceConfig::Off))
         .expect("random-walk queries are connected");
     let delta = out.stats.device;
     assert!(out.plan.covers(query), "executed plan must cover");

@@ -121,7 +121,7 @@ proptest! {
         let gpu = Gpu::new(DeviceConfig::test_device());
         let cfg = SignatureConfig::with_n(64); // small N: max collision stress
         let table = SignatureTable::build(&gpu, &g, &cfg, Layout::ColumnFirst);
-        let cands = filter_signature(&gpu, &table, &q, &cfg);
+        let cands = filter_signature(&gpu, &table, &q, &cfg, None);
         // Ground truth containment per query vertex.
         for u in 0..q.n_vertices() as u32 {
             let need: Vec<(u32, u32)> = q
